@@ -21,6 +21,7 @@ r have exact Haar volumes phi(r) and phi(r) - phi(prev_pp(r)).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .primepow import (
     as_fraction,
     bracket_log,
     is_prime,
+    is_prime_power,
     iter_int_prime_powers,
     phi,
     prev_pp,
@@ -46,6 +48,11 @@ DEFAULT_DEPTH = 16
 # means every materialized component vanished to stored depth, probability
 # below p^(-depth) per prime.
 _NORM_SCAN_CAP = 300
+
+# Radii whose sampling plans are kept. A plan holds one pair per prime up
+# to max(r, 1/r); the plans of all 396 prime powers in 1/1024..1024 take
+# about 2 MB together.
+_PLAN_CACHE_SIZE = 512
 
 
 # --------------------------------------------------------------------------
@@ -541,20 +548,37 @@ def haar_volume(region: Region) -> Fraction:
 def ball_exponents(radius: RationalLike) -> dict[int, int]:
     """Nonzero alpha_p = [[log_p r]]: the ball of radius r is the product
     of p^(-alpha_p) Z_p over these primes (Z_p at every other prime)."""
-    r = as_fraction(radius)
-    out: dict[int, int] = {}
+    pairs, _ = _radius_plan(as_fraction(radius))
+    return {p: a for p, a in pairs if a}
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _radius_plan(
+    r: Fraction,
+) -> tuple[tuple[tuple[int, int], ...], Optional[int]]:
+    """Sampling plan of radius r: (p, [[log_p r]]) in ascending p, and the
+    sphere's defining prime p of r = p^k (None when r is not a prime power).
+
+    The pairs are the nonzero ball exponents plus the defining prime, whose
+    exponent is 0 when r = 1/p; that zero is the only one in the plan.
+    """
     if r >= 2:
         bound = int(r)
     else:
         inv = 1 / r
         bound = int(inv) if inv.denominator > 1 else int(inv) - 1
+    alphas: dict[int, int] = {}
     for value, base, k in iter_int_prime_powers(max(bound, 1)):
         if k != 1:
             continue
         a = bracket_log(base, r)
         if a != 0:
-            out[base] = a
-    return out
+            alphas[base] = a
+    sphere_prime = None
+    if is_prime_power(r):
+        sphere_prime = prime_power_pairs(r)[0]
+        alphas.setdefault(sphere_prime, bracket_log(sphere_prime, r))
+    return tuple(sorted(alphas.items())), sphere_prime
 
 
 def sample_uniform(
@@ -580,26 +604,16 @@ def sample_uniform(
     """
     if rng is None:
         rng = derive_rng(seed if seed is not None else 0, "sample")
-    r = region.radius
-    alphas = dict(ball_exponents(r))
-    sphere_prime = None
-    if region.kind == "sphere":
-        sphere_prime = prime_power_pairs(r)[0]
-        alphas.setdefault(sphere_prime, bracket_log(sphere_prime, r))
+    pairs, sphere_prime = _radius_plan(region.radius)
+    if region.kind == "ball":
+        sphere_prime = None
     comps: dict[int, PAdicComponent] = {}
-    for q in sorted(alphas):
-        a = alphas[q]
-        if (
-            prime_cutoff is not None
-            and q > prime_cutoff
-            and q != sphere_prime
-        ):
-            continue
+    for q, a in pairs:
         if q == sphere_prime:
             lead = rng.randrange(1, q)
             rest = rng.randrange(q ** (depth - 1))
             comps[q] = component_from_residue(q, -a, lead + q * rest, depth)
-        else:
+        elif a != 0 and (prime_cutoff is None or q <= prime_cutoff):
             comps[q] = component_from_residue(
                 q, -a, rng.randrange(q ** depth), depth
             )

@@ -11,8 +11,8 @@ Conventions
   is written next to --output as <output>.meta.json, or to --meta. Wall
   time lives only in the sidecar so primary outputs stay byte-stable.
 * A JSON config file (--config) supplies defaults; explicit flags win.
-* Exit codes: 0 ok, 2 usage error, 3 tolerance failure, 4 indeterminate
-  cancellation.
+* Exit codes: 0 ok, 2 usage or range error, 3 tolerance failure, 4
+  indeterminate cancellation.
 """
 from __future__ import annotations
 
@@ -643,6 +643,10 @@ def main(argv=None) -> int:
     except IndeterminateCancellation as exc:
         print(f"indeterminate cancellation: {exc}", file=sys.stderr)
         return 4
+    except (RecursionError, MemoryError) as exc:
+        # last line of defence: an input that outgrew the stack or memory
+        print(f"range error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     cfg.threads = _default_threads()
     for path, text in result.files.items():
         with open(path, "w") as fh:

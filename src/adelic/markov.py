@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -73,12 +73,6 @@ class RadiusDistribution:
             return None
         return self.entries[idx][0]
 
-    def mass_of(self, radius: Fraction) -> float:
-        for r, m in self.entries:
-            if r == radius:
-                return m
-        return 0.0
-
 
 def radius_distribution(
     params: KernelParams,
@@ -97,6 +91,18 @@ def radius_distribution(
         tail_mass=table.low_tail + table.up_tail,
         params=params,
     )
+
+
+# Increment laws kept for sample_path, one per (step params, window). Paths
+# of one ensemble share a single law; a law holds a few hundred radii.
+_LAW_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _increment_law(
+    step_params: KernelParams, r_min: Fraction, r_max: Fraction
+) -> RadiusDistribution:
+    return radius_distribution(step_params, r_min, r_max)
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,7 @@ def sample_path(
         raise ValueError("dt must be positive")
     trunc.validate()
     step_params = KernelParams(t=dt, alpha=params.alpha, beta=params.beta)
-    dist = radius_distribution(step_params, trunc.r_min, trunc.r_max)
+    dist = _increment_law(step_params, trunc.r_min, trunc.r_max)
     if dist.tail_mass > 1e-6:
         raise ToleranceError(
             f"truncation window leaks {dist.tail_mass:.2e} > 1e-6 of "

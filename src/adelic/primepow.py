@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,6 +245,11 @@ class _PowerTable:
             if self._limit >= limit:
                 return self._snapshot
             new_limit = max(limit, 2 * self._limit)
+            if new_limit >= sys.maxsize:
+                raise ValueError(
+                    f"prime-power table cannot be sieved to {new_limit}: "
+                    f"sieve bounds must stay below {sys.maxsize}"
+                )
             sieve = bytearray([1]) * (new_limit + 1)
             sieve[0:2] = b"\x00\x00"
             for i in range(2, int(new_limit ** 0.5) + 1):

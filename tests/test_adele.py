@@ -365,6 +365,46 @@ class TestSampler:
         assert x.component(101) == after
 
 
+# seeded draws frozen from the sampler before plans were cached; the 1/5
+# regions cover the defining prime with exponent [[log_5 1/5]] = 0
+FROZEN_DRAWS = [
+    (ball(F(1, 5)), dict(seed=3, depth=6), "2:6:1;3:2:1,1,1,1,1"),
+    (sphere(F(1, 5)), dict(seed=3, depth=6),
+     "2:6:1;3:2:1,1,1,1,1;5:0:4,4,0,1,0,1"),
+    (sphere(F(8)), dict(seed=11, depth=5, prime_cutoff=3),
+     "2:-3:1,0,0,0,1;3:-1:1"),
+    (ball(F(9)), dict(seed=4, depth=4),
+     "2:-2:1,1;3:z:2;5:-1:2,1,2,4;7:-1:1,0,2,5"),
+]
+
+
+class TestSamplingPlanCache:
+    def test_draws_same_cold_and_warm(self):
+        ad._radius_plan.cache_clear()
+        cold = [format_point(sample_uniform(reg, **kw))
+                for reg, kw, _ in FROZEN_DRAWS]
+        warm = [format_point(sample_uniform(reg, **kw))
+                for reg, kw, _ in FROZEN_DRAWS]
+        assert cold == warm == [text for _, _, text in FROZEN_DRAWS]
+
+    def test_returned_exponents_are_a_copy(self):
+        before = format_point(sample_uniform(sphere(9), seed=21))
+        alphas = ball_exponents(9)
+        alphas[2] = 99
+        alphas[101] = 1
+        del alphas[3]
+        assert ball_exponents(9) == alpha_oracle(F(9))
+        assert format_point(sample_uniform(sphere(9), seed=21)) == before
+
+    def test_bounded(self):
+        size = ad._radius_plan.cache_info().maxsize
+        # radii in (1, 2) have no constrained prime: cheap distinct keys
+        for n in range(size + 10):
+            assert ball_exponents(1 + F(1, n + 2)) == {}
+        info = ad._radius_plan.cache_info()
+        assert info.currsize <= size == ad._PLAN_CACHE_SIZE
+
+
 class TestTailAlgebra:
     def test_sum_then_subtract_recovers(self):
         x = sample_uniform(ball(8), seed=1)

@@ -114,6 +114,24 @@ class TestExitCodes:
     def test_unknown_verify_suite(self, tmp_path):
         assert run_cli(["verify", "nope"], tmp_path).returncode == 2
 
+    def test_unindexable_prime_power_query(self, tmp_path):
+        proc = run_cli(["ppow", "next", "1e30"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"invalid parameters: ")
+
+    def test_recursion_is_a_range_error(self, tmp_path):
+        # the nested sum tails of a 1500-step path exceed the recursion limit
+        proc = run_cli(
+            ["simulate", "--t-step", "0.1", "--steps", "1500", "--alpha",
+             "2", "--seed", "7", "--output", "long.csv"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"range error: RecursionError")
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.count(b"\n") == 1
+        assert not (tmp_path / "long.csv").exists()
+
 
 class TestDeterminism:
     def test_simulate_byte_identical(self, tmp_path):

@@ -114,6 +114,47 @@ class TestSamplePath:
         assert text == mk.sample_path(p, 5, 0.5, seed=8).to_csv()
 
 
+@pytest.fixture
+def law_builds(monkeypatch):
+    """Counts increment-law builds, the way the benchmark's tracer does,
+    with the law cache emptied before and after the test."""
+    calls = []
+    build = mk.radius_distribution
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    mk._increment_law.cache_clear()
+    monkeypatch.setattr(mk, "radius_distribution", counted)
+    yield calls
+    mk._increment_law.cache_clear()
+
+
+class TestIncrementLawCache:
+    def test_one_build_per_step_size(self, law_builds):
+        cold = mk.sample_path(P1, 20, 0.3, seed=5)
+        assert mk.sample_path(P1, 20, 0.3, seed=5) == cold
+        other = mk.sample_path(P1, 20, 0.3, seed=5, path_index=4)
+        assert other.radii != cold.radii
+        assert len(law_builds) == 1
+        mk.sample_path(P1, 5, 0.35, seed=1)
+        assert len(law_builds) == 2
+        mk.sample_path(KernelParams(t=1.0, alpha=3.0), 5, 0.3, seed=1)
+        assert len(law_builds) == 3
+
+    def test_bounded(self, law_builds, monkeypatch):
+        def one_radius(params, lo, hi):
+            return mk.RadiusDistribution(((F(2), 1.0),), 0.0, params)
+
+        monkeypatch.setattr(mk, "radius_distribution", one_radius)
+        size = mk._increment_law.cache_info().maxsize
+        for n in range(size + 5):
+            mk.sample_path(P1, 0, 0.1 + n / 1000)
+        info = mk._increment_law.cache_info()
+        assert info.currsize <= size == mk._LAW_CACHE_SIZE
+
+
 class TestTransitionProb:
     def test_time_zero_indicator(self):
         zero = AdelePoint.zero()
