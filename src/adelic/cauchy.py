@@ -112,6 +112,29 @@ class EvaluableRadial:
 RadialResult = Union[RadialStep, EvaluableRadial]
 
 
+def _multiply(
+    f: RadialStep,
+    mult: Callable[[Fraction], Fraction],
+    tol: float,
+    kind: str,
+    exponent: float,
+    time: float = 0.0,
+) -> RadialResult:
+    """Transform f, multiply by the radial symbol mult and transform back.
+    Exact step when the transform has zero inner value; otherwise the
+    inner ball is split off into a lazily evaluated piece of the given
+    kind."""
+    fhat = f.ft()
+    if fhat.has_zero_inner_value():
+        return fhat.apply_multiplier(mult).ft()
+    c0, rho, rest = fhat.split_inner()
+    exact = rest.apply_multiplier(mult).ft()
+    piece = InnerPiece(
+        scale=float(c0), rho=rho, kind=kind, exponent=exponent, time=time
+    )
+    return EvaluableRadial(step=exact, pieces=(piece,), tol=tol)
+
+
 def apply_operator(
     f: RadialStep, gamma: float, tol: float = 1e-10
 ) -> RadialResult:
@@ -120,16 +143,8 @@ def apply_operator(
     evaluated piece."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    fhat = f.ft()
     mult = lambda q: Fraction(float(q) ** gamma)
-    if fhat.has_zero_inner_value():
-        return fhat.apply_multiplier(mult).ft()
-    c0, rho, rest = fhat.split_inner()
-    exact = rest.apply_multiplier(mult).ft()
-    piece = InnerPiece(
-        scale=float(c0), rho=rho, kind="power", exponent=gamma
-    )
-    return EvaluableRadial(step=exact, pieces=(piece,), tol=tol)
+    return _multiply(f, mult, tol, "power", gamma)
 
 
 def _decay_factor(t: float, lam: float) -> Fraction:
@@ -154,15 +169,7 @@ def solve_homogeneous(
         return u0
     alpha = symbol.alpha
     mult = lambda q: _decay_factor(t, float(q) ** alpha)
-    uhat = u0.ft()
-    if uhat.has_zero_inner_value():
-        return uhat.apply_multiplier(mult).ft()
-    c0, rho, rest = uhat.split_inner()
-    exact = rest.apply_multiplier(mult).ft()
-    piece = InnerPiece(
-        scale=float(c0), rho=rho, kind="heat", exponent=alpha, time=t
-    )
-    return EvaluableRadial(step=exact, pieces=(piece,), tol=tol)
+    return _multiply(u0, mult, tol, "heat", alpha, t)
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,6 @@ class ForcingGrid:
 
     times: tuple[float, ...]
     steps: tuple[RadialStep, ...]
-    interpolation: str = "linear"
 
     def __post_init__(self):
         if len(self.times) != len(self.steps) or not self.times:
@@ -181,8 +187,6 @@ class ForcingGrid:
             raise ValueError("forcing must start at time 0")
         if any(a >= b for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
-        if self.interpolation != "linear":
-            raise ValueError("unsupported interpolation rule")
 
     def envelope(self) -> tuple[Optional[Fraction], Optional[Fraction]]:
         radii = [r for s in self.steps for r in s.coeffs]
@@ -209,8 +213,6 @@ def _weights(quadrature: str, m: int, t: float) -> list[float]:
         w[0] = w[-1] = h / 2
         return w
     if quadrature == "Simpson":
-        if m % 2:
-            raise ValueError("Simpson needs an even step count")
         w = [h / 3 * (4 if i % 2 else 2) for i in range(m + 1)]
         w[0] = w[-1] = h / 3
         return w
@@ -235,14 +237,24 @@ def _accumulate(
 def _duhamel(
     f: ForcingGrid, t: float, symbol: SymbolSpec, tol: float,
     quadrature: str, m: int,
-) -> tuple[RadialStep, dict]:
-    step = RadialStep.zero()
-    pieces: dict = {}
+) -> tuple[RadialStep, dict, RadialStep, dict]:
+    """Quadrature sums of the Duhamel integral with m (fine) and m/2
+    (coarse) steps. Coarse node j is fine node 2j -- t*(2j)/m equals
+    t*j/(m/2) exactly in binary floating point -- so each node is solved
+    once."""
+    fine_step = coarse_step = RadialStep.zero()
+    fine_pieces: dict = {}
+    coarse_pieces: dict = {}
+    coarse_w = _weights(quadrature, m // 2, t)
     for i, w in enumerate(_weights(quadrature, m, t)):
         tau = t * i / m
         g = solve_homogeneous(f.at(tau), t - tau, symbol, tol)
-        step = _accumulate(step, pieces, g, Fraction(w))
-    return step, pieces
+        fine_step = _accumulate(fine_step, fine_pieces, g, Fraction(w))
+        if i % 2 == 0:
+            coarse_step = _accumulate(
+                coarse_step, coarse_pieces, g, Fraction(coarse_w[i // 2])
+            )
+    return fine_step, fine_pieces, coarse_step, coarse_pieces
 
 
 def _piece_l2_cap(key, scale: float) -> float:
@@ -262,7 +274,8 @@ def solve_nonhomogeneous(
 ) -> EvaluableRadial:
     """Homogeneous flow of u0 plus the Duhamel integral of the forcing,
     by composite quadrature in the forcing time. error_bound carries a
-    Richardson step-halving estimate plus the kernel tolerance."""
+    Richardson step-halving estimate plus the kernel tolerance. steps is
+    rounded up to a multiple of 4 for Simpson and of 2 for Trapezoid."""
     symbol.require_solver_range()
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -270,8 +283,9 @@ def solve_nonhomogeneous(
         raise ValueError("forcing nodes do not cover [0, t]")
     if steps < 4:
         raise ValueError("need at least 4 quadrature steps")
-    if quadrature == "Simpson" and steps % 2:
-        steps += 1
+    # the coarse Richardson pass halves the count; Simpson needs an even
+    # count on both grids
+    steps += -steps % (4 if quadrature == "Simpson" else 2)
 
     hom = solve_homogeneous(u0, t, symbol, tol)
     if t == 0:
@@ -280,31 +294,23 @@ def solve_nonhomogeneous(
         )
         return base
 
-    fine_step, fine_pieces = _duhamel(f, t, symbol, tol, quadrature, steps)
-    coarse_step, coarse_pieces = _duhamel(
-        f, t, symbol, tol, quadrature, steps // 2
+    fine_step, fine_pieces, coarse_step, coarse_pieces = _duhamel(
+        f, t, symbol, tol, quadrature, steps
     )
     # Richardson: halving the step scales the error by ~2^order
     order_div = 15.0 if quadrature == "Simpson" else 3.0
     diff_sq = float((fine_step - coarse_step).l2_norm_sq())
     est = math.sqrt(diff_sq) / order_div
-    keys = set(fine_pieces) | set(coarse_pieces)
-    for key in keys:
-        delta = fine_pieces.get(key, 0.0) - coarse_pieces.get(key, 0.0)
+    # every coarse node is a fine node, so fine_pieces holds every key; its
+    # insertion order fixes the float summation order across processes
+    for key, scale in fine_pieces.items():
+        delta = scale - coarse_pieces.get(key, 0.0)
         est += _piece_l2_cap(key, delta) / order_div
 
-    total_step = fine_step
-    total_pieces = dict(fine_pieces)
-    if isinstance(hom, RadialStep):
-        total_step = total_step + hom
-    else:
-        total_step = total_step + hom.step
-        for piece in hom.pieces:
-            key = (piece.rho, piece.kind, piece.exponent, piece.time)
-            total_pieces[key] = total_pieces.get(key, 0.0) + piece.scale
+    total_step = _accumulate(fine_step, fine_pieces, hom, Fraction(1))
     assembled = tuple(
         InnerPiece(scale=s, rho=k[0], kind=k[1], exponent=k[2], time=k[3])
-        for k, s in total_pieces.items()
+        for k, s in fine_pieces.items()
         if s != 0.0
     )
     return EvaluableRadial(
@@ -319,13 +325,11 @@ def solve_nonhomogeneous(
 
 @dataclass(frozen=True)
 class RealGridFunction:
-    """Samples on a uniform grid x0 + i*dx; decay tag documents why
-    zero-extension beyond the window is justified."""
+    """Samples on a uniform grid x0 + i*dx."""
 
     x0: float
     dx: float
     values: tuple[float, ...]
-    decay: str = "fast"
 
     def __post_init__(self):
         if not self.dx > 0 or not self.values:
@@ -355,9 +359,7 @@ def real_fractional_operator(
     v = np.asarray(grid.values, dtype=float)
     xi = np.fft.fftfreq(len(v), d=grid.dx)
     out = np.fft.ifft(np.fft.fft(v) * np.abs(xi) ** beta).real
-    return RealGridFunction(
-        grid.x0, grid.dx, tuple(float(x) for x in out), grid.decay
-    )
+    return RealGridFunction(grid.x0, grid.dx, tuple(float(x) for x in out))
 
 
 def _convolve_samples(
@@ -397,7 +399,7 @@ def _real_evolution(
             f"real grid too coarse or narrow: error estimate {est:.2e} "
             f"exceeds tol {tol:.2e}"
         )
-    return RealGridFunction(grid.x0, grid.dx, tuple(fine), grid.decay)
+    return RealGridFunction(grid.x0, grid.dx, tuple(fine))
 
 
 def solve_adelic(

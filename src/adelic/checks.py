@@ -526,7 +526,7 @@ def check_real_adelic() -> CheckResult:
     half, dx = 12.0, 0.02
     n = int(round(2 * half / dx)) + 1
     vals = tuple(math.exp(-((-half + i * dx) ** 2)) for i in range(n))
-    h_real = RealGridFunction(x0=-half, dx=dx, values=vals, decay="gaussian")
+    h_real = RealGridFunction(x0=-half, dx=dx, values=vals)
     h_fin = RadialStep.sphere_indicator(Fraction(2)).ft() \
         + RadialStep.sphere_indicator(Fraction(1, 3)).ft() * Fraction(2, 7)
     sym = SymbolSpec(alpha=2.0, beta=1.3)

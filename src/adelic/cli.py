@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -65,7 +64,6 @@ class RunConfig:
     output: Optional[str] = None
     meta: Optional[str] = None
     seed: Optional[int] = None
-    threads: int = 1
 
     def as_dict(self) -> dict:
         return {
@@ -73,7 +71,6 @@ class RunConfig:
             "params": {k: _jsonable(v) for k, v in self.params.items()},
             "output": self.output,
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 
@@ -192,7 +189,10 @@ def _read_forcing(path: str) -> ForcingGrid:
         interp = data.get("interpolation", "linear")
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad forcing grid {path}: {exc}")
-    return ForcingGrid(times=times, steps=steps, interpolation=interp)
+    if interp != "linear":
+        raise UsageError(f"bad forcing grid {path}: unsupported "
+                         f"interpolation rule {interp!r}")
+    return ForcingGrid(times=times, steps=steps)
 
 
 def _read_real_grid(path: str) -> RealGridFunction:
@@ -647,7 +647,6 @@ def main(argv=None) -> int:
         # last line of defence: an input that outgrew the stack or memory
         print(f"range error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    cfg.threads = _default_threads()
     for path, text in result.files.items():
         with open(path, "w") as fh:
             fh.write(text)
@@ -655,14 +654,6 @@ def main(argv=None) -> int:
         sys.stdout.write(result.stdout)
     _write_sidecar(cfg, result, time.perf_counter() - begin)
     return code
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("ADELIC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ is closed under x -> 1/x. next_pp / prev_pp are the successor and
 predecessor in this order; they satisfy the duality
 (next_pp(n))^-1 = prev_pp(n^-1).
 
+Every order query goes through one integer index, the rank: 2 -> 0,
+3 -> 1, 4 -> 2, ..., 1/2 -> -1, 1/3 -> -2, .... Successor and predecessor
+are r +/- 1 and x -> 1/x is r -> -1-r.
+
 phi is the multiplicative bracket product
 
     phi(x) = prod_p p^[[log_p x]],    [[t]] = floor(t) shifted by +1 for t < 0,
@@ -39,7 +43,7 @@ from typing import Iterable, Union
 
 RationalLike = Union["PrimePower", Fraction, int, float]
 
-# Exact cumulative phi values are cached only up to this table index bound
+# Exact cumulative phi values are cached only up to this table value bound
 # (values <= _EXACT_CACHE_LIMIT); larger exact queries are computed on the
 # fly without caching so a single huge query cannot pin gigabytes.
 _EXACT_CACHE_LIMIT = 1 << 14
@@ -91,8 +95,16 @@ class PrimePower:
             return Fraction(self.p ** self.k)
         return Fraction(1, self.p ** (-self.k))
 
+    @classmethod
+    def _trusted(cls, p: int, k: int) -> "PrimePower":
+        """p^k without the primality test, for a base already known prime."""
+        pk = object.__new__(cls)
+        object.__setattr__(pk, "p", p)
+        object.__setattr__(pk, "k", k)
+        return pk
+
     def reciprocal(self) -> "PrimePower":
-        return PrimePower(self.p, -self.k)
+        return PrimePower._trusted(self.p, -self.k)
 
     @classmethod
     def from_value(cls, x: RationalLike) -> "PrimePower":
@@ -217,13 +229,19 @@ def bracket_log(p: int, x: RationalLike) -> int:
 
 
 class _PowerTable:
-    """Sorted integer prime powers >= 2 with cumulative log-phi.
+    """Sorted integer prime powers >= 2 with cumulative log-phi, indexed by
+    rank.
+
+    Rank i >= 0 is the i-th integer prime power and rank -1-i its
+    reciprocal: 2 -> 0, 3 -> 1, 1/2 -> -1, 1/3 -> -2, so x -> 1/x is
+    r -> -1-r and successor/predecessor are r +/- 1. Re-sieving to a larger
+    bound only appends, so a rank never changes meaning.
 
     Lazily extended by re-sieving to a doubled bound; extension is
     serialized by a lock while readers work on immutable snapshots, so
-    concurrent reads during extension are safe. The doubling step also
+    concurrent reads during extension are safe. Extending past 2(x + 1)
     guarantees (by Bertrand's postulate: there is a prime in (n, 2n)) that
-    after extending past 2x the table always contains a successor for x.
+    the table contains a successor for x.
     """
 
     def __init__(self):
@@ -233,9 +251,6 @@ class _PowerTable:
         self._limit = 1
         self._exact: list[int] = []  # cumulative exact phi, prefix of values
         self.extend_to(512)
-
-    def snapshot(self) -> tuple:
-        return self._snapshot
 
     def extend_to(self, limit: int) -> tuple:
         limit = max(limit, 2)
@@ -276,69 +291,49 @@ class _PowerTable:
             self._limit = new_limit
             return self._snapshot
 
-    def ensure(self, x: Fraction) -> tuple:
-        """Snapshot guaranteed to cover integer prime powers past x."""
-        need = int(x) + 1
-        if self._limit <= 2 * need:
-            return self.extend_to(2 * need)
-        return self._snapshot
-
-    # --- integer prime-power order primitives (x any positive rational) ---
-
-    def succ_int(self, x: Fraction) -> int:
-        """Smallest integer prime power strictly greater than x."""
-        values = self.ensure(x)[0]
-        i = bisect.bisect_right(values, x)
-        return values[i]
-
-    def pred_int(self, x: Fraction) -> int | None:
-        """Largest integer prime power strictly less than x (None if < 2)."""
-        values = self.ensure(x)[0]
-        i = bisect.bisect_left(values, x)
-        return values[i - 1] if i > 0 else None
-
-    def floor_int(self, x: Fraction) -> int | None:
-        """Largest integer prime power <= x (None if x < 2)."""
-        values = self.ensure(x)[0]
-        i = bisect.bisect_right(values, x)
-        return values[i - 1] if i > 0 else None
-
-    def index_of(self, n: int) -> int:
-        values = self.ensure(Fraction(n))[0]
-        i = bisect.bisect_left(values, n)
-        if i == len(values) or values[i] != n:
-            raise ValueError(f"{n} is not a prime power")
-        return i
-
-    def pair_at(self, i: int) -> tuple[int, int]:
-        snap = self._snapshot
-        return snap[1][i], snap[2][i]
-
-    def exact_phi_int(self, n: int) -> int:
-        """phi(n) for an integer prime power n: product of bases of all
-        prime powers <= n."""
-        i = self.index_of(n)
-        bases = self._snapshot[1]
+    def _values_past(self, x: Fraction) -> tuple:
+        """Table values whose last entry exceeds x."""
         values = self._snapshot[0]
+        if values[-1] <= x:
+            values = self.extend_to(2 * (int(x) + 1))[0]
+        return values
+
+    def rank_floor(self, x: Fraction) -> int:
+        """Rank of the largest prime power <= x (-1 on [1/2, 2)); the table
+        is extended so that rank + 1 exists."""
+        if x >= 2:
+            return bisect.bisect_right(self._values_past(x), x) - 1
+        if 2 * x >= 1:
+            return -1
+        # the largest prime power <= x is 1/m for the smallest integer
+        # prime power m >= 1/x
+        inv = 1 / x
+        return -1 - bisect.bisect_left(self._values_past(inv), inv)
+
+    def at(self, rank: int) -> PrimePower:
+        """The prime power of the given rank."""
+        _, bases, exps, _ = self._snapshot
+        if rank >= 0:
+            return PrimePower._trusted(bases[rank], exps[rank])
+        return PrimePower._trusted(bases[-1 - rank], -exps[-1 - rank])
+
+    def exact_phi(self, i: int) -> int:
+        """phi of the integer prime power of rank i >= 0: the product of
+        the bases of ranks 0..i."""
+        values, bases, _, _ = self._snapshot
         with self._exact_lock:
             if i < len(self._exact):
                 return self._exact[i]
             acc = self._exact[-1] if self._exact else 1
-            start = len(self._exact)
-            if n <= _EXACT_CACHE_LIMIT:
-                for j in range(start, i + 1):
-                    acc *= bases[j]
-                    self._exact.append(acc)
-                return acc
-            # cache the prefix up to the limit, finish without caching
-            for j in range(start, i + 1):
+            for j in range(len(self._exact), i + 1):
                 acc *= bases[j]
                 if values[j] <= _EXACT_CACHE_LIMIT:
                     self._exact.append(acc)
             return acc
 
-    def log_phi_int(self, n: int) -> float:
-        return self._snapshot[3][self.index_of(n)]
+    def log_phi(self, i: int) -> float:
+        """log phi of the integer prime power of rank i >= 0."""
+        return self._snapshot[3][i]
 
 
 _TABLE = _PowerTable()
@@ -346,64 +341,20 @@ _TABLE = _PowerTable()
 
 def next_pp(x: RationalLike) -> PrimePower:
     """Successor: the smallest prime power strictly greater than x."""
-    frac = as_fraction(x)
-    if frac < Fraction(1, 2):
-        # prime powers below 1 are 1/m; the next one above x is the
-        # reciprocal of the largest integer prime power strictly below 1/x
-        m = _TABLE.pred_int(1 / frac)
-        if m is not None:
-            return PrimePower(_base_of(m), -_exp_of(m))
-        return PrimePower(2, 1)
-    if frac < 2:
-        return PrimePower(2, 1)
-    n = _TABLE.succ_int(frac)
-    return PrimePower(_base_of(n), _exp_of(n))
+    return _TABLE.at(_TABLE.rank_floor(as_fraction(x)) + 1)
 
 
 def prev_pp(x: RationalLike) -> PrimePower:
     """Predecessor: the largest prime power strictly less than x."""
-    frac = as_fraction(x)
-    if frac > 2:
-        n = _TABLE.pred_int(frac)
-        return PrimePower(_base_of(n), _exp_of(n))
-    if frac > Fraction(1, 2):
-        return PrimePower(2, -1)
-    m = _TABLE.succ_int(1 / frac)
-    return PrimePower(_base_of(m), -_exp_of(m))
+    # (next_pp(1/x))^-1, with the reciprocal r -> -1-r on ranks
+    return _TABLE.at(-2 - _TABLE.rank_floor(1 / as_fraction(x)))
 
 
 def pp_range(a: RationalLike, b: RationalLike) -> list[PrimePower]:
     """All prime powers v with a < v <= b, ascending."""
-    lo = as_fraction(a)
-    hi = as_fraction(b)
-    out: list[PrimePower] = []
-    if lo >= hi:
-        return out
-    # reciprocal part: 1/m with lo < 1/m <= hi  <=>  1/hi <= m < 1/lo
-    if lo < 1:
-        m_lo = 1 / hi if hi < 1 else Fraction(1)
-        values = _TABLE.ensure(1 / lo)[0]
-        i = bisect.bisect_left(values, m_lo)
-        j = bisect.bisect_left(values, 1 / lo)
-        for idx in range(j - 1, i - 1, -1):  # descending m -> ascending 1/m
-            base, k = _TABLE.pair_at(idx)
-            out.append(PrimePower(base, -k))
-    # integer part: prime powers in (max(lo, 1), hi]
-    if hi >= 2:
-        values = _TABLE.ensure(hi)[0]
-        i = bisect.bisect_right(values, lo)
-        j = bisect.bisect_right(values, hi)
-        for idx in range(i, j):
-            out.append(PrimePower(*_TABLE.pair_at(idx)))
-    return out
-
-
-def _base_of(n: int) -> int:
-    return _TABLE.pair_at(_TABLE.index_of(n))[0]
-
-
-def _exp_of(n: int) -> int:
-    return _TABLE.pair_at(_TABLE.index_of(n))[1]
+    lo = _TABLE.rank_floor(as_fraction(a))
+    hi = _TABLE.rank_floor(as_fraction(b))
+    return [_TABLE.at(r) for r in range(lo + 1, hi + 1)]
 
 
 def phi(x: RationalLike) -> Fraction:
@@ -413,33 +364,19 @@ def phi(x: RationalLike) -> Fraction:
     largest prime power n <= x, phi == 1 on [1/2, 2), and
     phi(1/m) = base(m)/phi(m) for integer prime powers m.
     """
-    frac = as_fraction(x)
-    if frac >= 2:
-        return Fraction(_TABLE.exact_phi_int(_TABLE.floor_int(frac)))
-    if frac >= Fraction(1, 2):
-        return Fraction(1)
-    # largest prime power <= x is 1/m for the smallest integer prime
-    # power m >= 1/x
-    inv = 1 / frac
-    m = _TABLE.floor_int(inv)
-    if m is None or Fraction(m) != inv:
-        m = _TABLE.succ_int(inv)
-    return Fraction(_base_of(m), _TABLE.exact_phi_int(m))
+    r = _TABLE.rank_floor(as_fraction(x))
+    if r >= 0:
+        return Fraction(_TABLE.exact_phi(r))
+    return Fraction(_TABLE.at(r).p, _TABLE.exact_phi(-1 - r))
 
 
 def log_phi(x: RationalLike) -> float:
     """log(phi(x)) as a float; equals the Chebyshev function psi(x) for
     x >= 2. Safe for arguments far beyond float overflow of phi itself."""
-    frac = as_fraction(x)
-    if frac >= 2:
-        return _TABLE.log_phi_int(_TABLE.floor_int(frac))
-    if frac >= Fraction(1, 2):
-        return 0.0
-    inv = 1 / frac
-    m = _TABLE.floor_int(inv)
-    if m is None or Fraction(m) != inv:
-        m = _TABLE.succ_int(inv)
-    return math.log(_base_of(m)) - _TABLE.log_phi_int(m)
+    r = _TABLE.rank_floor(as_fraction(x))
+    if r >= 0:
+        return _TABLE.log_phi(r)
+    return math.log(_TABLE.at(r).p) - _TABLE.log_phi(-1 - r)
 
 
 def is_prime_power(x: RationalLike) -> bool:

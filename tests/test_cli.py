@@ -119,6 +119,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"invalid parameters: ")
 
+    def test_unsupported_interpolation(self, step_file, tmp_path):
+        forcing = tmp_path / "forcing.json"
+        forcing.write_text(json.dumps({
+            "times": [0.0, 1.0],
+            "steps": [RadialStep.zero().to_dict()] * 2,
+            "interpolation": "cubic",
+        }))
+        proc = run_cli(
+            ["solve", "duhamel", "--t", "1", "--alpha", "2",
+             "--u0", str(step_file), "--forcing", str(forcing)],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"usage error: ")
+
     def test_recursion_is_a_range_error(self, tmp_path):
         # the nested sum tails of a 1500-step path exceed the recursion limit
         proc = run_cli(
@@ -159,6 +174,39 @@ class TestDeterminism:
         assert [proc.returncode for proc in procs] == [0, 0]
         outs = {proc.stdout for proc in procs}
         assert len(outs) == 1
+
+
+class TestSolveDuhamel:
+    def run(self, tmp_path, forcing_step, *extra):
+        forcing = tmp_path / "forcing.json"
+        forcing.write_text(json.dumps({
+            "times": [0.0, 1.0],
+            "steps": [(forcing_step * F(c)).to_dict() for c in (1, 3)],
+        }))
+        u0 = tmp_path / "u0.json"
+        u0.write_text(RadialStep.ball_indicator(F(1, 2)).to_json())
+        return run_cli(
+            ["solve", "duhamel", "--t", "1", "--alpha", "2",
+             "--u0", str(u0), "--forcing", str(forcing), *extra],
+            tmp_path,
+        )
+
+    def test_simpson_step_count_not_a_multiple_of_4(self, tmp_path):
+        proc = self.run(tmp_path, RadialStep.zero(), "--steps", "18")
+        assert proc.returncode == 0
+        assert proc.stdout
+
+    def test_error_bound_independent_of_string_hashing(self, tmp_path,
+                                                      monkeypatch):
+        # a forcing with nonzero integral gives one inner piece per node
+        outs = []
+        for seed in ("1", "3"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            proc = self.run(tmp_path, RadialStep.ball_indicator(F(1, 2)),
+                            "--steps", "16")
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestSidecar:

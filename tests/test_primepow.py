@@ -226,6 +226,45 @@ class TestPhi:
             assert log_phi(n) <= 1.04 * n
 
 
+class TestRankIndex:
+    def test_rank_convention(self):
+        values = [pp._TABLE.at(r).value for r in range(-4, 4)]
+        assert values == [F(1, 5), F(1, 4), F(1, 3), F(1, 2), 2, 3, 4, 5]
+        assert pp._TABLE.rank_floor(F(2)) == 0
+        assert pp._TABLE.rank_floor(F(1)) == -1
+        assert pp._TABLE.rank_floor(F(1, 2)) == -1
+        assert pp._TABLE.rank_floor(F(49, 100)) == -2
+
+    def test_cold_successor_sieves_once(self, monkeypatch):
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        assert next_pp(10**6) == PrimePower(1_000_003, 1)
+        assert pp._TABLE._limit <= 2 * (10**6 + 1)
+
+    def test_order_queries_run_no_primality_test(self, monkeypatch):
+        tests = []
+        is_prime = pp.is_prime
+
+        def counted(n):
+            tests.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(pp, "is_prime", counted)
+        for x in (F(1, 1000), F(1, 3), F(1, 2), 1, 2, 10, 1009, F(10**5, 7)):
+            next_pp(x)
+            prev_pp(x)
+            pp_range(F(1, 50), x)
+        assert tests == []
+
+    def test_log_phi_reciprocal_radii_frozen(self):
+        # log(base(m)) - log phi(m), frozen as floats: the rank index must
+        # not move them
+        assert log_phi(F(1, 2)) == 0.0
+        assert log_phi(F(1, 3)) == -0.6931471805599452
+        assert log_phi(F(1, 4)) == -1.791759469228055
+        assert log_phi(F(1, 1024)) == -1024.3734136231653
+        assert log_phi(F(1, 1009)) == -996.6809122471755
+
+
 class TestPrimePowerType:
     def test_ordering_and_hash(self):
         a = PrimePower(2, 1)
