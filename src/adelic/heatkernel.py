@@ -23,6 +23,10 @@ obtained by swapping the two absolutely convergent sums and telescoping
 with phi(rho) phi(prev_pp(1/rho)) = 1. The identity (validated against
 slow high-precision sums) supplies both tails of the normalization
 integral and exact ball transition probabilities.
+
+Every series and sweep looks up the rank of its first prime power once
+(primepow's rank index: successor is r + 1, 1/x is r -> -1-r) and then
+steps integer ranks, reading values and log phi by rank from the table.
 """
 from __future__ import annotations
 
@@ -32,16 +36,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ToleranceError
-from .primepow import (
-    RationalLike,
-    as_fraction,
-    log_phi,
-    next_pp,
-    phi,
-    pp_range,
-    prev_pp,
-    prime_power_pairs,
-)
+from .primepow import _TABLE, RationalLike, as_fraction, prime_power_pairs
 from .util import clamp_nonnegative
 
 _CHEB = 1.04  # effective bound: ln phi(x) <= 1.04 x for x >= 2
@@ -81,27 +76,29 @@ def _to_radius(radius: RationalLike) -> Fraction:
     return s
 
 
-def _ln_delta(q: Fraction, t: float, alpha: float) -> float:
-    """ln(e^{-t q^alpha} - e^{-t (next q)^alpha}), computed stably."""
-    a = float(q) ** alpha
-    b = float(next_pp(q).value) ** alpha
+def _ln_delta(k: int, t: float, alpha: float) -> float:
+    """ln(e^{-t q^alpha} - e^{-t (next q)^alpha}) for q of rank k, computed
+    stably."""
+    a = _TABLE.float_at(k) ** alpha
+    b = _TABLE.float_at(k + 1) ** alpha
     gap = -math.expm1(-t * (b - a))  # 1 - e^{-t(b-a)} > 0
     if gap <= 0.0:
         return -math.inf
     return -t * a + math.log(gap)
 
 
-def _low_remainder_ln(q: Fraction, t: float, alpha: float) -> float:
-    """ln bound for the sum over prime powers strictly below q."""
-    gap = -math.expm1(-t * float(q) ** alpha)
+def _low_remainder_ln(k: int, t: float, alpha: float) -> float:
+    """ln bound for the sum over prime powers strictly below rank k."""
+    gap = -math.expm1(-t * _TABLE.float_at(k) ** alpha)
     if gap <= 0.0:
         return -math.inf
-    return log_phi(prev_pp(q).value) + math.log(gap)
+    return _TABLE.log_phi_at(k - 1) + math.log(gap)
 
 
-def _upper_start(t: float, alpha: float, tol: float) -> Fraction:
-    """Integer prime power M so the sum above M is below tol, certified
-    by the e^{1.04 q} envelope and a geometric ratio argument."""
+def _check_peak(t: float, alpha: float):
+    """Refuse parameters whose largest series term, under the e^{1.04 q}
+    envelope, leaves the double range; checked before any table walk, since
+    its position q* can lie far beyond any table worth sieving."""
     qstar = max(2.0, (_CHEB / (t * alpha)) ** (1.0 / (alpha - 1.0)))
     lmax = _CHEB * qstar - t * qstar ** alpha
     if lmax > 700.0:
@@ -109,34 +106,58 @@ def _upper_start(t: float, alpha: float, tol: float) -> Fraction:
             "kernel value exceeds the double range for these parameters "
             f"(peak term ~ e^{lmax:.0f}); t is too small for alpha={alpha}"
         )
+
+
+def _start_rank(t: float, alpha: float) -> int:
+    """Rank of the first prime power past the q where the slope
+    t alpha q^(alpha-1) of the exponent reaches 2 * 1.04, or of 2 when
+    that q is at most 2."""
     base = max(2.0, (2 * _CHEB / (t * alpha)) ** (1.0 / (alpha - 1.0)))
-    m = next_pp(base) if base > 2 else Fraction(2)
-    m = as_fraction(m)
+    return _TABLE.rank_floor(Fraction(base)) + 1 if base > 2 else 0
+
+
+def _upper_start(t: float, alpha: float, tol: float) -> int:
+    """Rank of an integer prime power M so the sum above M is below tol,
+    certified by the e^{1.04 q} envelope and a geometric ratio argument."""
+    _check_peak(t, alpha)
+    k = _start_rank(t, alpha)
     while True:
-        nxt = float(m) + 1.0
+        nxt = _TABLE.float_at(k) + 1.0
         ln_tail = _CHEB * nxt - t * nxt ** alpha - math.log(_LOG_GEO)
         if ln_tail < math.log(tol):
-            return m
-        m = next_pp(m).value
+            return k
+        k += 1
 
 
-def _ln_terms(s: Fraction, t: float, alpha: float, rel_tol: float):
-    """Descending ln-terms of the defining series at norm s, truncated at
-    relative accuracy rel_tol; yields floats."""
+def _top_rank(s: Fraction, t: float, alpha: float, rel_tol: float) -> int:
+    """Rank of the first (largest) series index: the largest prime power
+    below 1/s, or the certified upper start for the full sum at s = 0."""
     if s > 0:
-        top = prev_pp(1 / s).value
-    else:
-        top = _upper_start(t, alpha, rel_tol * 0.25)
-    q = top
+        # prev_pp(1/s), with 1/x as r -> -1-r on ranks
+        return -2 - _TABLE.rank_floor(s)
+    return _upper_start(t, alpha, rel_tol * 0.25)
+
+
+def _ln_terms(top: int, t: float, alpha: float, rel_tol: float):
+    """Descending ln-terms of the defining series from rank top, truncated
+    at relative accuracy rel_tol; yields floats."""
+    k = top
     acc = -math.inf
     while True:
-        term = log_phi(q) + _ln_delta(q, t, alpha)
+        term = _TABLE.log_phi_at(k) + _ln_delta(k, t, alpha)
         yield term
         acc = _logaddexp(acc, term)
-        rem = _low_remainder_ln(q, t, alpha)
+        rem = _low_remainder_ln(k, t, alpha)
         if rem < acc + math.log(rel_tol * 0.5) or rem == -math.inf:
             return
-        q = prev_pp(q).value
+        k -= 1
+
+
+def _ln_z(top: int, t: float, alpha: float, rel_tol: float) -> float:
+    acc = -math.inf
+    for term in _ln_terms(top, t, alpha, rel_tol):
+        acc = _logaddexp(acc, term)
+    return acc
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -152,11 +173,9 @@ def ln_z_finite(radius: RationalLike, params: KernelParams,
                 rel_tol: float = 1e-13) -> float:
     """ln Z(radius, t); usable even where Z itself over/underflows floats."""
     params.require_positive_time()
-    s = _to_radius(radius)
-    acc = -math.inf
-    for term in _ln_terms(s, params.t, params.alpha, rel_tol):
-        acc = _logaddexp(acc, term)
-    return acc
+    t, alpha = params.t, params.alpha
+    top = _top_rank(_to_radius(radius), t, alpha, rel_tol)
+    return _ln_z(top, t, alpha, rel_tol)
 
 
 def z_finite(radius: RationalLike, params: KernelParams,
@@ -165,8 +184,9 @@ def z_finite(radius: RationalLike, params: KernelParams,
     for the dominant part, with the certified series remainders added on
     both ends). Always nonnegative: the series has positive terms."""
     params.require_positive_time()
-    s = _to_radius(radius)
-    terms = list(_ln_terms(s, params.t, params.alpha, min(tol, 1e-13)))
+    t, alpha, rel_tol = params.t, params.alpha, min(tol, 1e-13)
+    top = _top_rank(_to_radius(radius), t, alpha, rel_tol)
+    terms = list(_ln_terms(top, t, alpha, rel_tol))
     peak = max(terms)
     if peak > 709.0:
         raise OverflowError(
@@ -193,9 +213,9 @@ class SphereMasses:
         return self.low_tail + math.fsum(self.masses) + self.up_tail
 
 
-def _ln_vol_sphere(r: Fraction) -> float:
-    p, _ = prime_power_pairs(r)
-    return log_phi(r) + math.log1p(-1.0 / p)
+def _ln_vol_sphere(k: int) -> float:
+    """ln vol(S_r) = ln(phi(r) - phi(prev r)) for r of rank k."""
+    return _TABLE.log_phi_at(k) + math.log1p(-1.0 / _TABLE.base_at(k))
 
 
 def _validate_ball_radius(r: Fraction):
@@ -223,50 +243,56 @@ def sphere_masses(
     prime_power_pairs(lo), prime_power_pairs(hi)
     if lo > hi:
         raise ValueError("empty radius window")
-    radii = [lo] + [q.value for q in pp_range(lo, hi)]
-    ln_z_hi = ln_z_finite(hi, params, rel_tol)
+    k_lo, k_hi = _TABLE.rank_floor(lo), _TABLE.rank_floor(hi)
+    ln_z_hi = _ln_z(-2 - k_hi, t, alpha, rel_tol)
     # descending sweep: stepping the radius down one prime power adds the
-    # single series term q = 1/r, since prev_pp(1/prev_pp(r)) = 1/r
-    ln_masses: dict[Fraction, float] = {}
+    # single series term q = 1/r (rank -1-k for r of rank k), since
+    # prev_pp(1/prev_pp(r)) = 1/r
+    ln_masses = []
     acc = ln_z_hi
-    for r in reversed(radii):
-        ln_masses[r] = _ln_vol_sphere(r) + acc
-        acc = _logaddexp(acc, log_phi(1 / r) + _ln_delta(1 / r, t, alpha))
+    for k in range(k_hi, k_lo - 1, -1):
+        ln_masses.append(_ln_vol_sphere(k) + acc)
+        acc = _logaddexp(
+            acc, _TABLE.log_phi_at(-1 - k) + _ln_delta(-1 - k, t, alpha)
+        )
     ln_z_below = acc  # ln Z(prev_pp(lo), t)
-    rho = prev_pp(lo).value
-    low_tail = math.exp(log_phi(rho) + ln_z_below) + math.exp(
-        -t * float(rho) ** -alpha
+    low_tail = math.exp(_TABLE.log_phi_at(k_lo - 1) + ln_z_below) + math.exp(
+        -t * _TABLE.float_at(k_lo - 1) ** -alpha
     )
-    up_tail = -math.expm1(-t * float(hi) ** -alpha) - math.exp(
-        log_phi(hi) + ln_z_hi
+    up_tail = -math.expm1(-t * _TABLE.float_at(k_hi) ** -alpha) - math.exp(
+        _TABLE.log_phi_at(k_hi) + ln_z_hi
     )
     up_tail = clamp_nonnegative(up_tail, scale=max(1.0, t))
-    masses = tuple(math.exp(ln_masses[r]) for r in radii)
-    return SphereMasses(tuple(radii), masses, low_tail, up_tail)
+    radii = tuple(_TABLE.fraction_at(k) for k in range(k_lo, k_hi + 1))
+    masses = tuple(math.exp(m) for m in reversed(ln_masses))
+    return SphereMasses(radii, masses, low_tail, up_tail)
+
+
+def _ball_identity(radius: RationalLike, params: KernelParams,
+                   rel_tol: float) -> tuple[float, float]:
+    """(phi(r) Z(r, t), t q0^alpha) for the closed ball of radius r: the
+    cumulative mass is the first plus e^{-t q0^alpha}."""
+    params.require_positive_time()
+    r = as_fraction(radius)
+    _validate_ball_radius(r)
+    k = _TABLE.rank_floor(r)
+    ln_z = _ln_z(-2 - k, params.t, params.alpha, rel_tol)
+    inside = math.exp(_TABLE.log_phi_at(k) + ln_z)
+    return inside, params.t * _boundary_exponent(r) ** params.alpha
 
 
 def ball_mass(radius: RationalLike, params: KernelParams,
               rel_tol: float = 1e-13) -> float:
     """Exact-identity cumulative mass: integral of Z over the closed ball."""
-    params.require_positive_time()
-    r = as_fraction(radius)
-    _validate_ball_radius(r)
-    ln_z = ln_z_finite(r, params, rel_tol)
-    return math.exp(log_phi(r) + ln_z) + math.exp(
-        -params.t * _boundary_exponent(r) ** params.alpha
-    )
+    inside, boundary = _ball_identity(radius, params, rel_tol)
+    return inside + math.exp(-boundary)
 
 
 def upper_tail_mass(radius: RationalLike, params: KernelParams,
                     rel_tol: float = 1e-13) -> float:
     """Mass outside the closed ball, via the same identity (stable form)."""
-    params.require_positive_time()
-    r = as_fraction(radius)
-    _validate_ball_radius(r)
-    ln_z = ln_z_finite(r, params, rel_tol)
-    value = -math.expm1(
-        -params.t * _boundary_exponent(r) ** params.alpha
-    ) - math.exp(log_phi(r) + ln_z)
+    inside, boundary = _ball_identity(radius, params, rel_tol)
+    value = -math.expm1(-boundary) - inside
     return clamp_nonnegative(value, scale=max(1.0, params.t))
 
 
@@ -295,10 +321,10 @@ def moment_integral(params: KernelParams, beta_weight: float,
 
     # upper start: beyond M the ln-terms 1.04 q + w ln q - t q^alpha drop
     # by at least 1.04 per unit step, giving a geometric tail
-    qstar = max(2.0, (2 * _CHEB / (t * alpha)) ** (1.0 / (alpha - 1.0)))
-    m = as_fraction(next_pp(qstar) if qstar > 2 else Fraction(2))
+    _check_peak(t, alpha)
+    k = _start_rank(t, alpha)
     while True:
-        n = float(m) + 1.0
+        n = _TABLE.float_at(k) + 1.0
         if t * alpha * n ** (alpha - 1.0) - w / n >= 2 * _CHEB:
             ln_tail = (
                 _CHEB * n + w * math.log(n) - t * n ** alpha
@@ -306,25 +332,24 @@ def moment_integral(params: KernelParams, beta_weight: float,
             )
             if ln_tail < math.log(tol * 0.5):
                 break
-        m = next_pp(m).value
+        k += 1
     terms = []
-    q = m
     while True:
+        q = _TABLE.float_at(k)
         lt = (
-            _ln_vol_sphere(q)
-            + (w * math.log(float(q)) if w else 0.0)
-            - t * float(q) ** alpha
+            _ln_vol_sphere(k) + (w * math.log(q) if w else 0.0)
+            - t * q ** alpha
         )
         if lt > 709.0:
             raise OverflowError("moment integral exceeds the double range")
         terms.append(math.exp(lt))
         # remaining lower radii: integrand <= down^w there, volumes
         # telescope to phi(down)
-        down = prev_pp(q).value
-        ln_rem = (w * math.log(float(down)) if w else 0.0) + log_phi(down)
+        k -= 1
+        down = _TABLE.float_at(k)
+        ln_rem = (w * math.log(down) if w else 0.0) + _TABLE.log_phi_at(k)
         if ln_rem < math.log(tol * 0.5):
             break
-        q = down
     return math.fsum(terms)
 
 
@@ -337,8 +362,9 @@ def tail_mass_bound(epsilon: RationalLike, params: KernelParams) -> float:
     _validate_ball_radius(eps)
     t, alpha = params.t, params.alpha
     cutoff = max(Fraction(64), 4 * (eps if eps >= 1 else Fraction(1)))
+    lo, hi = _TABLE.rank_floor(eps), _TABLE.rank_floor(cutoff)
     body = math.fsum(
-        float(q.value) ** -alpha for q in pp_range(eps, cutoff)
+        _TABLE.float_at(k) ** -alpha for k in range(lo + 1, hi + 1)
     )
     integral_tail = float(cutoff) ** (1.0 - alpha) / (alpha - 1.0)
     return 2.0 * t * (body + integral_tail)

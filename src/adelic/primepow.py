@@ -291,35 +291,79 @@ class _PowerTable:
             self._limit = new_limit
             return self._snapshot
 
-    def _values_past(self, x: Fraction) -> tuple:
-        """Table values whose last entry exceeds x."""
+    def _values_past(self, m: int) -> tuple:
+        """Table values whose last entry exceeds m."""
         values = self._snapshot[0]
-        if values[-1] <= x:
-            values = self.extend_to(2 * (int(x) + 1))[0]
+        if values[-1] <= m:
+            values = self.extend_to(2 * (m + 1))[0]
         return values
 
     def rank_floor(self, x: Fraction) -> int:
         """Rank of the largest prime power <= x (-1 on [1/2, 2)); the table
         is extended so that rank + 1 exists."""
-        if x >= 2:
-            return bisect.bisect_right(self._values_past(x), x) - 1
-        if 2 * x >= 1:
+        n, d = x.numerator, x.denominator
+        if n >= 2 * d:
+            # an integer prime power is <= x iff it is <= floor(x)
+            m = n // d
+            return bisect.bisect_right(self._values_past(m), m) - 1
+        if 2 * n >= d:
             return -1
         # the largest prime power <= x is 1/m for the smallest integer
-        # prime power m >= 1/x
-        inv = 1 / x
-        return -1 - bisect.bisect_left(self._values_past(inv), inv)
+        # prime power m >= 1/x, that is m >= ceil(1/x)
+        m = -(-d // n)
+        return -1 - bisect.bisect_left(self._values_past(m), m)
+
+    def _index(self, rank: int) -> int:
+        """Table index of a rank (rank i >= 0 and its reciprocal -1-i both
+        read row i); extends the table until that row exists, since a walk
+        down through the reciprocals reads ever larger rows."""
+        i = rank if rank >= 0 else -1 - rank
+        while i >= len(self._snapshot[0]):
+            self.extend_to(2 * self._limit)
+        return i
 
     def at(self, rank: int) -> PrimePower:
         """The prime power of the given rank."""
+        i = self._index(rank)
         _, bases, exps, _ = self._snapshot
-        if rank >= 0:
-            return PrimePower._trusted(bases[rank], exps[rank])
-        return PrimePower._trusted(bases[-1 - rank], -exps[-1 - rank])
+        k = exps[i] if rank >= 0 else -exps[i]
+        return PrimePower._trusted(bases[i], k)
 
-    def exact_phi(self, i: int) -> int:
-        """phi of the integer prime power of rank i >= 0: the product of
-        the bases of ranks 0..i."""
+    def fraction_at(self, rank: int) -> Fraction:
+        """The exact value of the given rank."""
+        m = self._snapshot[0][self._index(rank)]
+        return Fraction(m) if rank >= 0 else Fraction(1, m)
+
+    def float_at(self, rank: int) -> float:
+        """float of the value of the given rank; 1 / m is int true division,
+        bit-equal to float(Fraction(1, m))."""
+        m = self._snapshot[0][self._index(rank)]
+        return float(m) if rank >= 0 else 1 / m
+
+    def base_at(self, rank: int) -> int:
+        """The prime p of the rank's value p^k."""
+        return self._snapshot[1][self._index(rank)]
+
+    def phi_at(self, rank: int) -> Fraction:
+        """phi of the value of the given rank, exactly: the product of the
+        bases of ranks 0..i for rank i >= 0, and base(m)/phi(m) for the
+        reciprocal of m."""
+        i = self._index(rank)
+        if rank >= 0:
+            return Fraction(self._exact_phi(i))
+        return Fraction(self._snapshot[1][i], self._exact_phi(i))
+
+    def log_phi_at(self, rank: int) -> float:
+        """log phi of the value of the given rank (log(base) - log phi(m)
+        for the reciprocal of m; rank -1 gives exactly 0.0)."""
+        i = self._index(rank)
+        _, bases, _, logphi = self._snapshot
+        if rank >= 0:
+            return logphi[i]
+        return math.log(bases[i]) - logphi[i]
+
+    def _exact_phi(self, i: int) -> int:
+        """The product of the bases of rows 0..i (row i must exist)."""
         values, bases, _, _ = self._snapshot
         with self._exact_lock:
             if i < len(self._exact):
@@ -330,10 +374,6 @@ class _PowerTable:
                 if values[j] <= _EXACT_CACHE_LIMIT:
                     self._exact.append(acc)
             return acc
-
-    def log_phi(self, i: int) -> float:
-        """log phi of the integer prime power of rank i >= 0."""
-        return self._snapshot[3][i]
 
 
 _TABLE = _PowerTable()
@@ -364,19 +404,13 @@ def phi(x: RationalLike) -> Fraction:
     largest prime power n <= x, phi == 1 on [1/2, 2), and
     phi(1/m) = base(m)/phi(m) for integer prime powers m.
     """
-    r = _TABLE.rank_floor(as_fraction(x))
-    if r >= 0:
-        return Fraction(_TABLE.exact_phi(r))
-    return Fraction(_TABLE.at(r).p, _TABLE.exact_phi(-1 - r))
+    return _TABLE.phi_at(_TABLE.rank_floor(as_fraction(x)))
 
 
 def log_phi(x: RationalLike) -> float:
     """log(phi(x)) as a float; equals the Chebyshev function psi(x) for
     x >= 2. Safe for arguments far beyond float overflow of phi itself."""
-    r = _TABLE.rank_floor(as_fraction(x))
-    if r >= 0:
-        return _TABLE.log_phi(r)
-    return math.log(_TABLE.at(r).p) - _TABLE.log_phi(-1 - r)
+    return _TABLE.log_phi_at(_TABLE.rank_floor(as_fraction(x)))
 
 
 def is_prime_power(x: RationalLike) -> bool:

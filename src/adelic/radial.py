@@ -17,6 +17,10 @@ leaves the step class (see ft_ball_eval for that case).
 
 Coefficients are Fractions throughout; floats passed in are converted via
 Fraction(float), which is lossless for binary floats.
+
+Radii are Fractions at the API, but the transform and the sphere walks
+work on primepow's rank index: the transform maps rank k to -2-k with
+weight phi(k), and spheres between two radii are consecutive ranks.
 """
 from __future__ import annotations
 
@@ -26,11 +30,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .primepow import (
+    _TABLE,
     RationalLike,
     as_fraction,
-    next_pp,
     phi,
-    pp_range,
     prev_pp,
     prime_power_pairs,
 )
@@ -55,7 +58,15 @@ class RadialStep:
             c = _coeff(c)
             if c:
                 canon[radius] = canon.get(radius, Fraction(0)) + c
-        self.coeffs = {r: c for r, c in sorted(canon.items()) if c}
+        self.coeffs = _canonical(canon)
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[Fraction, Fraction]) -> "RadialStep":
+        """Step over coefficients already canonical: nonzero Fractions on
+        prime-power Fraction radii, in ascending radius order."""
+        step = object.__new__(cls)
+        step.coeffs = coeffs
+        return step
 
     # ---- constructors
 
@@ -85,15 +96,15 @@ class RadialStep:
             raise ValueError("need at least one sphere value")
         radii = sorted(as_fraction(r) for r in values)
         vals = {as_fraction(r): _coeff(v) for r, v in values.items()}
-        for a, b in zip(radii, radii[1:]):
-            if next_pp(a).value != b:
-                raise ValueError("sphere radii must be consecutive")
-        coeffs: dict[Fraction, Fraction] = {}
+        k0 = _TABLE.rank_floor(radii[0])
+        for i, r in enumerate(radii):
+            if _TABLE.fraction_at(k0 + i) != r:
+                raise ValueError("radii must be consecutive prime powers")
+        coeffs = {_TABLE.fraction_at(k0 - 1): _coeff(inner) - vals[radii[0]]}
         for i, r in enumerate(radii):
             upper = vals[radii[i + 1]] if i + 1 < len(radii) else Fraction(0)
             coeffs[r] = vals[r] - upper
-        coeffs[prev_pp(radii[0]).value] = _coeff(inner) - vals[radii[0]]
-        return cls(coeffs)
+        return cls._trusted({r: c for r, c in coeffs.items() if c})
 
     # ---- basic queries
 
@@ -121,20 +132,19 @@ class RadialStep:
         """(radius, value) on every sphere in the coefficient envelope."""
         if not self.coeffs:
             return []
-        lo, hi = min(self.coeffs), max(self.coeffs)
+        radii = list(self.coeffs)
+        lo = _TABLE.rank_floor(radii[0])
+        hi = _TABLE.rank_floor(radii[-1])
+        # walking down, the value on S_r sums the coefficients at radii >= r
         out = []
-        acc = Fraction(0)
-        vals = {}
-        for r in sorted(self.coeffs, reverse=True):
-            acc += self.coeffs[r]
-            vals[r] = acc
         value = Fraction(0)
-        radii = [lo] + [p.value for p in pp_range(lo, hi)]
-        for r in reversed(radii):
-            if r in vals:
-                value = vals[r]
+        for k in range(hi, lo - 1, -1):
+            r = _TABLE.fraction_at(k)
+            if r == radii[-1]:
+                value += self.coeffs[radii.pop()]
             out.append((r, value))
-        return list(reversed(out))
+        out.reverse()
+        return out
 
     def is_mean_zero(self) -> bool:
         """True when the integral vanishes (transform vanishes at 0)."""
@@ -164,12 +174,12 @@ class RadialStep:
 
     def ft(self) -> "RadialStep":
         """Exact Fourier transform (an involution on radial steps)."""
-        return RadialStep(
-            {
-                prev_pp(1 / r).value: c * phi(r)
-                for r, c in self.coeffs.items()
-            }
-        )
+        # rank k -> -2-k (prev_pp(1/r)) reverses the order of the radii
+        out = {}
+        for r, c in reversed(self.coeffs.items()):
+            k = _TABLE.rank_floor(r)
+            out[_TABLE.fraction_at(-2 - k)] = c * _TABLE.phi_at(k)
+        return RadialStep._trusted(out)
 
     def apply_multiplier(
         self, multiplier: Callable[[Fraction], RationalLike]
@@ -197,7 +207,7 @@ class RadialStep:
         if c0 == 0:
             return Fraction(0), None, self
         rho = prev_pp(self.min_radius()).value
-        rest = self - RadialStep({rho: c0})
+        rest = self - RadialStep._trusted({rho: c0})
         return c0, rho, rest
 
     # ---- algebra
@@ -206,7 +216,7 @@ class RadialStep:
         merged = dict(self.coeffs)
         for r, c in other.coeffs.items():
             merged[r] = merged.get(r, Fraction(0)) + sign * c
-        return RadialStep(merged)
+        return RadialStep._trusted(_canonical(merged))
 
     def __add__(self, other):
         if not isinstance(other, RadialStep):
@@ -219,13 +229,15 @@ class RadialStep:
         return self._combined(other, -1)
 
     def __neg__(self):
-        return RadialStep({r: -c for r, c in self.coeffs.items()})
+        return RadialStep._trusted({r: -c for r, c in self.coeffs.items()})
 
     def __mul__(self, scalar):
         if not isinstance(scalar, _NumberLike):
             return NotImplemented
         s = _coeff(scalar)
-        return RadialStep({r: c * s for r, c in self.coeffs.items()})
+        if not s:
+            return RadialStep.zero()
+        return RadialStep._trusted({r: c * s for r, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -267,6 +279,10 @@ class RadialStep:
         return cls.from_dict(json.loads(text))
 
 
+def _canonical(coeffs: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
+    return {r: c for r, c in sorted(coeffs.items()) if c}
+
+
 def _radius_key(r: Fraction) -> str:
     p, k = prime_power_pairs(r)
     return f"{p}^{k}"
@@ -290,9 +306,11 @@ def integrate_radial(
     fn returns Fractions/ints, compensated float summation otherwise."""
     terms = []
     exact = True
-    for r in pp_range(lo, hi):
-        vol = phi(r.value) - phi(prev_pp(r.value).value)
-        val = fn(r.value)
+    k_lo = _TABLE.rank_floor(as_fraction(lo))
+    k_hi = _TABLE.rank_floor(as_fraction(hi))
+    for k in range(k_lo + 1, k_hi + 1):
+        vol = _TABLE.phi_at(k) - _TABLE.phi_at(k - 1)
+        val = fn(_TABLE.fraction_at(k))
         if isinstance(val, float):
             exact = False
         terms.append(val * vol)
@@ -314,30 +332,32 @@ def ft_ball_eval(
     Sums phi(q) * (f(q) - f(next q)) over prime powers q < 1/s descending
     until the truncation bound phi(q) * |profile(q) - profile_at_zero|
     drops below tol. The bound is certified for profiles monotone on
-    (0, rho]. Returns (value, remainder_bound).
+    (0, rho]. The ball B(rho) is the ball of the largest prime power
+    <= rho, and the profile is read only at prime powers.
+    Returns (value, remainder_bound).
     """
-    rho = as_fraction(rho)
+    k_rho = _TABLE.rank_floor(as_fraction(rho))
     s = as_fraction(s) if s else Fraction(0)
-    if s > 0:
-        top = min(rho, prev_pp(1 / s).value)
-    else:
-        top = rho
+    # the largest q < 1/s is prev_pp(1/s), rank -2 - rank(s)
+    k = min(k_rho, -2 - _TABLE.rank_floor(s)) if s > 0 else k_rho
 
-    def f_at(q: Fraction) -> float:
-        return float(profile(q)) if q <= rho else 0.0
+    def f_at(rank: int) -> float:
+        if rank > k_rho:
+            return 0.0
+        return float(profile(_TABLE.fraction_at(rank)))
 
     terms = []
-    q = top
+    f_up = f_at(k + 1)
     bound = math.inf
     for _ in range(max_terms):
-        up = next_pp(q).value
-        terms.append(float(phi(q)) * (f_at(q) - f_at(up)))
+        f_q = f_at(k)
+        terms.append(float(_TABLE.phi_at(k)) * (f_q - f_up))
         # remainder below q telescopes: |sum| <= phi(prev q) |g(q) - g(0+)|
-        prev_q = prev_pp(q).value
-        bound = float(phi(prev_q)) * abs(f_at(q) - profile_at_zero)
+        bound = float(_TABLE.phi_at(k - 1)) * abs(f_q - profile_at_zero)
         if bound < tol:
             break
-        q = prev_q
+        f_up = f_q
+        k -= 1
     else:
         raise ValueError("transform evaluation did not reach tolerance")
     return math.fsum(terms), bound

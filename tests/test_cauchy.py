@@ -266,7 +266,7 @@ class TestDuhamel:
         # the Richardson estimate compares with a separate 16-step sum
         diff = math.sqrt(float((fine.step - coarse.step).l2_norm_sq()))
         assert fine.is_exact()
-        assert fine.error_bound == diff / 15.0 + fine.tol
+        assert fine.error_bound == diff + fine.tol
 
     def test_validation(self):
         w, grid = manufactured_setup()
@@ -274,6 +274,34 @@ class TestDuhamel:
             cy.solve_nonhomogeneous(w, grid, 2.0, SYM)
         with pytest.raises(ValueError):
             cy.solve_nonhomogeneous(w, grid, 1.0, SYM, quadrature="Gauss")
+
+    def test_quadrature_validated_at_time_zero(self):
+        w, grid = manufactured_setup()
+        with pytest.raises(ValueError, match="quadrature"):
+            cy.solve_nonhomogeneous(w, grid, 0.0, SYM, quadrature="Gauss")
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_error_bound_dominates_true_error(self, alpha):
+        # forcing (cos tau + lam sin tau) w has the solution sin(t) w; 32
+        # Simpson steps on 10 log-spaced times in 0.05..5
+        w = eigenfunction(F(2))
+        lam = 2.0 ** alpha
+        symbol = cy.SymbolSpec(alpha=alpha)
+        m = 32
+        for j in range(10):
+            t = 0.05 * 100.0 ** (j / 9)
+            times = tuple(t * i / m for i in range(m + 1))
+            grid = cy.ForcingGrid(times=times, steps=tuple(
+                w * F(math.cos(tau) + lam * math.sin(tau)) for tau in times
+            ))
+            got = cy.solve_nonhomogeneous(
+                RadialStep.zero(), grid, t, symbol, steps=m
+            )
+            assert got.is_exact()
+            gap = math.sqrt(
+                float((got.step - w * F(math.sin(t))).l2_norm_sq())
+            )
+            assert gap <= got.error_bound, (t, gap, got.error_bound)
 
 
 class TestRealGrid:
@@ -362,3 +390,58 @@ class TestOperatorFactorization:
                 assert math.isclose(
                     lhs[s][i], rhs, rel_tol=1e-9, abs_tol=1e-8
                 )
+
+
+class TestRankWalk:
+    """Exact solver results computed by the Fraction-stepping
+    implementation that preceded the rank walk."""
+
+    MIXED = {F(1, 9): F(3, 7), F(2): F(1, 3), F(8): -2}
+
+    def test_eigen_results_unchanged(self):
+        w = eigenfunction(F(2))
+        assert repr(cy.apply_operator(w, 2.0)) == (
+            "RadialStep({1/3: 8, 1/2: -4})"
+        )
+        assert repr(cy.solve_homogeneous(w, 1.0, SYM)) == (
+            "RadialStep({1/3: 1319780871589693/36028797018963968, "
+            "1/2: -1319780871589693/72057594037927936})"
+        )
+
+    def test_operator_on_mixed_step_unchanged(self):
+        got = cy.apply_operator(RadialStep(self.MIXED), 2.0)
+        assert repr(got.step) == (
+            "RadialStep({1/9: 192/7, 1/8: -45/14, 1/7: -36/49, 1/5: -27/490, "
+            "1/4: -3/140, 1/3: -1/196, 1/2: -3/1568, "
+            "2: 2612921783805882071/70616442157169377280, "
+            "3: -3435370815756143749/635547979414524395520, "
+            "4: -3180171840871400947/2542191917658097582080, "
+            "5: -3164719110838014827/14526810958046271897600, "
+            "7: -5408455511686056059/711813736944267322982400, "
+            "8: -732395909809623996833/29658905706011138457600, "
+            "9: 313726214727890869573/38132878764871463731200})"
+        )
+        assert got.pieces == (cy.InnerPiece(
+            scale=-1679.3328231292517, rho=F(1, 11), kind="power",
+            exponent=2.0,
+        ),)
+        assert [got.value_with_bound(s) for s in (0, F(1, 2), F(2), F(4))] == [
+            (23.40434422494423, 1.998299033617024e-08),
+            (0.006385041270758195, 1.998299033617024e-08),
+            (0.008298306576880644, 1.998299033617024e-08),
+            (-0.023297931455369292, 1.998299033617024e-08),
+        ]
+
+    def test_heat_flow_of_ball_unchanged(self):
+        ball = RadialStep.ball_indicator(F(1, 2))
+        got = cy.solve_homogeneous(ball, 1.0, SYM)
+        assert repr(got.step) == (
+            "RadialStep({1/2: 7014813832872459/9007199254740992, "
+            "2: -7014813832872459/18014398509481984})"
+        )
+        assert [got.value_with_bound(s) for s in (0, F(1, 2), F(2), F(4))] == [
+            (0.8463639210043229, 1.1882896783663346e-11),
+            (0.8463639210043229, 1.1882896783663346e-11),
+            (0.06756313793291802, 1.1882896783663346e-11),
+            (0.0021149133949178666, 1.1882896783663346e-11),
+        ]

@@ -119,6 +119,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"invalid parameters: ")
 
+    def test_duhamel_quadrature_checked_at_time_zero(self, step_file,
+                                                     tmp_path):
+        forcing = tmp_path / "forcing.json"
+        forcing.write_text(json.dumps({
+            "times": [0.0, 1.0],
+            "steps": [RadialStep.zero().to_dict()] * 2,
+        }))
+        proc = run_cli(
+            ["solve", "duhamel", "--t", "0", "--alpha", "2",
+             "--u0", str(step_file), "--forcing", str(forcing),
+             "--quadrature", "Gauss"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"invalid parameters: ")
+
     def test_unsupported_interpolation(self, step_file, tmp_path):
         forcing = tmp_path / "forcing.json"
         forcing.write_text(json.dumps({

@@ -4,12 +4,16 @@ Expected constants below were produced by a standalone mpmath script
 (50 significant digits) that sums the defining series directly, with no
 code shared with the package. [DERIVED]
 """
+import hashlib
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from adelic import heatkernel as hk
+from adelic import primepow as pp
+from adelic.markov import radius_distribution
 from adelic.primepow import next_pp, phi, prev_pp, pp_range
 from adelic.errors import ToleranceError
 
@@ -190,6 +194,14 @@ class TestMoments:
         ]
         assert vals[0] > vals[1] > vals[2]
 
+    def test_overflow_raises_before_any_table_walk(self):
+        # the peak term is ~ e^271202 near q* ~ 1.6e6; walking the table
+        # up to the geometric start (~5e7) would sieve toward 1e8 first
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            hk.moment_integral(hk.KernelParams(t=0.05, alpha=1.2), 1.5)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestTailBound:
     def test_dominates_true_tail(self):
@@ -262,3 +274,103 @@ class TestAdelicKernel:
         real_mass = quad(lambda x: hk.z_real(x, p), -math.inf, math.inf)[0]
         total = real_mass * hk.normalization(p)
         assert abs(total - 1.0) < 1e-5
+
+
+# Float results of the Fraction-stepping implementation that preceded the
+# rank walk (reprs, so every bit counts): (t, alpha, radius) ->
+# (z_finite, ln_z_finite)
+Z_FROZEN = {
+    (0.1, 1.5, 0): (23354900.826333873, 16.966317405552395),
+    (0.1, 1.5, F(1, 4)): (1.4112244131709193, 0.34445770570332135),
+    (0.1, 1.5, F(3)): (0.0014618510819921333, -6.52805178194505),
+    (0.1, 3.0, 0): (1.7206679008065762, 0.5427125298732564),
+    (0.1, 3.0, F(1, 4)): (1.7005503341757722, 0.5309519246599677),
+    (0.1, 3.0, F(3)): (0.0004281892181073184, -7.755945361697588),
+    (1.0, 1.5, 0): (0.8603443727263541, -0.15042253648390508),
+    (1.0, 1.5, F(1, 4)): (0.8556461034493688, -0.15589841887617),
+    (1.0, 1.5, F(3)): (0.012839814169374792, -4.355204453615178),
+    (1.0, 3.0, 0): (0.9275956065867826, -0.0751594099349797),
+    (1.0, 3.0, F(1, 4)): (0.9275956065867826, -0.0751594099349797),
+    (1.0, 3.0, F(3)): (0.0041914705084251285, -5.474703649954267),
+}
+
+# (t, alpha) -> (normalization, ball_mass(1/4), ball_mass(8),
+# moment_integral w=0, w=1.5, radius law on [1/128, 128]: tail mass,
+# first entry's mass, entry count, sha256 of repr(entries))
+MASS_FROZEN = {
+    (0.1, 1.5): (
+        1.0, 0.6845330329790414, 0.9966428797601963,
+        23354900.82633391, 7202493431.379873, 6.665959003975954e-05,
+        1.7489387006311134e-48, 88,
+        "7e6aed1d55d76f364f226f1dbf6dfb723a794d09bda657ec92808b91eb3b7105",
+    ),
+    (0.1, 3.0): (
+        1.0000000000000002, 0.28508661296913596, 0.9998844656172168,
+        1.7206679007692502, 3.005205124579014, 4.443940091790474e-08,
+        1.2885272795768664e-55, 88,
+        "61de81f17060e9df3be5f6bb34c030a6513f370d89fccc3584c90948b883697f",
+    ),
+    (1.0, 1.5): (
+        1.0000000000000002, 0.14294314653613063, 0.9669421293298419,
+        0.8603443726892553, 0.4984414283948761, 0.000666395971963629,
+        6.442714445760794e-56, 88,
+        "3b242b35cf70d7adfa850e7e04d32a4c943382ddd6b0fcde54d4b334362d762e",
+    ),
+    (1.0, 3.0): (
+        1.0000000000000002, 0.15459926776446375, 0.9988453000034977,
+        0.9275956065494348, 0.2358033939516125, 4.4439392029962547e-07,
+        6.946327312449091e-56, 88,
+        "935569e32219524b036b6633823cbccb35b5fc0ed9996bb534c216f417ad712d",
+    ),
+}
+
+
+@pytest.fixture
+def rank_floor_calls(monkeypatch):
+    """Counts calls of the table's rank_floor, the one Fraction bisection
+    of the rank index."""
+    calls = []
+    rank_floor = pp._TABLE.rank_floor
+
+    def counted(x):
+        calls.append(x)
+        return rank_floor(x)
+
+    monkeypatch.setattr(pp._TABLE, "rank_floor", counted)
+    return calls
+
+
+class TestRankWalk:
+    @pytest.mark.parametrize("key", sorted(Z_FROZEN, key=repr))
+    def test_kernel_floats_unchanged(self, key):
+        t, alpha, radius = key
+        p = hk.KernelParams(t=t, alpha=alpha)
+        got = (hk.z_finite(radius, p), hk.ln_z_finite(radius, p))
+        assert got == Z_FROZEN[key]
+
+    @pytest.mark.parametrize("key", sorted(MASS_FROZEN))
+    def test_mass_floats_unchanged(self, key):
+        p = hk.KernelParams(t=key[0], alpha=key[1])
+        law = radius_distribution(p, F(1, 128), F(128))
+        got = (
+            hk.normalization(p), hk.ball_mass(F(1, 4), p),
+            hk.ball_mass(F(8), p), hk.moment_integral(p, 0.0),
+            hk.moment_integral(p, 1.5), law.tail_mass, law.entries[0][1],
+            len(law.entries),
+            hashlib.sha256(repr(law.entries).encode()).hexdigest(),
+        )
+        assert got == MASS_FROZEN[key]
+
+    @pytest.mark.parametrize(
+        "window", [(F(1, 64), F(1024)), (F(1, 2), F(2)), (F(1, 4096), F(8192))]
+    )
+    def test_sphere_masses_look_up_ranks_once(self, rank_floor_calls, window):
+        p = hk.KernelParams(t=1.0, alpha=2.0)
+        table = hk.sphere_masses(p, *window)
+        assert len(rank_floor_calls) <= 3
+        assert len(table.radii) == len(pp_range(*window)) + 1
+
+    @pytest.mark.parametrize("t,alpha", [(1.0, 2.0), (0.05, 1.5), (0.1, 3.0)])
+    def test_full_series_looks_up_ranks_once(self, rank_floor_calls, t, alpha):
+        hk.z_finite(0, hk.KernelParams(t=t, alpha=alpha))
+        assert len(rank_floor_calls) <= 3

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from adelic import phi, pp_range, prev_pp
+from adelic import primepow as pp
 from adelic.radial import RadialStep, ft_ball_eval, integrate_radial
 
 # ---- frozen expected values ----
@@ -227,3 +228,56 @@ class TestSerialization:
         f = RadialStep({F(1, 9): F(3, 7), F(8): -2})
         d = f.to_dict()
         assert d["ball_coefficients"] == {"3^-2": "3/7", "2^3": "-2"}
+
+
+class TestRankWalk:
+    # transforms computed by the Fraction-stepping implementation that
+    # preceded the rank walk
+    FT_FROZEN = [
+        (RadialStep.sphere_indicator(F(2)).ft(),
+         "RadialStep({1/2: -1, 2: 1})"),
+        (RadialStep({F(1, 9): F(3, 7), F(2): F(1, 3), F(8): -2}),
+         "RadialStep({1/9: -1680, 1/3: 2/3, 8: 1/1960})"),
+    ]
+
+    @pytest.mark.parametrize("f,want", FT_FROZEN)
+    def test_ft_unchanged(self, f, want):
+        assert repr(f.ft()) == want
+
+    def test_ft_one_rank_lookup_per_coefficient(self, monkeypatch):
+        calls = []
+        rank_floor = pp._TABLE.rank_floor
+
+        def counted(x):
+            calls.append(x)
+            return rank_floor(x)
+
+        monkeypatch.setattr(pp._TABLE, "rank_floor", counted)
+        rng = random.Random(5)
+        for _ in range(20):
+            f = random_step(rng)
+            calls.clear()
+            f.ft()
+            assert len(calls) <= len(f.coeffs)
+
+    def test_built_steps_are_canonical(self):
+        # steps built inside the module skip validation; they must still
+        # equal what the validating constructor makes of the same map
+        rng = random.Random(9)
+        for _ in range(30):
+            f, g = random_step(rng), random_step(rng)
+            for h in (f.ft(), f + g, f - g, -f, f * F(-3, 4), f * 0):
+                assert h.coeffs == RadialStep(h.coeffs).coeffs
+                assert list(h.coeffs) == sorted(h.coeffs)
+                assert all(type(c) is F and c for c in h.coeffs.values())
+            vals = dict(f.sphere_values())
+            if vals:
+                back = RadialStep.from_sphere_values(vals, f.value_at_zero())
+                assert back == f
+                assert back.coeffs == RadialStep(back.coeffs).coeffs
+
+    def test_from_sphere_values_validates_radii(self):
+        with pytest.raises(ValueError):
+            RadialStep.from_sphere_values({F(6): 1})
+        with pytest.raises(ValueError):
+            RadialStep.from_sphere_values({F(2): 1, F(4): 1})
