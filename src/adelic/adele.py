@@ -2,22 +2,23 @@
 
 A point is a finite map prime -> truncated Q_p component plus a rule for
 every other prime (the implicit part): either exactly zero, or a lazily
-materialized uniform element of Z_p. Components store (valuation, residue
-digits, absolute precision): the value is known modulo p^known_to, and
-digits beyond that are unknown unless the component is exact (tail of
-zeros). Arithmetic is exact modular arithmetic on residues; when a sum
-cancels past the stored precision the valuation of the result is
-undecidable and IndeterminateCancellation is raised - never silent
-rounding.
+materialized uniform element of Z_p. A component is three integers: its
+valuation v, its unit u (prime to p) and its absolute precision known_to.
+The value p^v * u is known modulo p^known_to, or exactly when known_to is
+None (a tail of zero digits). Base-p digits appear only in the text form.
+Arithmetic is exact modular arithmetic on units; when a sum cancels past
+the stored precision the valuation of the result is undecidable and
+IndeterminateCancellation is raised - never silent rounding.
 
-The norm is computed from valuations only:
+The norm is one maximum over primes, computed from valuations only:
 
-    ||x|| = max_p |x_p|_p            if some |x_p|_p > 1
-    ||x|| = max_p |x_p|_p / p        otherwise (x integral)
+    ||x|| = max_p s_p,    s_p = |x_p|_p       where |x_p|_p > 1,
+                          s_p = |x_p|_p / p   where |x_p|_p <= 1,
 
-equivalently max_p p^(-[[ord_p(x_p)]]). Values are 0 or a prime power, the
-induced distance is an ultrametric, and balls/spheres of prime-power radius
-r have exact Haar volumes phi(r) and phi(r) - phi(prev_pp(r)).
+so a component in p^e Z_p has share p^(-e) for e < 0 and p^(-e-1) for
+e >= 0. Values are 0 or a prime power, the induced distance is an
+ultrametric, and balls/spheres of prime-power radius r have exact Haar
+volumes phi(r) and phi(r) - phi(prev_pp(r)).
 """
 from __future__ import annotations
 
@@ -29,8 +30,9 @@ from typing import Iterator, Literal, Optional
 
 from .errors import IndeterminateCancellation
 from .primepow import (
-    PrimePower,
+    _TABLE,
     RationalLike,
+    _as_prime_power,
     as_fraction,
     bracket_log,
     is_prime,
@@ -65,18 +67,18 @@ class PAdicComponent:
 
     valuation None with known_to None: exactly zero.
     valuation None with known_to k: only known to lie in p^k Z_p.
-    valuation v: value = p^v * (digits as little-endian base-p integer),
-    exact when known_to is None, else correct modulo p^known_to.
-    digits[0] != 0 whenever digits are present.
+    valuation v: value = p^v * unit, exact when known_to is None, else
+    correct modulo p^known_to.
+    unit is prime to p when valuation is set, and 0 when it is None.
     """
 
     p: int
     valuation: Optional[int]
-    digits: tuple[int, ...]
+    unit: int
     known_to: Optional[int]  # None = exact (tail of zeros)
 
     def __post_init__(self):
-        if self.digits and self.digits[0] == 0:
+        if self.valuation is not None and self.unit % self.p == 0:
             raise ValueError("leading digit must be nonzero")
 
     @property
@@ -87,41 +89,22 @@ class PAdicComponent:
     def is_zero(self) -> bool:
         return self.valuation is None and self.exact
 
-    def residue(self) -> int:
-        m = 0
-        for d in reversed(self.digits):
-            m = m * self.p + d
-        return m
-
-    def abs_value(self) -> Optional[Fraction]:
-        """|x_p|_p when determined, None when only a bound is known."""
-        if self.valuation is not None:
-            return Fraction(self.p) ** (-self.valuation)
-        if self.exact:
-            return Fraction(0)
-        return None
-
-    def abs_bound(self) -> Fraction:
-        """Certified upper bound on |x_p|_p."""
-        av = self.abs_value()
-        if av is not None:
-            return av
-        return Fraction(self.p) ** (-self.known_to)
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """Little-endian base-p digits of the unit (the text form)."""
+        out = []
+        m = self.unit
+        while m:
+            m, d = divmod(m, self.p)
+            out.append(d)
+        return tuple(out)
 
     def value_fraction(self) -> Fraction:
         if not self.exact:
             raise ValueError("component is not exact")
         if self.valuation is None:
             return Fraction(0)
-        return Fraction(self.p) ** self.valuation * self.residue()
-
-
-def _digits_of(m: int, p: int) -> tuple[int, ...]:
-    out = []
-    while m:
-        m, d = divmod(m, p)
-        out.append(d)
-    return tuple(out)
+        return Fraction(self.p) ** self.valuation * self.unit
 
 
 def _strip_valuation(m: int, p: int) -> tuple[int, int]:
@@ -133,7 +116,7 @@ def _strip_valuation(m: int, p: int) -> tuple[int, int]:
 
 
 def component_zero(p: int) -> PAdicComponent:
-    return PAdicComponent(p, None, (), None)
+    return PAdicComponent(p, None, 0, None)
 
 
 def component_from_residue(
@@ -143,11 +126,9 @@ def component_from_residue(
     known_to = value_exponent + prec
     residue %= p ** prec
     if residue == 0:
-        return PAdicComponent(p, None, (), known_to)
+        return PAdicComponent(p, None, 0, known_to)
     unit, v = _strip_valuation(residue, p)
-    return PAdicComponent(
-        p, value_exponent + v, _digits_of(unit, p), known_to
-    )
+    return PAdicComponent(p, value_exponent + v, unit, known_to)
 
 
 def component_from_rational(
@@ -158,18 +139,11 @@ def component_from_rational(
     x = Fraction(x)
     if x == 0:
         return component_zero(p)
-    num, den = x.numerator, x.denominator
-    vn = 0
-    while num % p == 0:
-        num //= p
-        vn += 1
-    vd = 0
-    while den % p == 0:
-        den //= p
-        vd += 1
+    num, vn = _strip_valuation(x.numerator, p)
+    den, vd = _strip_valuation(x.denominator, p)
     v = vn - vd
     if den == 1 and 0 < num < p ** depth:
-        return PAdicComponent(p, v, _digits_of(num, p), None)
+        return PAdicComponent(p, v, num, None)
     unit = num * pow(den, -1, p ** depth) % p ** depth
     return component_from_residue(p, v, unit, depth)
 
@@ -196,7 +170,7 @@ def _combine_components(
     if width <= 0:
         # both sides already vanish modulo p^prec: nothing cancelled, the
         # sum is simply still unknown past that precision
-        return PAdicComponent(p, None, (), prec)
+        return PAdicComponent(p, None, 0, prec)
     total = (_shifted_residue(a, base) + sign * _shifted_residue(b, base)) % (
         p ** width
     )
@@ -218,7 +192,7 @@ def _shifted_residue(c: PAdicComponent, base: int) -> int:
     """Residue r with value = p^base * r (mod the caller's modulus)."""
     if c.valuation is None:
         return 0
-    return c.residue() * c.p ** (c.valuation - base)
+    return c.unit * c.p ** (c.valuation - base)
 
 
 def _negate_component(c: PAdicComponent, depth: int) -> PAdicComponent:
@@ -233,9 +207,8 @@ def _negate_component(c: PAdicComponent, depth: int) -> PAdicComponent:
         return c  # zero to known precision: unchanged by negation
     prec = (c.known_to if c.known_to is not None else c.valuation + depth)
     width = prec - c.valuation
-    unit = c.residue()
     return component_from_residue(
-        p, c.valuation, p ** width - unit, width
+        p, c.valuation, p ** width - c.unit, width
     )
 
 
@@ -434,36 +407,21 @@ def negate(x: AdelePoint) -> AdelePoint:
 
 
 def norm(x: AdelePoint) -> Fraction:
-    """||x||: 0 or a prime power; raises when undecidable at stored depth."""
-    undetermined: list[Fraction] = []  # certified bounds on |x_p|_p
-    sup_abs = Fraction(0)
+    """||x|| = max_p of the share p^(-e) (e < 0) or p^(-e-1) (e >= 0) of
+    each component in p^e Z_p: 0 or a prime power. Raises when a component
+    of unknown valuation could hold the maximum at stored depth."""
+    best = Fraction(0)  # largest share of a component of known valuation
+    bound = Fraction(0)  # largest share a component of unknown one may have
+
+    def take(c: PAdicComponent) -> None:
+        nonlocal best, bound
+        if c.valuation is not None:
+            best = max(best, _share(c.p, c.valuation))
+        elif c.known_to is not None:
+            bound = max(bound, _share(c.p, c.known_to))
+
     for c in x.explicit.values():
-        av = c.abs_value()
-        if av is None:
-            undetermined.append(c.abs_bound())
-        elif av > sup_abs:
-            sup_abs = av
-    if sup_abs > 1:
-        # non-integral: sup norm of |x_p|_p; implicit parts are integral,
-        # and an undetermined bound <= sup cannot move the max
-        if any(b > sup_abs for b in undetermined):
-            raise IndeterminateCancellation(
-                "norm bound overlaps an undetermined component"
-            )
-        return sup_abs
-    if any(b > 1 for b in undetermined):
-        raise IndeterminateCancellation(
-            "cannot decide whether the point is integral"
-        )
-    # integral branch: max_p |x_p|_p / p
-    best = Fraction(0)
-    pending: list[Fraction] = []
-    for p, c in x.explicit.items():
-        av = c.abs_value()
-        if av is None:
-            pending.append(c.abs_bound() / p)
-        else:
-            best = max(best, av / p)
+        take(c)
     if not isinstance(x.tail, ZeroTail):
         scanned = 0
         for q in _primes_ascending():
@@ -476,25 +434,24 @@ def norm(x: AdelePoint) -> Fraction:
                 raise IndeterminateCancellation(
                     "implicit components vanish past stored depth"
                 )
-            c = x.tail.component(q, x.depth)
-            av = c.abs_value()
-            if av is None:
-                pending.append(c.abs_bound() / q)
-            else:
-                best = max(best, av / q)
-    if any(b > best for b in pending):
+            take(x.tail.component(q, x.depth))
+    if bound > best:
         raise IndeterminateCancellation(
             "norm dominated by a component with unknown valuation"
         )
     return best
 
 
+def _share(p: int, e: int) -> Fraction:
+    """Largest share in max_p of a component lying in p^e Z_p."""
+    return Fraction(p ** -e) if e < 0 else Fraction(1, p ** (e + 1))
+
+
 def _primes_ascending() -> Iterator[int]:
-    for limit in itertools.count(1):
-        chunk = iter_int_prime_powers(1 << (9 + limit))
-        for value, base, k in chunk:
-            if k == 1 and value > (1 << (8 + limit) if limit > 1 else 0):
-                yield value
+    for rank in itertools.count():
+        pk = _TABLE.at(rank)
+        if pk.k == 1:
+            yield pk.p
 
 
 def distance(x: AdelePoint, y: AdelePoint) -> Fraction:
@@ -523,18 +480,20 @@ class Region:
     center: Optional[AdelePoint] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", as_fraction(self.radius))
-        prime_power_pairs(self.radius)  # validates
+        radius = as_fraction(self.radius)
+        if _as_prime_power(radius) is None:
+            raise ValueError(f"{radius} is not a prime power")
+        object.__setattr__(self, "radius", radius)
         if self.kind not in ("ball", "sphere"):
             raise ValueError(f"unknown region kind {self.kind!r}")
 
 
 def ball(radius: RationalLike, center: AdelePoint | None = None) -> Region:
-    return Region("ball", as_fraction(radius), center)
+    return Region("ball", radius, center)
 
 
 def sphere(radius: RationalLike, center: AdelePoint | None = None) -> Region:
-    return Region("sphere", as_fraction(radius), center)
+    return Region("sphere", radius, center)
 
 
 def haar_volume(region: Region) -> Fraction:
@@ -659,7 +618,7 @@ def parse_point(text: str, depth: int = DEFAULT_DEPTH) -> AdelePoint:
             raise ValueError(f"{p} is not prime")
         if fields[1] == "z":
             if len(fields) > 2 and fields[2]:
-                comps[p] = PAdicComponent(p, None, (), int(fields[2]))
+                comps[p] = PAdicComponent(p, None, 0, int(fields[2]))
             else:
                 comps[p] = component_zero(p)
             continue
@@ -669,5 +628,8 @@ def parse_point(text: str, depth: int = DEFAULT_DEPTH) -> AdelePoint:
             raise ValueError(f"component {part!r} has no digits")
         if any(d < 0 or d >= p for d in digits):
             raise ValueError(f"digit out of range in {part!r}")
-        comps[p] = PAdicComponent(p, v, digits, None)
+        unit = 0
+        for d in reversed(digits):
+            unit = unit * p + d
+        comps[p] = PAdicComponent(p, v, unit, None)
     return AdelePoint(comps, ZERO_TAIL, depth)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +47,15 @@ RationalLike = Union["PrimePower", Fraction, int, float]
 # fly without caching so a single huge query cannot pin gigabytes.
 _EXACT_CACHE_LIMIT = 1 << 14
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The table is never sieved past this bound (building it peaks near 0.8 GB);
+# z_finite(0, t=1, alpha=1.04) needs exactly this much. Beyond: ValueError.
+_SIEVE_CAP = 1 << 26
+
+# Miller-Rabin on the first 13 primes is exact below the least strong
+# pseudoprime to all of them (Sorenson-Webster, arXiv:1509.00864); the
+# first 12 alone pass 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
@@ -162,7 +169,8 @@ def as_fraction(x: RationalLike) -> Fraction:
 
 
 def _as_prime_power(x: Fraction) -> tuple[int, int] | None:
-    """(p, k) if x = p^k with k != 0, else None. Exact integer factor test."""
+    """(p, k) if x = p^k with k != 0, else None. Exact: table lookup up to
+    the table's last value, else an integer-root test."""
     if x >= 1:
         n = x.numerator
         if x.denominator != 1 or n < 2:
@@ -171,26 +179,44 @@ def _as_prime_power(x: Fraction) -> tuple[int, int] | None:
         if x.numerator != 1:
             return None
         n = x.denominator
-    # strip the smallest prime factor; n = p^a exactly or it is not a power
-    p = _least_factor(n)
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    if n != 1:
-        return None
-    return (p, a) if x >= 1 else (p, -a)
+    values, bases, exps, _ = _TABLE._snapshot
+    if n > values[-1]:
+        pk = _root_prime_power(n)
+    else:
+        i = bisect.bisect_left(values, n)
+        pk = (bases[i], exps[i]) if values[i] == n else None
+    if pk is None or x >= 1:
+        return pk
+    return pk[0], -pk[1]
 
 
-def _least_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
+def _root_prime_power(n: int) -> tuple[int, int] | None:
+    """(p, a) with p^a = n, p prime, a >= 1; None if n is no prime power.
+
+    Tries the exact integer a-th root of n for every a. A composite verdict
+    of is_prime is always right; a prime verdict at or above
+    _MR_EXACT_BELOW would be a guess, so that raises ValueError.
+    """
+    for a in range(1, n.bit_length()):
+        r = _iroot(n, a)
+        if r ** a == n and is_prime(r):
+            if r >= _MR_EXACT_BELOW:
+                raise ValueError(
+                    f"cannot decide whether {n} is a prime power: primality "
+                    f"is exact only below {_MR_EXACT_BELOW}"
+                )
+            return r, a
+    return None
+
+
+def _iroot(n: int, a: int) -> int:
+    """floor(n^(1/a)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // a)
+    while True:
+        s = ((a - 1) * r + n // r ** (a - 1)) // a
+        if s >= r:
+            return r
+        r = s
 
 
 def double_bracket(t) -> int:
@@ -241,7 +267,8 @@ class _PowerTable:
     serialized by a lock while readers work on immutable snapshots, so
     concurrent reads during extension are safe. Extending past 2(x + 1)
     guarantees (by Bertrand's postulate: there is a prime in (n, 2n)) that
-    the table contains a successor for x.
+    the table contains a successor for x. Sieve bounds are capped at
+    _SIEVE_CAP; a larger request raises ValueError before allocating.
     """
 
     def __init__(self):
@@ -256,15 +283,15 @@ class _PowerTable:
         limit = max(limit, 2)
         if self._limit >= limit:
             return self._snapshot
+        if limit > _SIEVE_CAP:
+            raise ValueError(
+                f"prime-power table cannot be sieved to {limit}: sieve "
+                f"bounds are capped at 2^26 = {_SIEVE_CAP}"
+            )
         with self._lock:
             if self._limit >= limit:
                 return self._snapshot
-            new_limit = max(limit, 2 * self._limit)
-            if new_limit >= sys.maxsize:
-                raise ValueError(
-                    f"prime-power table cannot be sieved to {new_limit}: "
-                    f"sieve bounds must stay below {sys.maxsize}"
-                )
+            new_limit = min(max(limit, 2 * self._limit), _SIEVE_CAP)
             sieve = bytearray([1]) * (new_limit + 1)
             sieve[0:2] = b"\x00\x00"
             for i in range(2, int(new_limit ** 0.5) + 1):
@@ -319,7 +346,7 @@ class _PowerTable:
         down through the reciprocals reads ever larger rows."""
         i = rank if rank >= 0 else -1 - rank
         while i >= len(self._snapshot[0]):
-            self.extend_to(2 * self._limit)
+            self.extend_to(self._limit + 1)
         return i
 
     def at(self, rank: int) -> PrimePower:
@@ -414,10 +441,13 @@ def log_phi(x: RationalLike) -> float:
 
 
 def is_prime_power(x: RationalLike) -> bool:
+    """Whether x is a nonzero prime power; False for inputs that are no
+    positive rational. Raises ValueError where primality is undecidable."""
     try:
-        return _as_prime_power(as_fraction(x)) is not None
+        frac = as_fraction(x)
     except (ValueError, ZeroDivisionError):
         return False
+    return _as_prime_power(frac) is not None
 
 
 def prime_power_pairs(x: RationalLike) -> tuple[int, int]:

@@ -5,6 +5,8 @@ exponents alpha_p = [[log_p r]] come straight from the bracket definition,
 volumes from the literal phi product, and sampler laws from the exact
 conditional probabilities they must realize.
 """
+import hashlib
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -32,6 +34,8 @@ from adelic.adele import (
     sphere,
     sub,
 )
+from adelic.heatkernel import KernelParams
+from adelic.markov import radius_distribution, sample_path
 from adelic.util import derive_rng
 
 # ---- frozen expected values ----
@@ -105,28 +109,36 @@ class TestComponents:
         c = component_from_rational(2, F(1, 3))
         assert c.valuation == 0 and not c.exact and c.known_to == 16
         # 3 * residue == 1 mod 2^16
-        assert 3 * c.residue() % 2 ** 16 == 1
+        assert 3 * c.unit % 2 ** 16 == 1
         c = component_from_rational(3, F(-1, 3), depth=4)
         assert c.valuation == -1 and c.known_to == 3
-        assert (c.residue() + 1) % 3 ** 4 == 0
+        assert (c.unit + 1) % 3 ** 4 == 0
 
     def test_zero_and_partial(self):
         z = component_from_rational(7, F(0))
-        assert z.is_zero and z.abs_value() == 0
+        assert z.is_zero and norm(AdelePoint({7: z})) == 0
         u = component_from_residue(2, -1, 0, 16)
         assert u.valuation is None and u.known_to == 15
-        assert u.abs_value() is None and u.abs_bound() == F(1, 2 ** 15)
+        # |u|_2 <= 2^-15 is all that is known: alone it cannot decide the
+        # norm, and its share 2^-16 lies between 3^-11 and 3^-10
+        with pytest.raises(IndeterminateCancellation):
+            norm(AdelePoint({2: u}))
+        c = component_from_rational(3, F(3 ** 9))
+        assert norm(AdelePoint({2: u, 3: c})) == F(1, 3 ** 10)
+        c = component_from_rational(3, F(3 ** 10))
+        with pytest.raises(IndeterminateCancellation):
+            norm(AdelePoint({2: u, 3: c}))
 
     def test_negate_round_trip(self):
         c = component_from_rational(3, F(7, 5), depth=8)
         n = ad._negate_component(c, 8)
         back = ad._negate_component(n, 8)
         assert (back.valuation, back.digits) == (c.valuation, c.digits)
-        assert (c.residue() + n.residue()) % 3 ** 8 == 0
+        assert (c.unit + n.unit) % 3 ** 8 == 0
 
     def test_leading_digit_guard(self):
         with pytest.raises(ValueError):
-            PAdicComponent(2, 0, (0, 1), None)
+            PAdicComponent(2, 0, 2, None)
 
 
 class TestArithmetic:
@@ -177,7 +189,7 @@ class TestArithmetic:
         c = s.component(2)
         assert c.valuation == -2 and c.known_to == 14
         # unit part is 7/3: multiplying back by 3 must give 7 mod 2^16
-        assert 3 * c.residue() % 2 ** 16 == 7
+        assert 3 * c.unit % 2 ** 16 == 7
 
 
 class TestNorm:
@@ -456,3 +468,96 @@ class TestTextFormat:
         for p in x.explicit:
             assert y.component(p).digits == x.component(p).digits
             assert y.component(p).valuation == x.component(p).valuation
+
+
+# sha256 of the newline-joined format_point texts of seeded draws (seeds
+# 0-4 at depths 10 and 16, without and with prime_cutoff=3), frozen from
+# the digit-tuple representation that preceded integer units
+FROZEN_DRAW_SHA = {
+    ("ball", F(1, 7)): "3aced9b5eda16f8abf122104dde702b31d594b94b3e78cb7775484a9f08216da",
+    ("ball", F(1, 2)): "baae9a8f4235c830264d6c85525fe0bf8a062bee2bfc05ba0bac47d231100ea3",
+    ("ball", F(2)): "6a2cbdb20b90cffea182dcbb5cc995d8e67c5f1eabd45126ea0bff6cc0df605c",
+    ("ball", F(9)): "47455ae4c3b6f5c75a2e3282b34953c175627c1b7940541da22082aa59af423f",
+    ("ball", F(27)): "11835bb27b32bd628fdf4c0da5b2bd89b2e327e6dc39384ca4a613b848e7a6c1",
+    ("sphere", F(1, 7)): "ddec730e901cadee8760d52c4ced1f7bc43b15f58b9ee942344837df97e019cf",
+    ("sphere", F(1, 2)): "0e395a6a0a8a3f5aa46e9d2a463ee7f5f15641eec401ca65b76984baf7b6f3bc",
+    ("sphere", F(2)): "a887e187b4c2713ab3acc29ed90bf4662449396bf2cd7246cdc8632e368e3c28",
+    ("sphere", F(9)): "4b3377ec9f4c8396aebc6e82a8c50b86a4b99ea4af5f2991368ccc082797e391",
+    ("sphere", F(27)): "4bbc06b2b792755b4b10f670c0954d87fbb4e13f562f08cdc2f0f4f73d6aa053",
+}
+# sha256 of sample_path(t=1, alpha=2, dt=0.25, seed=9).to_csv() by steps
+FROZEN_PATH_SHA = {
+    25: "ec15ed86658a87c0592bfbb98c7ff1ae743575120ecee61335b828cfbb08e8ad",
+    200: "5db91f0827fda6c639866fa0888e0a0747ad26c86dd9d66521b607e8d5cef525",
+    800: "9bd2028e6ae4d3ca9b832f57ebf86ec374254b131fe7429760c11b8019112969",
+}
+# sha256 of 500 comma-joined norms of sums of two sphere draws, as in the
+# semigroup check ("cancel" where the sum was undecidable)
+FROZEN_SUM_NORMS_SHA = (
+    "99807eba1657945311017ded2f0bb8e10eba67f4e0182d661e859093cab5279a"
+)
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestIntegerComponents:
+    @pytest.mark.parametrize("key", sorted(FROZEN_DRAW_SHA, key=str))
+    def test_seeded_draws_unchanged(self, key):
+        kind, r = key
+        region = ball(r) if kind == "ball" else sphere(r)
+        texts = [
+            format_point(sample_uniform(
+                region, depth=depth, seed=seed, prime_cutoff=cutoff
+            ))
+            for depth in (10, 16)
+            for cutoff in (None, 3)
+            for seed in range(5)
+        ]
+        assert sha("\n".join(texts)) == FROZEN_DRAW_SHA[key]
+
+    @pytest.mark.parametrize("steps", sorted(FROZEN_PATH_SHA))
+    def test_seeded_paths_unchanged(self, steps):
+        path = sample_path(KernelParams(t=1.0, alpha=2.0), steps, 0.25, seed=9)
+        assert sha(path.to_csv()) == FROZEN_PATH_SHA[steps]
+
+    def test_seeded_sum_norms_unchanged(self):
+        law = radius_distribution(
+            KernelParams(t=0.5, alpha=2.0), F(1, 128), F(128)
+        )
+        rng = derive_rng(5, "freeze-norms")
+        out = []
+        while len(out) < 500:
+            r1, r2 = law.sample(rng), law.sample(rng)
+            if r1 is None or r2 is None:
+                continue
+            x1 = sample_uniform(sphere(r1), depth=10, rng=rng, prime_cutoff=131)
+            x2 = sample_uniform(sphere(r2), depth=10, rng=rng, prime_cutoff=131)
+            try:
+                out.append(str(norm(add(x1, x2))))
+            except IndeterminateCancellation:
+                out.append("cancel")
+        assert sha(",".join(out)) == FROZEN_SUM_NORMS_SHA
+
+    @pytest.mark.parametrize("text", ["5:z:-2;2:-1:1", "5:z:-1;2:-1:1", "2:z:12"])
+    def test_undetermined_share_raises(self, text):
+        # shares 25, 5 and 2^-13 of the unknown component exceed the
+        # largest known share (2, 2 and 0)
+        with pytest.raises(IndeterminateCancellation):
+            norm(parse_point(text))
+
+    def test_trailing_zero_digits_are_one_value(self):
+        assert parse_point("2:0:1,0") == parse_point("2:0:1")
+        assert parse_point("3:-1:2,0,0").component(3).unit == 2
+        with pytest.raises(ValueError, match="leading digit"):
+            parse_point("3:0:0,1")
+
+    def test_unit_divisible_by_p_rejected(self):
+        with pytest.raises(ValueError, match="leading digit"):
+            PAdicComponent(3, 1, 6, None)
+        assert PAdicComponent(3, 1, 7, None).digits == (1, 2)
+
+    def test_primes_ascending(self):
+        primes = list(itertools.islice(ad._primes_ascending(), 200))
+        assert primes == primes_upto(1223)

@@ -2,11 +2,15 @@
 config-file merging, and the metadata sidecar."""
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from adelic.checks import run_cli
+from adelic.checks import _PACKAGE_ROOT, run_cli
 from adelic.radial import RadialStep
 
 
@@ -118,6 +122,18 @@ class TestExitCodes:
         proc = run_cli(["ppow", "next", "1e30"], tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"invalid parameters: ")
+
+    @pytest.mark.parametrize("args", [
+        ["kernel", "eval", "--radius", "0", "--t", "1", "--alpha", "1.03"],
+        ["volume", "ball", "2305843009213693951"],  # 2^61 - 1
+    ])
+    def test_sieve_cap_is_a_range_error(self, tmp_path, args):
+        start = time.perf_counter()
+        proc = run_cli(args, tmp_path)
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"invalid parameters: ")
+        assert b"capped at 2^26" in proc.stderr
 
     def test_duhamel_quadrature_checked_at_time_zero(self, step_file,
                                                      tmp_path):
@@ -320,3 +336,16 @@ class TestVerify:
         assert "PASS criterion-2-volume-telescoping" in out
         # deterministic stdout: no timings outside the sidecar
         assert run_cli(["verify", "volumes"], tmp_path).stdout == proc.stdout
+
+
+
+class TestStartup:
+    def test_cli_import_loads_no_numpy(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, adelic.cli; print('numpy' in sys.modules)"],
+            capture_output=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=_PACKAGE_ROOT),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False\n"

@@ -202,6 +202,18 @@ class TestMoments:
             hk.moment_integral(hk.KernelParams(t=0.05, alpha=1.2), 1.5)
         assert time.perf_counter() - start < 1.0
 
+    def test_alpha_near_one_refused_by_the_sieve_cap(self):
+        # both walks would start near 1.5e10, a sieve to 3e10 (30 GB)
+        p = hk.KernelParams(t=1.0, alpha=1.03)
+        limit = pp._TABLE._limit
+        for call in (lambda: hk.z_finite(0, p),
+                     lambda: hk.moment_integral(p, 0.0)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="capped at 2\\^26"):
+                call()
+            assert time.perf_counter() - start < 1.0
+        assert pp._TABLE._limit == limit
+
 
 class TestTailBound:
     def test_dominates_true_tail(self):

@@ -7,6 +7,7 @@ primes. The library's table-based implementation must match exactly.
 import math
 import random
 import threading
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -313,3 +314,77 @@ class TestConcurrentExtension:
         for t in threads:
             t.join()
         assert not errors
+
+
+def trial_division_prime_power(n):
+    """(p, a) with p^a = n by trial division, or None."""
+    p = next(f for f in range(2, n + 1) if n % f == 0)
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    return (p, a) if n == 1 else None
+
+
+class TestSieveCap:
+    def test_request_past_cap_raises_before_sieving(self):
+        limit = pp._TABLE._limit
+        with pytest.raises(ValueError, match="capped at 2\\^26"):
+            pp._TABLE.extend_to(pp._SIEVE_CAP + 1)
+        assert pp._TABLE._limit == limit
+
+    def test_doubling_clamped_to_cap(self, monkeypatch):
+        monkeypatch.setattr(pp, "_SIEVE_CAP", 3000)
+        table = pp._PowerTable()
+        table.extend_to(2000)
+        assert table._limit == 2000
+        # doubling would reach 4000; a request at or below the cap succeeds
+        table.extend_to(2500)
+        assert table._limit == 3000
+        assert table._snapshot[0][-1] == 2999
+        # a rank walk past the last row stops at the cap instead of looping
+        with pytest.raises(ValueError):
+            table.at(len(table._snapshot[0]))
+        assert table._limit == 3000
+
+
+class TestHugePrimePowers:
+    @pytest.mark.parametrize("x,expect", [
+        (2**61 - 1, (2**61 - 1, 1)),
+        (3**40, (3, 40)),
+        (F(1, 2**61 - 1), (2**61 - 1, -1)),
+        ((2**31 - 1) * 1_073_741_827, None),  # composite near 2^61
+    ])
+    def test_answered_fast_without_sieving(self, x, expect):
+        limit = pp._TABLE._limit
+        start = time.perf_counter()
+        assert pp.is_prime_power(x) == (expect is not None)
+        if expect is not None:
+            assert pp.prime_power_pairs(x) == expect
+        assert time.perf_counter() - start < 1.0
+        assert pp._TABLE._limit == limit
+
+    def test_table_and_root_paths_match_trial_division(self):
+        pp._TABLE.extend_to(5000)
+        for n in range(2, 5001):
+            want = trial_division_prime_power(n)
+            assert pp._as_prime_power(F(n)) == want, n
+            assert pp._root_prime_power(n) == want, n
+
+    def test_undecidable_primality_raises(self):
+        m89 = 2**89 - 1  # a Mersenne prime above the exact Miller-Rabin range
+        for x in (m89, m89**2, F(1, m89)):
+            with pytest.raises(ValueError, match="cannot decide"):
+                pp.is_prime_power(x)
+        # composite verdicts stay exact above that range
+        assert pp.prime_power_pairs(2**100) == (2, 100)
+        assert not pp.is_prime_power(2 * m89)
+        assert not pp.is_prime_power(F(1, 6 * m89))
+
+    def test_is_prime_exact_below_its_range(self):
+        # the least strong pseudoprime to the bases 2..37
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441
+        assert not pp.is_prime(n)
+        assert not pp.is_prime_power(n)
+        assert pp.is_prime(2**89 - 1)
