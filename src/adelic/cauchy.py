@@ -36,6 +36,7 @@ from .errors import ToleranceError
 from .heatkernel import KernelParams, z_real
 from .primepow import RationalLike, as_fraction, phi
 from .radial import RadialStep, ft_ball_eval
+from .util import require_finite
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ class SymbolSpec:
     beta: Optional[float] = None
 
     def __post_init__(self):
+        require_finite(alpha=self.alpha)
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.beta is not None and not 0 < self.beta <= 2:
@@ -158,6 +160,12 @@ def _decay_factor(t: float, lam: float) -> Fraction:
     return Fraction(math.exp(-t * lam))
 
 
+def _require_time(t: float) -> None:
+    require_finite(t=t)
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+
+
 def solve_homogeneous(
     u0: RadialStep,
     t: float,
@@ -166,8 +174,7 @@ def solve_homogeneous(
 ) -> RadialResult:
     """Evolve u0 for time t under the flow with symbol r^alpha."""
     symbol.require_solver_range()
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _require_time(t)
     if t == 0:
         return u0
     alpha = symbol.alpha
@@ -281,8 +288,7 @@ def solve_nonhomogeneous(
     symbol.require_solver_range()
     if quadrature not in ("Trapezoid", "Simpson"):
         raise ValueError("quadrature must be Trapezoid or Simpson")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _require_time(t)
     if f.times[-1] < t:
         raise ValueError("forcing nodes do not cover [0, t]")
     if steps < 4:
@@ -416,8 +422,7 @@ def solve_adelic(
     symbol.require_solver_range()
     if symbol.beta is None:
         raise ValueError("symbol.beta is required on the product space")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _require_time(t)
     if t == 0:
         return u_real, u_fin
     params = KernelParams(t=t, alpha=symbol.alpha, beta=symbol.beta)

@@ -556,13 +556,14 @@ def check_real_adelic() -> CheckResult:
 _PACKAGE_ROOT = str(Path(__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd) -> subprocess.CompletedProcess:
+def run_cli(args, cwd, timeout=None) -> subprocess.CompletedProcess:
     """Run `python -m adelic.cli *args` in a fresh interpreter in `cwd`.
 
     The child's PYTHONPATH starts with the absolute root of the package
     this module was imported from, so it runs this same copy of adelic
     (a source checkout or an installed build) whatever `cwd` is and
-    whether or not an inherited PYTHONPATH entry is relative.
+    whether or not an inherited PYTHONPATH entry is relative. A child
+    still running after `timeout` seconds is killed (TimeoutExpired).
     """
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -570,7 +571,7 @@ def run_cli(args, cwd) -> subprocess.CompletedProcess:
     ))
     return subprocess.run(
         [sys.executable, "-m", "adelic.cli", *args],
-        capture_output=True, cwd=cwd, env=env,
+        capture_output=True, cwd=cwd, env=env, timeout=timeout,
     )
 
 

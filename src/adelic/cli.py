@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -144,6 +145,13 @@ def _float(x) -> float:
         return float(x)
     except (TypeError, ValueError):
         raise UsageError(f"not a number: {x!r}")
+
+
+def _tol(x) -> float:
+    tol = _float(x)
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError("tol must be a positive finite number")
+    return tol
 
 
 def _int(x) -> int:
@@ -314,7 +322,7 @@ def _cmd_kernel(args):
         ("t", _float, None),
         ("alpha", _float, None),
         ("beta", _opt(_float), _UNSET),
-        ("tol", _float, 1e-6 if args.action == "normalize" else 1e-10),
+        ("tol", _tol, 1e-6 if args.action == "normalize" else 1e-10),
     ]
     if args.action == "eval":
         spec += [("radius", _fraction, None), ("x", _opt(_float), _UNSET)]
@@ -417,7 +425,7 @@ def _cmd_solve(args):
         ("t", _float, None),
         ("alpha", _float, None),
         ("beta", _opt(_float), _UNSET),
-        ("tol", _float, 1e-8 if args.action == "adelic" else 1e-10),
+        ("tol", _tol, 1e-8 if args.action == "adelic" else 1e-10),
     ]
     if args.action == "duhamel":
         spec += [("quadrature", str, "Simpson"), ("steps", _int, 64)]

@@ -37,7 +37,7 @@ from typing import Optional
 
 from .errors import ToleranceError
 from .primepow import _TABLE, RationalLike, as_fraction, prime_power_pairs
-from .util import clamp_nonnegative
+from .util import clamp_nonnegative, require_finite
 
 _CHEB = 1.04  # effective bound: ln phi(x) <= 1.04 x for x >= 2
 _LOG_GEO = -math.expm1(-_CHEB)  # 1 - e^{-1.04}
@@ -54,6 +54,7 @@ class KernelParams:
     beta: Optional[float] = None
 
     def __post_init__(self):
+        require_finite(t=self.t, alpha=self.alpha)
         if not self.t >= 0:
             raise ValueError("time must be nonnegative")
         if not self.alpha > 1:

@@ -38,6 +38,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from typing import Iterable, Union
 
 RationalLike = Union["PrimePower", Fraction, int, float]
@@ -47,7 +48,7 @@ RationalLike = Union["PrimePower", Fraction, int, float]
 # fly without caching so a single huge query cannot pin gigabytes.
 _EXACT_CACHE_LIMIT = 1 << 14
 
-# The table is never sieved past this bound (building it peaks near 0.8 GB);
+# The table is never sieved past this bound (building it peaks near 0.4 GB);
 # z_finite(0, t=1, alpha=1.04) needs exactly this much. Beyond: ValueError.
 _SIEVE_CAP = 1 << 26
 
@@ -254,6 +255,43 @@ def bracket_log(p: int, x: RationalLike) -> int:
     return 1 - j
 
 
+def _prime_powers_upto(n: int) -> tuple[tuple, tuple, tuple]:
+    """(values, bases, exps) of every integer prime power in [2, n],
+    ascending by value.
+
+    The sieve covers odd numbers only (odd[j] stands for 2j + 1). Only
+    primes p <= sqrt(n) have a power p^k with k >= 2 in range; those few
+    powers are merged into the prime list and their rows found by
+    bisection.
+    """
+    odd = bytearray([1]) * ((n + 1) // 2)
+    odd[0] = 0
+    for i in range(3, math.isqrt(n) + 1, 2):
+        if odd[i >> 1]:
+            start = i * i >> 1
+            odd[start::i] = bytes((len(odd) - 1 - start) // i + 1)
+    primes = [2]
+    primes.extend(compress(range(1, n + 1, 2), odd))
+    higher = []
+    for p in primes[: bisect.bisect_right(primes, math.isqrt(n))]:
+        q, k = p * p, 2
+        while q <= n:
+            higher.append((q, p, k))
+            q *= p
+            k += 1
+    higher.sort()
+    values = primes + [q for q, _, _ in higher]
+    values.sort()  # two sorted runs: one linear merge
+    bases = values.copy()
+    exps = [1] * len(values)
+    for j, (q, p, k) in enumerate(higher):
+        # q's row: the primes below q plus the j higher powers below q
+        i = bisect.bisect_left(primes, q) + j
+        bases[i] = p
+        exps[i] = k
+    return tuple(values), tuple(bases), tuple(exps)
+
+
 class _PowerTable:
     """Sorted integer prime powers >= 2 with cumulative log-phi, indexed by
     rank.
@@ -263,11 +301,12 @@ class _PowerTable:
     r -> -1-r and successor/predecessor are r +/- 1. Re-sieving to a larger
     bound only appends, so a rank never changes meaning.
 
-    Lazily extended by re-sieving to a doubled bound; extension is
+    Lazily extended by re-sieving to at least a doubled bound; extension is
     serialized by a lock while readers work on immutable snapshots, so
-    concurrent reads during extension are safe. Extending past 2(x + 1)
-    guarantees (by Bertrand's postulate: there is a prime in (n, 2n)) that
-    the table contains a successor for x. Sieve bounds are capped at
+    concurrent reads during extension are safe. Extending to x + x // 5 + 1
+    guarantees that the table contains a successor for x: Nagura (1952)
+    proves there is a prime in (n, 6n/5) for every n >= 25, and the table
+    always holds every prime power up to 512. Sieve bounds are capped at
     _SIEVE_CAP; a larger request raises ValueError before allocating.
     """
 
@@ -292,29 +331,9 @@ class _PowerTable:
             if self._limit >= limit:
                 return self._snapshot
             new_limit = min(max(limit, 2 * self._limit), _SIEVE_CAP)
-            sieve = bytearray([1]) * (new_limit + 1)
-            sieve[0:2] = b"\x00\x00"
-            for i in range(2, int(new_limit ** 0.5) + 1):
-                if sieve[i]:
-                    sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-            entries = []
-            for p in range(2, new_limit + 1):
-                if sieve[p]:
-                    pw, k = p, 1
-                    while pw <= new_limit:
-                        entries.append((pw, p, k))
-                        pw *= p
-                        k += 1
-            entries.sort()
-            values = tuple(e[0] for e in entries)
-            bases = tuple(e[1] for e in entries)
-            exps = tuple(e[2] for e in entries)
-            logphi = []
-            acc = 0.0
-            for b in bases:
-                acc += math.log(b)
-                logphi.append(acc)
-            self._snapshot = (values, bases, exps, tuple(logphi))
+            values, bases, exps = _prime_powers_upto(new_limit)
+            logphi = tuple(accumulate(map(math.log, bases)))
+            self._snapshot = (values, bases, exps, logphi)
             self._limit = new_limit
             return self._snapshot
 
@@ -322,7 +341,7 @@ class _PowerTable:
         """Table values whose last entry exceeds m."""
         values = self._snapshot[0]
         if values[-1] <= m:
-            values = self.extend_to(2 * (m + 1))[0]
+            values = self.extend_to(m + m // 5 + 1)[0]
         return values
 
     def rank_floor(self, x: Fraction) -> int:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 from .errors import ToleranceError
@@ -24,6 +25,13 @@ def derive_seed(*keys: int | str) -> int:
 def derive_rng(*keys: int | str) -> random.Random:
     """Child RNG on a deterministic stream derived from the key tuple."""
     return random.Random(derive_seed(*keys))
+
+
+def require_finite(**fields: float) -> None:
+    """Raise ValueError naming the first field that is infinite or nan."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def clamp_nonnegative(value: float, scale: float) -> float:

@@ -32,6 +32,22 @@ class TestSymbolSpec:
         with pytest.raises(ValueError):
             cy.SymbolSpec(alpha=0.5).require_solver_range()
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_alpha_and_time_refused(self, bad):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            cy.SymbolSpec(alpha=bad)
+        w = eigenfunction(F(2))
+        grid = cy.ForcingGrid(times=(0.0, 1.0), steps=(w, w))
+        real = cy.RealGridFunction(x0=-1.0, dx=1.0, values=(0.0, 1.0, 0.0))
+        sym = cy.SymbolSpec(alpha=ALPHA, beta=2.0)
+        for solve in (
+            lambda: cy.solve_homogeneous(w, bad, SYM),
+            lambda: cy.solve_nonhomogeneous(w, grid, bad, SYM),
+            lambda: cy.solve_adelic(real, w, bad, sym),
+        ):
+            with pytest.raises(ValueError, match="t must be finite"):
+                solve()
+
 
 class TestApplyOperator:
     def test_eigenrelation_exact(self):

@@ -339,6 +339,55 @@ class TestVerify:
 
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("args,message", [
+        (["kernel", "eval", "--radius", "2", "--t", "inf", "--alpha", "2"],
+         "t must be finite, got inf"),
+        (["kernel", "normalize", "--t", "inf", "--alpha", "2"],
+         "t must be finite, got inf"),
+        (["transition", "--t", "inf", "--alpha", "2", "--x", "0",
+          "--center", "0", "--eps", "2"], "t must be finite, got inf"),
+        (["simulate", "--t-step", "inf", "--steps", "3", "--alpha", "2",
+          "--seed", "1", "--output", "x.csv"], "t must be finite, got inf"),
+        (["kernel", "eval", "--radius", "2", "--t", "1", "--alpha", "inf"],
+         "alpha must be finite, got inf"),
+        (["solve", "homogeneous", "--t", "1", "--alpha", "inf"],
+         "alpha must be finite, got inf"),
+        (["solve", "homogeneous", "--t", "inf", "--alpha", "2"],
+         "t must be finite, got inf"),
+        (["solve", "homogeneous", "--t", "nan", "--alpha", "2"],
+         "t must be finite, got nan"),
+    ])
+    def test_non_finite_time_or_exponent_refused(self, step_file, tmp_path,
+                                                 args, message):
+        if args[0] == "solve":
+            args = args + ["--input", str(step_file)]
+        start = time.perf_counter()
+        proc = run_cli(args, tmp_path, timeout=20)
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == f"invalid parameters: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("args", [
+        ["kernel", "eval", "--radius", "2", "--t", "1", "--alpha", "2"],
+        ["kernel", "normalize", "--t", "1", "--alpha", "2"],
+        ["solve", "homogeneous", "--t", "1", "--alpha", "2"],
+    ])
+    def test_tol_must_be_positive_and_finite(self, step_file, tmp_path,
+                                             args, tol):
+        if args[0] == "solve":
+            args = args + ["--input", str(step_file)]
+        start = time.perf_counter()
+        proc = run_cli(args + ["--tol", tol], tmp_path, timeout=20)
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"usage error: tol must be a positive finite number\n"
+        )
+
+
 class TestStartup:
     def test_cli_import_loads_no_numpy(self, tmp_path):
         proc = subprocess.run(

@@ -61,6 +61,13 @@ class TestParams:
         with pytest.raises(ValueError):
             hk.KernelParams(t=1.0, alpha=2.0, beta=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_time_and_exponent_refused(self, bad):
+        with pytest.raises(ValueError, match="t must be finite"):
+            hk.KernelParams(t=bad, alpha=2.0)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            hk.KernelParams(t=1.0, alpha=bad)
+
     def test_zero_time_admitted_but_not_evaluable(self):
         p = hk.KernelParams(t=0.0, alpha=2.0)
         with pytest.raises(ValueError):

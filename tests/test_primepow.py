@@ -4,6 +4,8 @@ The oracle here recomputes everything per definition: primes by sieve,
 [[log_p x]] by direct Fraction comparisons, phi as the literal product over
 primes. The library's table-based implementation must match exactly.
 """
+import bisect
+import hashlib
 import math
 import random
 import threading
@@ -388,3 +390,58 @@ class TestHugePrimePowers:
         assert not pp.is_prime(n)
         assert not pp.is_prime_power(n)
         assert pp.is_prime(2**89 - 1)
+
+
+def trial_division_table(limit):
+    """(values, bases, exps) of the integer prime powers <= limit, from
+    trial division alone."""
+    rows = []
+    for n in range(2, limit + 1):
+        pk = trial_division_prime_power(n)
+        if pk is not None:
+            rows.append((n, *pk))
+    return tuple(zip(*rows))
+
+
+# sha256 of repr(values), repr(bases), repr(exps) and the float.hex of
+# every logphi entry of the table sieved to 2^21, frozen from the
+# per-integer sieve it replaced
+TABLE_2_21_SHA256 = (
+    "acc23e81f66fc36e21829f868a26334ae847aca30c32086cddee238b23dec089"
+)
+
+
+class TestTableBuild:
+    def test_every_bound_to_5000_matches_trial_division(self):
+        values, bases, exps = trial_division_table(5000)
+        for n in range(2, 5001):
+            i = bisect.bisect_right(values, n)
+            want = (values[:i], bases[:i], exps[:i])
+            assert pp._prime_powers_upto(n) == want, n
+            table = pp._PowerTable()
+            table.extend_to(n)
+            j = bisect.bisect_right(values, table._limit)
+            assert table._snapshot[:3] == (values[:j], bases[:j], exps[:j]), n
+
+    def test_table_at_2_21_frozen(self):
+        table = pp._PowerTable()
+        table.extend_to(1 << 21)
+        assert table._limit == 1 << 21
+        values, bases, exps, logphi = table._snapshot
+        digest = hashlib.sha256()
+        for part in (values, bases, exps, [x.hex() for x in logphi]):
+            digest.update(repr(part).encode())
+        assert digest.hexdigest() == TABLE_2_21_SHA256
+
+    def test_cold_successor_sieves_to_six_fifths(self, monkeypatch):
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        assert next_pp(10**6) == PrimePower(1_000_003, 1)
+        assert pp._TABLE._limit <= 1_200_001
+
+    def test_successor_needs_no_doubled_sieve(self, monkeypatch):
+        # a sieve to twice the query (4802) would pass this cap
+        monkeypatch.setattr(pp, "_SIEVE_CAP", 3000)
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        assert next_pp(2400) == PrimePower(7, 4)
+        assert next_pp(2401) == PrimePower(2411, 1)
+        assert pp._TABLE._limit <= 3000
