@@ -36,11 +36,9 @@ from .primepow import (
     as_fraction,
     bracket_log,
     is_prime,
-    is_prime_power,
     iter_int_prime_powers,
     phi,
     prev_pp,
-    prime_power_pairs,
 )
 from .util import derive_rng
 
@@ -534,8 +532,9 @@ def _radius_plan(
         if a != 0:
             alphas[base] = a
     sphere_prime = None
-    if is_prime_power(r):
-        sphere_prime = prime_power_pairs(r)[0]
+    pk = _as_prime_power(r)
+    if pk is not None:
+        sphere_prime = pk[0]
         alphas.setdefault(sphere_prime, bracket_log(sphere_prime, r))
     return tuple(sorted(alphas.items())), sphere_prime
 

@@ -28,13 +28,13 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import ToleranceError
 from .heatkernel import KernelParams, z_real
-from .primepow import RationalLike, as_fraction, phi
+from .primepow import RationalLike, phi
 from .radial import RadialStep, ft_ball_eval
 from .util import require_finite
 
@@ -86,6 +86,12 @@ class InnerPiece:
             self._profile(), self.rho, s, self._at_zero(), tol=tol
         )
         return self.scale * val, abs(self.scale) * bound
+
+    def l2_cap(self) -> float:
+        """|scale| * sup |profile| on B(rho) * sqrt(vol B(rho)): a bound on
+        the L2 norm of the piece."""
+        peak = float(self.rho) ** self.exponent if self.kind == "power" else 1.0
+        return abs(self.scale) * peak * math.sqrt(float(phi(self.rho)))
 
 
 @dataclass(frozen=True)
@@ -236,9 +242,10 @@ def _accumulate(
     if isinstance(contribution, RadialStep):
         return target_step + contribution * weight
     out = target_step + contribution.step * weight
+    # pieces are keyed by their shape: the piece itself at scale 1
     for piece in contribution.pieces:
-        key = (piece.rho, piece.kind, piece.exponent, piece.time)
-        pieces[key] = pieces.get(key, 0.0) + float(weight) * piece.scale
+        shape = replace(piece, scale=1.0)
+        pieces[shape] = pieces.get(shape, 0.0) + float(weight) * piece.scale
     return out
 
 
@@ -263,12 +270,6 @@ def _duhamel(
                 coarse_step, coarse_pieces, g, Fraction(coarse_w[i // 2])
             )
     return fine_step, fine_pieces, coarse_step, coarse_pieces
-
-
-def _piece_l2_cap(key, scale: float) -> float:
-    rho, kind, exponent, _ = key
-    peak = float(rho) ** exponent if kind == "power" else 1.0
-    return abs(scale) * peak * math.sqrt(float(phi(rho)))
 
 
 def solve_nonhomogeneous(
@@ -309,16 +310,15 @@ def solve_nonhomogeneous(
     )
     # the whole fine - coarse difference, undivided (module docstring)
     est = math.sqrt(float((fine_step - coarse_step).l2_norm_sq()))
-    # every coarse node is a fine node, so fine_pieces holds every key; its
-    # insertion order fixes the float summation order across processes
-    for key, scale in fine_pieces.items():
-        est += _piece_l2_cap(key, scale - coarse_pieces.get(key, 0.0))
+    # every coarse node is a fine node, so fine_pieces holds every shape;
+    # its insertion order fixes the float summation order across processes
+    for shape, scale in fine_pieces.items():
+        gap = scale - coarse_pieces.get(shape, 0.0)
+        est += replace(shape, scale=gap).l2_cap()
 
     total_step = _accumulate(fine_step, fine_pieces, hom, Fraction(1))
     assembled = tuple(
-        InnerPiece(scale=s, rho=k[0], kind=k[1], exponent=k[2], time=k[3])
-        for k, s in fine_pieces.items()
-        if s != 0.0
+        replace(shape, scale=s) for shape, s in fine_pieces.items() if s != 0.0
     )
     return EvaluableRadial(
         step=total_step, pieces=assembled, tol=tol,

@@ -40,7 +40,6 @@ from .cauchy import (
 from .errors import IndeterminateCancellation
 from .heatkernel import (
     KernelParams,
-    ball_mass,
     normalization,
     tail_mass_bound,
     z_finite,

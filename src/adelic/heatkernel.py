@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ToleranceError
-from .primepow import _TABLE, RationalLike, as_fraction, prime_power_pairs
-from .util import clamp_nonnegative, require_finite
+from .primepow import _TABLE, RationalLike, as_fraction
+from .util import clamp_nonnegative, require_finite, require_positive
 
 _CHEB = 1.04  # effective bound: ln phi(x) <= 1.04 x for x >= 2
 _LOG_GEO = -math.expm1(-_CHEB)  # 1 - e^{-1.04}
@@ -67,14 +67,12 @@ class KernelParams:
             raise ValueError("operation requires t > 0")
 
 
-def _to_radius(radius: RationalLike) -> Fraction:
-    # attainable norms only: 0, 1, or a prime power
-    if not radius:
-        return Fraction(0)
-    s = as_fraction(radius)
-    if s != 1:
-        prime_power_pairs(s)
-    return s
+def _radius_rank(radius: RationalLike) -> int:
+    """Rank of a prime-power radius. Radius 1 is also admitted, with rank
+    -1 (that of 1/2): the ball of radius 1 (the integral points) is the
+    ball of radius 1/2, and the series for both sums over q < 2."""
+    r = as_fraction(radius)
+    return -1 if r == 1 else _TABLE.rank_of(r)
 
 
 def _ln_delta(k: int, t: float, alpha: float) -> float:
@@ -130,12 +128,12 @@ def _upper_start(t: float, alpha: float, tol: float) -> int:
         k += 1
 
 
-def _top_rank(s: Fraction, t: float, alpha: float, rel_tol: float) -> int:
+def _top_rank(radius, t: float, alpha: float, rel_tol: float) -> int:
     """Rank of the first (largest) series index: the largest prime power
-    below 1/s, or the certified upper start for the full sum at s = 0."""
-    if s > 0:
-        # prev_pp(1/s), with 1/x as r -> -1-r on ranks
-        return -2 - _TABLE.rank_floor(s)
+    below 1/radius, or the certified upper start for the full sum at 0."""
+    if radius:
+        # prev_pp(1/r), with 1/x as r -> -1-r on ranks
+        return -2 - _radius_rank(radius)
     return _upper_start(t, alpha, rel_tol * 0.25)
 
 
@@ -173,9 +171,10 @@ def _logaddexp(a: float, b: float) -> float:
 def ln_z_finite(radius: RationalLike, params: KernelParams,
                 rel_tol: float = 1e-13) -> float:
     """ln Z(radius, t); usable even where Z itself over/underflows floats."""
+    require_positive(rel_tol=rel_tol)
     params.require_positive_time()
     t, alpha = params.t, params.alpha
-    top = _top_rank(_to_radius(radius), t, alpha, rel_tol)
+    top = _top_rank(radius, t, alpha, rel_tol)
     return _ln_z(top, t, alpha, rel_tol)
 
 
@@ -184,9 +183,10 @@ def z_finite(radius: RationalLike, params: KernelParams,
     """Kernel value at any point of the given norm, within tol (relative
     for the dominant part, with the certified series remainders added on
     both ends). Always nonnegative: the series has positive terms."""
+    require_positive(tol=tol)
     params.require_positive_time()
     t, alpha, rel_tol = params.t, params.alpha, min(tol, 1e-13)
-    top = _top_rank(_to_radius(radius), t, alpha, rel_tol)
+    top = _top_rank(radius, t, alpha, rel_tol)
     terms = list(_ln_terms(top, t, alpha, rel_tol))
     peak = max(terms)
     if peak > 709.0:
@@ -219,32 +219,18 @@ def _ln_vol_sphere(k: int) -> float:
     return _TABLE.log_phi_at(k) + math.log1p(-1.0 / _TABLE.base_at(k))
 
 
-def _validate_ball_radius(r: Fraction):
-    # balls exist at radius 1 (the integral points) even though no norm
-    # takes that value; spheres do not
-    if r != 1:
-        prime_power_pairs(r)
-
-
-def _boundary_exponent(r: Fraction) -> float:
-    # the cumulative identity telescopes from the first prime power >= 1/r
-    q0 = Fraction(2) if r == 1 else 1 / r
-    return float(q0)
-
-
 def sphere_masses(
     params: KernelParams,
     r_min: RationalLike,
     r_max: RationalLike,
     rel_tol: float = 1e-13,
 ) -> SphereMasses:
+    require_positive(rel_tol=rel_tol)
     params.require_positive_time()
     t, alpha = params.t, params.alpha
-    lo, hi = as_fraction(r_min), as_fraction(r_max)
-    prime_power_pairs(lo), prime_power_pairs(hi)
-    if lo > hi:
+    k_lo, k_hi = (_TABLE.rank_of(as_fraction(r)) for r in (r_min, r_max))
+    if k_lo > k_hi:
         raise ValueError("empty radius window")
-    k_lo, k_hi = _TABLE.rank_floor(lo), _TABLE.rank_floor(hi)
     ln_z_hi = _ln_z(-2 - k_hi, t, alpha, rel_tol)
     # descending sweep: stepping the radius down one prime power adds the
     # single series term q = 1/r (rank -1-k for r of rank k), since
@@ -272,14 +258,14 @@ def sphere_masses(
 def _ball_identity(radius: RationalLike, params: KernelParams,
                    rel_tol: float) -> tuple[float, float]:
     """(phi(r) Z(r, t), t q0^alpha) for the closed ball of radius r: the
-    cumulative mass is the first plus e^{-t q0^alpha}."""
+    cumulative mass is the first plus e^{-t q0^alpha}, where q0 = 1/r (2
+    for r = 1), the first prime power >= 1/r, has rank -1 - rank(r)."""
+    require_positive(rel_tol=rel_tol)
     params.require_positive_time()
-    r = as_fraction(radius)
-    _validate_ball_radius(r)
-    k = _TABLE.rank_floor(r)
+    k = _radius_rank(radius)
     ln_z = _ln_z(-2 - k, params.t, params.alpha, rel_tol)
     inside = math.exp(_TABLE.log_phi_at(k) + ln_z)
-    return inside, params.t * _boundary_exponent(r) ** params.alpha
+    return inside, params.t * _TABLE.float_at(-1 - k) ** params.alpha
 
 
 def ball_mass(radius: RationalLike, params: KernelParams,
@@ -304,6 +290,7 @@ def normalization(params: KernelParams, tol: float = 1e-6) -> float:
     """Windowed sphere-mass sum plus the two exact tails; the kernel
     integrates to 1, so the return value checks the whole numeric pipeline
     (window sums and identity tails come from independent evaluations)."""
+    require_positive(tol=tol)
     table = sphere_masses(params, *_NORM_WINDOW, rel_tol=min(tol, 1e-10))
     total = table.total()
     if not math.isfinite(total):
@@ -315,6 +302,7 @@ def moment_integral(params: KernelParams, beta_weight: float,
                     tol: float = 1e-10) -> float:
     """integral of ||y||^w e^{-t ||y||^alpha} over the finite adeles,
     as a certified sphere sum (w = beta_weight >= 0)."""
+    require_positive(tol=tol)
     params.require_positive_time()
     if beta_weight < 0:
         raise ValueError("weight must be nonnegative")
@@ -359,11 +347,11 @@ def tail_mass_bound(epsilon: RationalLike, params: KernelParams) -> float:
     for the kernel mass outside the closed ball of radius eps. The prime
     power sum is taken exactly to a cutoff and majorized beyond it by the
     integer integral test."""
+    lo = _radius_rank(epsilon)
     eps = as_fraction(epsilon)
-    _validate_ball_radius(eps)
     t, alpha = params.t, params.alpha
     cutoff = max(Fraction(64), 4 * (eps if eps >= 1 else Fraction(1)))
-    lo, hi = _TABLE.rank_floor(eps), _TABLE.rank_floor(cutoff)
+    hi = _TABLE.rank_floor(cutoff)
     body = math.fsum(
         _TABLE.float_at(k) ** -alpha for k in range(lo + 1, hi + 1)
     )
@@ -379,6 +367,7 @@ def z_real(x: float, params: KernelParams, tol: float = 1e-10) -> float:
     """Real stable kernel under the character e^{2 pi i x xi}:
     the inverse transform of e^{-t |xi|^beta}. Closed forms for beta in
     {1, 2}; adaptive cosine quadrature otherwise (reduced precision)."""
+    require_positive(tol=tol)
     params.require_positive_time()
     if params.beta is None:
         raise ValueError("params.beta is required for the real kernel")

@@ -35,12 +35,13 @@ from .adele import (
 from .errors import IndeterminateCancellation, ToleranceError
 from .heatkernel import (
     KernelParams,
+    _radius_rank,
     ball_mass,
     sphere_masses,
     tail_mass_bound,
     z_finite,
 )
-from .primepow import RationalLike, as_fraction, phi, prime_power_pairs
+from .primepow import _TABLE, RationalLike, as_fraction
 from .util import derive_rng
 
 
@@ -115,7 +116,8 @@ class Truncation:
     depth: int = 12
 
     def validate(self):
-        prime_power_pairs(self.r_min), prime_power_pairs(self.r_max)
+        for r in (self.r_min, self.r_max):
+            _TABLE.rank_of(as_fraction(r))
         if self.r_min >= 1 or self.r_max <= 1:
             raise ValueError("radius window must straddle 1")
         # dropping a zero-forced component would corrupt sphere norms,
@@ -248,14 +250,13 @@ def transition_prob_ball(
     of ||x - center|| alone; the kernel is constant on the shifted ball
     when x lies outside it (ultrametric), and integrates sphere by sphere
     when x is inside. t = 0 degenerates to the indicator."""
+    k = _radius_rank(eps)
     radius = as_fraction(eps)
-    if radius != 1:
-        prime_power_pairs(radius)
     d = distance(x, center)
     if params.t == 0:
         return 1.0 if d <= radius else 0.0
     if d > radius:
-        return float(phi(radius)) * z_finite(d, params)
+        return float(_TABLE.phi_at(k)) * z_finite(d, params)
     return ball_mass(radius, params)
 
 

@@ -359,6 +359,15 @@ class _PowerTable:
         m = -(-d // n)
         return -1 - bisect.bisect_left(self._values_past(m), m)
 
+    def rank_of(self, x: Fraction) -> int:
+        """Rank of x if x is a prime power, else ValueError: x is one iff
+        it is the value of its own rank_floor."""
+        rank = self.rank_floor(x)
+        m = self._snapshot[0][self._index(rank)]
+        if (x.numerator, x.denominator) != ((m, 1) if rank >= 0 else (1, m)):
+            raise ValueError(f"{x} is not a prime power")
+        return rank
+
     def _index(self, rank: int) -> int:
         """Table index of a rank (rank i >= 0 and its reciprocal -1-i both
         read row i); extends the table until that row exists, since a walk

@@ -18,55 +18,52 @@ leaves the step class (see ft_ball_eval for that case).
 Coefficients are Fractions throughout; floats passed in are converted via
 Fraction(float), which is lossless for binary floats.
 
-Radii are Fractions at the API, but the transform and the sphere walks
-work on primepow's rank index: the transform maps rank k to -2-k with
-weight phi(k), and spheres between two radii are consecutive ranks.
+Radii are Fractions at the API, but a step stores its coefficients by
+primepow's rank index: the public constructor checks each radius once, the
+transform maps rank k to -2-k with weight phi(k), ball volumes are phi(k),
+and spheres between two radii are consecutive ranks.
 """
 from __future__ import annotations
 
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
-from .primepow import (
-    _TABLE,
-    RationalLike,
-    as_fraction,
-    phi,
-    prev_pp,
-    prime_power_pairs,
-)
+from .primepow import _TABLE, RationalLike, as_fraction
 
 _NumberLike = (int, float, Fraction)
 
 
-def _coeff(x) -> Fraction:
-    return Fraction(x)
-
-
 class RadialStep:
-    """Finite combination of ball indicators; exact radial step function."""
+    """Finite combination of ball indicators; exact radial step function.
 
-    __slots__ = ("coeffs",)
+    Coefficients are held as {rank: nonzero Fraction} in ascending rank
+    (that is, ascending radius) order; `coeffs` shows them by radius."""
+
+    __slots__ = ("_by_rank",)
 
     def __init__(self, coeffs: Mapping[Fraction, RationalLike] | None = None):
-        canon: dict[Fraction, Fraction] = {}
+        canon: dict[int, Fraction] = {}
         for r, c in (coeffs or {}).items():
-            radius = as_fraction(r)
-            prime_power_pairs(radius)  # radii must be prime powers
-            c = _coeff(c)
+            k = _TABLE.rank_of(as_fraction(r))  # radii must be prime powers
+            c = Fraction(c)
             if c:
-                canon[radius] = canon.get(radius, Fraction(0)) + c
-        self.coeffs = _canonical(canon)
+                canon[k] = canon.get(k, Fraction(0)) + c
+        self._by_rank = _canonical(canon)
 
     @classmethod
-    def _trusted(cls, coeffs: dict[Fraction, Fraction]) -> "RadialStep":
-        """Step over coefficients already canonical: nonzero Fractions on
-        prime-power Fraction radii, in ascending radius order."""
+    def _trusted(cls, by_rank: dict[int, Fraction]) -> "RadialStep":
+        """Step over coefficients already canonical: nonzero Fractions
+        keyed by rank, in ascending rank order."""
         step = object.__new__(cls)
-        step.coeffs = coeffs
+        step._by_rank = by_rank
         return step
+
+    @property
+    def coeffs(self) -> dict[Fraction, Fraction]:
+        """{radius: coefficient} in ascending radius order (a fresh dict)."""
+        return {_TABLE.fraction_at(k): c for k, c in self._by_rank.items()}
 
     # ---- constructors
 
@@ -80,8 +77,8 @@ class RadialStep:
 
     @classmethod
     def sphere_indicator(cls, radius: RationalLike) -> "RadialStep":
-        r = as_fraction(radius)
-        return cls({r: 1, prev_pp(r).value: -1})
+        k = _TABLE.rank_of(as_fraction(radius))
+        return cls._trusted({k - 1: Fraction(-1), k: Fraction(1)})
 
     @classmethod
     def from_sphere_values(
@@ -95,54 +92,55 @@ class RadialStep:
         if not values:
             raise ValueError("need at least one sphere value")
         radii = sorted(as_fraction(r) for r in values)
-        vals = {as_fraction(r): _coeff(v) for r, v in values.items()}
+        vals = {as_fraction(r): Fraction(v) for r, v in values.items()}
         k0 = _TABLE.rank_floor(radii[0])
         for i, r in enumerate(radii):
             if _TABLE.fraction_at(k0 + i) != r:
                 raise ValueError("radii must be consecutive prime powers")
-        coeffs = {_TABLE.fraction_at(k0 - 1): _coeff(inner) - vals[radii[0]]}
-        for i, r in enumerate(radii):
-            upper = vals[radii[i + 1]] if i + 1 < len(radii) else Fraction(0)
-            coeffs[r] = vals[r] - upper
-        return cls._trusted({r: c for r, c in coeffs.items() if c})
+        return cls._from_sphere_ranks(k0, [vals[r] for r in radii], inner)
+
+    @classmethod
+    def _from_sphere_ranks(
+        cls, k0: int, values: list[Fraction], inner: RationalLike
+    ) -> "RadialStep":
+        """from_sphere_values for the values on the spheres of ranks k0,
+        k0 + 1, ...: the coefficient at rank k is the drop in value from
+        sphere k to sphere k + 1 (`inner` below k0, 0 above the last)."""
+        w = [Fraction(inner), *values, 0]
+        drops = {k0 - 1 + i: w[i] - w[i + 1] for i in range(len(w) - 1)}
+        return cls._trusted({k: c for k, c in drops.items() if c})
 
     # ---- basic queries
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._by_rank
 
     def support_radius(self) -> Fraction | None:
         """Largest radius of the supporting ball; None for the zero map."""
-        return max(self.coeffs) if self.coeffs else None
+        return _TABLE.fraction_at(max(self._by_rank)) if self._by_rank else None
 
     def min_radius(self) -> Fraction | None:
-        return min(self.coeffs) if self.coeffs else None
+        return _TABLE.fraction_at(min(self._by_rank)) if self._by_rank else None
 
     def value(self, s: RationalLike) -> Fraction:
         """Value at any point of norm s (s = 0 gives the value at zero)."""
         s = as_fraction(s) if s else Fraction(0)
-        return sum(
-            (c for r, c in self.coeffs.items() if r >= s), Fraction(0)
-        )
+        return sum((c for r, c in self.coeffs.items() if r >= s), Fraction(0))
 
     def value_at_zero(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
+        return sum(self._by_rank.values(), Fraction(0))
 
     def sphere_values(self) -> list[tuple[Fraction, Fraction]]:
         """(radius, value) on every sphere in the coefficient envelope."""
-        if not self.coeffs:
+        by_rank = self._by_rank
+        if not by_rank:
             return []
-        radii = list(self.coeffs)
-        lo = _TABLE.rank_floor(radii[0])
-        hi = _TABLE.rank_floor(radii[-1])
-        # walking down, the value on S_r sums the coefficients at radii >= r
-        out = []
-        value = Fraction(0)
-        for k in range(hi, lo - 1, -1):
-            r = _TABLE.fraction_at(k)
-            if r == radii[-1]:
-                value += self.coeffs[radii.pop()]
-            out.append((r, value))
+        # walking down, the value on S_k sums the coefficients at ranks >= k
+        out, value = [], Fraction(0)
+        for k in range(max(by_rank), min(by_rank) - 1, -1):
+            if k in by_rank:
+                value += by_rank[k]
+            out.append((_TABLE.fraction_at(k), value))
         out.reverse()
         return out
 
@@ -158,15 +156,16 @@ class RadialStep:
 
     def integral(self) -> Fraction:
         return sum(
-            (c * phi(r) for r, c in self.coeffs.items()), Fraction(0)
+            (c * _TABLE.phi_at(k) for k, c in self._by_rank.items()),
+            Fraction(0),
         )
 
     def inner_product(self, other: "RadialStep") -> Fraction:
         """integral of f * g: sum c_i d_j phi(min(rho_i, rho_j))."""
         total = Fraction(0)
-        for r1, c1 in self.coeffs.items():
-            for r2, c2 in other.coeffs.items():
-                total += c1 * c2 * phi(min(r1, r2))
+        for k1, c1 in self._by_rank.items():
+            for k2, c2 in other._by_rank.items():
+                total += c1 * c2 * _TABLE.phi_at(min(k1, k2))
         return total
 
     def l2_norm_sq(self) -> Fraction:
@@ -175,11 +174,10 @@ class RadialStep:
     def ft(self) -> "RadialStep":
         """Exact Fourier transform (an involution on radial steps)."""
         # rank k -> -2-k (prev_pp(1/r)) reverses the order of the radii
-        out = {}
-        for r, c in reversed(self.coeffs.items()):
-            k = _TABLE.rank_floor(r)
-            out[_TABLE.fraction_at(-2 - k)] = c * _TABLE.phi_at(k)
-        return RadialStep._trusted(out)
+        return RadialStep._trusted({
+            -2 - k: c * _TABLE.phi_at(k)
+            for k, c in reversed(self._by_rank.items())
+        })
 
     def apply_multiplier(
         self, multiplier: Callable[[Fraction], RationalLike]
@@ -192,13 +190,11 @@ class RadialStep:
                 "multiplier would produce infinitely many sphere values; "
                 "split off the inner ball first"
             )
-        new_vals = {
-            r: _coeff(multiplier(r)) * v
-            for r, v in self.sphere_values()
-        }
-        if not new_vals:
+        spheres = self.sphere_values()
+        if not spheres:
             return RadialStep.zero()
-        return RadialStep.from_sphere_values(new_vals, inner=0)
+        values = [Fraction(multiplier(r)) * v for r, v in spheres]
+        return RadialStep._from_sphere_ranks(min(self._by_rank), values, 0)
 
     def split_inner(self) -> tuple[Fraction, Fraction | None, "RadialStep"]:
         """(c0, rho, remainder): f = c0 * 1_{B(rho)} + remainder, where the
@@ -206,16 +202,16 @@ class RadialStep:
         c0 = self.value_at_zero()
         if c0 == 0:
             return Fraction(0), None, self
-        rho = prev_pp(self.min_radius()).value
-        rest = self - RadialStep._trusted({rho: c0})
-        return c0, rho, rest
+        k = min(self._by_rank) - 1  # prev_pp of the smallest radius
+        rest = self - RadialStep._trusted({k: c0})
+        return c0, _TABLE.fraction_at(k), rest
 
     # ---- algebra
 
     def _combined(self, other: "RadialStep", sign: int) -> "RadialStep":
-        merged = dict(self.coeffs)
-        for r, c in other.coeffs.items():
-            merged[r] = merged.get(r, Fraction(0)) + sign * c
+        merged = dict(self._by_rank)
+        for k, c in other._by_rank.items():
+            merged[k] = merged.get(k, Fraction(0)) + sign * c
         return RadialStep._trusted(_canonical(merged))
 
     def __add__(self, other):
@@ -229,25 +225,25 @@ class RadialStep:
         return self._combined(other, -1)
 
     def __neg__(self):
-        return RadialStep._trusted({r: -c for r, c in self.coeffs.items()})
+        return RadialStep._trusted({k: -c for k, c in self._by_rank.items()})
 
     def __mul__(self, scalar):
         if not isinstance(scalar, _NumberLike):
             return NotImplemented
-        s = _coeff(scalar)
+        s = Fraction(scalar)
         if not s:
             return RadialStep.zero()
-        return RadialStep._trusted({r: c * s for r, c in self.coeffs.items()})
+        return RadialStep._trusted({k: c * s for k, c in self._by_rank.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, RadialStep):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._by_rank == other._by_rank
 
     def __hash__(self):
-        return hash(tuple(self.coeffs.items()))
+        return hash(tuple(self._by_rank.items()))
 
     def __repr__(self):
         inside = ", ".join(f"{r}: {c}" for r, c in self.coeffs.items())
@@ -259,11 +255,8 @@ class RadialStep:
         return json.dumps(self.to_dict())
 
     def to_dict(self) -> dict:
-        return {
-            "ball_coefficients": {
-                _radius_key(r): str(c) for r, c in self.coeffs.items()
-            }
-        }
+        coeffs = {_radius_key(k): str(c) for k, c in self._by_rank.items()}
+        return {"ball_coefficients": coeffs}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadialStep":
@@ -279,13 +272,13 @@ class RadialStep:
         return cls.from_dict(json.loads(text))
 
 
-def _canonical(coeffs: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
-    return {r: c for r, c in sorted(coeffs.items()) if c}
+def _canonical(by_rank: dict[int, Fraction]) -> dict[int, Fraction]:
+    return {k: c for k, c in sorted(by_rank.items()) if c}
 
 
-def _radius_key(r: Fraction) -> str:
-    p, k = prime_power_pairs(r)
-    return f"{p}^{k}"
+def _radius_key(rank: int) -> str:
+    pk = _TABLE.at(rank)
+    return f"{pk.p}^{pk.k}"
 
 
 def _radius_from_key(key: str) -> Fraction:

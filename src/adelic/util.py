@@ -34,6 +34,14 @@ def require_finite(**fields: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_positive(**fields: float) -> None:
+    """Raise ValueError naming the first field that is not a positive finite
+    number (nan included); used for tolerances."""
+    for name, value in fields.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be a positive finite number")
+
+
 def clamp_nonnegative(value: float, scale: float) -> float:
     """Clamp tiny negative rounding residue to 0.0; reject real negativity.
 

@@ -6,6 +6,7 @@ code shared with the package. [DERIVED]
 """
 import hashlib
 import math
+import signal
 import time
 from fractions import Fraction as F
 
@@ -393,3 +394,38 @@ class TestRankWalk:
     def test_full_series_looks_up_ranks_once(self, rank_floor_calls, t, alpha):
         hk.z_finite(0, hk.KernelParams(t=t, alpha=alpha))
         assert len(rank_floor_calls) <= 3
+
+
+class TestToleranceGuard:
+    # a nan tolerance used to keep the series loops running forever; 0 and
+    # negative tolerances raised math domain or index errors
+    CALLS = {
+        "z_finite": lambda p, tol: hk.z_finite(2, p, tol=tol),
+        "z_finite_0": lambda p, tol: hk.z_finite(0, p, tol=tol),
+        "ln_z_finite": lambda p, tol: hk.ln_z_finite(2, p, rel_tol=tol),
+        "sphere_masses": lambda p, tol: hk.sphere_masses(
+            p, F(1, 4), F(8), rel_tol=tol),
+        "ball_mass": lambda p, tol: hk.ball_mass(F(4), p, rel_tol=tol),
+        "upper_tail_mass": lambda p, tol: hk.upper_tail_mass(
+            F(4), p, rel_tol=tol),
+        "normalization": lambda p, tol: hk.normalization(p, tol=tol),
+        "moment_integral": lambda p, tol: hk.moment_integral(p, 1.0, tol=tol),
+        "z_real": lambda p, tol: hk.z_real(0.5, p, tol=tol),
+        "z_adelic": lambda p, tol: hk.z_adelic(0.5, 2, p, tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_bad_tolerance_refused_at_once(self, name, tol):
+        def expired(signum, frame):
+            raise TimeoutError(f"{name}(tol={tol}) still running after 1 s")
+
+        params = hk.KernelParams(t=1.0, alpha=2.0, beta=2.0)
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValueError, match="positive finite number"):
+                self.CALLS[name](params, tol)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)

@@ -445,3 +445,18 @@ class TestTableBuild:
         assert next_pp(2400) == PrimePower(7, 4)
         assert next_pp(2401) == PrimePower(2411, 1)
         assert pp._TABLE._limit <= 3000
+
+
+class TestRankOf:
+    def test_matches_rank_floor_on_prime_powers(self):
+        values = [m for m, _, _ in pp.iter_int_prime_powers(5000)]
+        for i, m in enumerate(values):
+            for x in (F(m), F(1, m)):
+                assert pp._TABLE.rank_of(x) == pp._TABLE.rank_floor(x)
+            assert pp._TABLE.rank_of(F(m)) == i
+            assert pp._TABLE.rank_of(F(1, m)) == -1 - i
+
+    @pytest.mark.parametrize("x", [F(1), F(6), F(5, 3), F(1, 6), F(12, 5)])
+    def test_rejects_non_prime_powers(self, x):
+        with pytest.raises(ValueError, match=f"^{x} is not a prime power$"):
+            pp._TABLE.rank_of(x)

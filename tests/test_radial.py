@@ -5,6 +5,7 @@ cases below are hand computations. The oracle re-evaluates transforms via
 the radial sum formula sum_{q < 1/s} phi(q) (f(q) - f(next q)), which is an
 independent code path from the ball-coefficient map the library uses.
 """
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -281,3 +282,67 @@ class TestRankWalk:
             RadialStep.from_sphere_values({F(6): 1})
         with pytest.raises(ValueError):
             RadialStep.from_sphere_values({F(2): 1, F(4): 1})
+
+
+class TestRankKeyed:
+    # sha256 of reprs, JSON, transforms, integrals, sphere values, inner
+    # splits and all pairwise inner products of 50 seeded steps, computed
+    # by the Fraction-keyed implementation that preceded rank keys
+    FROZEN_DIGEST = (
+        "41e9a3d1d1a429c437a17dc3d06184a45e646ff9187977b747f9fa27fac80d9e"
+    )
+
+    def test_outputs_unchanged(self):
+        rng = random.Random(20261018)
+        steps = [random_step(rng) for _ in range(50)]
+        h = hashlib.sha256()
+        for f in steps:
+            h.update(f"{f!r}|{f.to_json()}|{f.ft()!r}|{f.integral()}|"
+                     f"{f.sphere_values()}|{f.split_inner()}\n".encode())
+        for f in steps:
+            h.update(",".join(str(f.inner_product(g)) for g in steps).encode())
+        assert h.hexdigest() == self.FROZEN_DIGEST
+
+    @pytest.mark.parametrize("op", [
+        lambda f, g: f.ft(),
+        lambda f, g: f.inner_product(g),
+        lambda f, g: f.integral(),
+        lambda f, g: f.sphere_values(),
+        lambda f, g: f.split_inner(),
+        lambda f, g: f.to_dict(),
+    ], ids=["ft", "inner_product", "integral", "sphere_values",
+            "split_inner", "to_dict"])
+    def test_no_rank_lookups(self, monkeypatch, op):
+        calls = []
+        rank_floor = pp._TABLE.rank_floor
+
+        def counted(x):
+            calls.append(x)
+            return rank_floor(x)
+
+        rng = random.Random(6)
+        pairs = [(random_step(rng), random_step(rng)) for _ in range(20)]
+        monkeypatch.setattr(pp._TABLE, "rank_floor", counted)
+        for f, g in pairs:
+            op(f, g)
+        assert calls == []
+
+    def test_coeffs_read_only_view(self):
+        f = RadialStep({F(8): 1, F(1, 9): F(3, 7)})
+        assert list(f.coeffs.items()) == [(F(1, 9), F(3, 7)), (F(8), F(1))]
+        f.coeffs[F(2)] = F(5)  # a fresh dict: the step is unchanged
+        assert f == RadialStep({F(1, 9): F(3, 7), F(8): 1})
+        with pytest.raises(AttributeError):
+            f.coeffs = {}
+
+    def test_sphere_indicator_validates(self):
+        assert RadialStep.sphere_indicator(F(1, 2)) == RadialStep(
+            {F(1, 2): 1, F(1, 3): -1}
+        )
+        for bad in (F(1), F(6), F(5, 3)):
+            with pytest.raises(ValueError, match="not a prime power"):
+                RadialStep.sphere_indicator(bad)
+
+    def test_radius_past_sieve_cap(self):
+        with pytest.raises(ValueError, match="capped"):
+            RadialStep({F(2) ** 27: 1})
