@@ -17,11 +17,17 @@ machine precision.
 
 The non-homogeneous solution is the homogeneous flow plus a Duhamel
 integral, discretized by composite Trapezoid/Simpson quadrature in the
-forcing time. The reported error bound is the whole step-halving
-difference |fine - coarse| (L2), plus the kernel tolerance. It is not
-divided by 2^order - 1 as a Richardson estimate would be: at practical
-step counts the asymptotic h^order regime has not set in, and the divided
-estimate fell below the true error.
+forcing time. The flow is diagonal on the Fourier side, so the integral is
+summed there: each node tau < t transforms f(tau) once, splits off its
+inner ball as a lazy piece, and adds weight * e^{-(t-tau) q^alpha} * value
+on each frequency sphere q into one per-rank sum per quadrature rule; each
+rule's sum is transformed back once (the node tau = t adds f(t) itself).
+The arithmetic is exact and linear, so the sums are the same rationals as
+evolving every node and summing the results. The reported error bound is
+the whole step-halving difference |fine - coarse| (L2), plus the kernel
+tolerance. It is not divided by 2^order - 1 as a Richardson estimate would
+be: at practical step counts the asymptotic h^order regime has not set in,
+and the divided estimate fell below the true error.
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ from typing import Callable, Optional, Union
 
 from .errors import ToleranceError
 from .heatkernel import KernelParams, z_real
-from .primepow import RationalLike, phi
+from .primepow import _TABLE, RationalLike, phi
 from .radial import RadialStep, ft_ball_eval
 from .util import require_finite
 
@@ -249,27 +255,72 @@ def _accumulate(
     return out
 
 
+class _RuleSum:
+    """One quadrature rule's share of the Duhamel sum: weighted sphere
+    values of the evolved forcing by frequency rank, the inner pieces by
+    shape, and the tau = t node's step."""
+
+    __slots__ = ("spheres", "pieces", "step")
+
+    def __init__(self):
+        self.spheres: dict[int, Fraction] = {}
+        self.pieces: dict = {}
+        self.step = RadialStep.zero()
+
+    def total_step(self) -> RadialStep:
+        if not self.spheres:
+            return self.step
+        k0 = min(self.spheres)
+        values = [
+            self.spheres.get(k, Fraction(0))
+            for k in range(k0, max(self.spheres) + 1)
+        ]
+        return RadialStep._from_sphere_ranks(k0, values, 0).ft() + self.step
+
+
 def _duhamel(
-    f: ForcingGrid, t: float, symbol: SymbolSpec, tol: float,
-    quadrature: str, m: int,
+    f: ForcingGrid, t: float, symbol: SymbolSpec, quadrature: str, m: int,
 ) -> tuple[RadialStep, dict, RadialStep, dict]:
     """Quadrature sums of the Duhamel integral with m (fine) and m/2
-    (coarse) steps. Coarse node j is fine node 2j -- t*(2j)/m equals
-    t*j/(m/2) exactly in binary floating point -- so each node is solved
-    once."""
-    fine_step = coarse_step = RadialStep.zero()
-    fine_pieces: dict = {}
-    coarse_pieces: dict = {}
+    (coarse) steps. A node tau < t contributes e^{-(t-tau) r^alpha} times
+    the transform of f(tau), which is diagonal on the frequency spheres,
+    so each rule sums weighted sphere values by rank and is transformed
+    back once. Coarse node j is fine node 2j -- t*(2j)/m equals t*j/(m/2)
+    exactly in binary floating point -- so each node's multiplier is
+    evaluated once for both rules."""
+    alpha = symbol.alpha
+    fine, coarse = _RuleSum(), _RuleSum()
     coarse_w = _weights(quadrature, m // 2, t)
     for i, w in enumerate(_weights(quadrature, m, t)):
-        tau = t * i / m
-        g = solve_homogeneous(f.at(tau), t - tau, symbol, tol)
-        fine_step = _accumulate(fine_step, fine_pieces, g, Fraction(w))
+        rules = [(fine, Fraction(w))]
         if i % 2 == 0:
-            coarse_step = _accumulate(
-                coarse_step, coarse_pieces, g, Fraction(coarse_w[i // 2])
+            rules.append((coarse, Fraction(coarse_w[i // 2])))
+        tau = t * i / m
+        g = f.at(tau)
+        dt = t - tau
+        _require_time(dt)
+        if dt == 0:
+            for rule, weight in rules:
+                rule.step = rule.step + g * weight
+            continue
+        c0, rho, rest = g.ft().split_inner()
+        if c0:
+            # pieces are keyed by their shape: the piece itself at scale 1
+            shape = InnerPiece(
+                scale=1.0, rho=rho, kind="heat", exponent=alpha, time=dt
             )
-    return fine_step, fine_pieces, coarse_step, coarse_pieces
+            for rule, weight in rules:
+                rule.pieces[shape] = (
+                    rule.pieces.get(shape, 0.0) + float(weight) * float(c0)
+                )
+        k0, values = rest._rank_values()
+        for k, v in enumerate(values, k0):
+            if not v:
+                continue
+            mv = _decay_factor(dt, _TABLE.float_at(k) ** alpha) * v
+            for rule, weight in rules:
+                rule.spheres[k] = rule.spheres.get(k, 0) + weight * mv
+    return fine.total_step(), fine.pieces, coarse.total_step(), coarse.pieces
 
 
 def solve_nonhomogeneous(
@@ -306,7 +357,7 @@ def solve_nonhomogeneous(
         return base
 
     fine_step, fine_pieces, coarse_step, coarse_pieces = _duhamel(
-        f, t, symbol, tol, quadrature, steps
+        f, t, symbol, quadrature, steps
     )
     # the whole fine - coarse difference, undivided (module docstring)
     est = math.sqrt(float((fine_step - coarse_step).l2_norm_sq()))

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ToleranceError
-from .primepow import _TABLE, RationalLike, as_fraction
+from .primepow import _SIEVE_CAP, _TABLE, RationalLike, as_fraction
 from .util import clamp_nonnegative, require_finite, require_positive
 
 _CHEB = 1.04  # effective bound: ln phi(x) <= 1.04 x for x >= 2
@@ -137,9 +137,32 @@ def _top_rank(radius, t: float, alpha: float, rel_tol: float) -> int:
     return _upper_start(t, alpha, rel_tol * 0.25)
 
 
+def _check_reach(top: int, t: float, alpha: float, rel_tol: float):
+    """Refuse a series from rank top whose truncation rule cannot stop
+    above the smallest radius the sieve cap reaches, before walking down
+    to it. Down to rank k the sum is at most phi(q_top) e^{-t q_k^alpha}
+    (Abel summation), with phi(q_top) <= e^{1.04 q_top} (the envelope of
+    _check_peak); the remainder bound phi(1/m)(1 - e^{-t q_k^alpha}) for
+    prev q_k = 1/m is at least e^{-1.04 m - 1} once t q_k^alpha >= 1. A
+    rank the table holds has m <= cap and q_k >= 1/cap, so when
+    t cap^-alpha exceeds 1.04 (cap + q_top) + 1 + ln(rel_tol / 2) no such
+    rank meets the stopping rule of _ln_terms."""
+    need = (
+        _CHEB * (_SIEVE_CAP + _TABLE.float_at(top)) + 1.0
+        + math.log(rel_tol * 0.5)
+    )
+    if t * float(_SIEVE_CAP) ** -alpha > need:
+        raise ValueError(
+            f"t = {t:g} is too large for alpha = {alpha:g}: the kernel "
+            "series reaches below radius 2^-26, the smallest the "
+            "prime-power table holds"
+        )
+
+
 def _ln_terms(top: int, t: float, alpha: float, rel_tol: float):
     """Descending ln-terms of the defining series from rank top, truncated
     at relative accuracy rel_tol; yields floats."""
+    _check_reach(top, t, alpha, rel_tol)
     k = top
     acc = -math.inf
     while True:
@@ -255,30 +278,36 @@ def sphere_masses(
     return SphereMasses(radii, masses, low_tail, up_tail)
 
 
-def _ball_identity(radius: RationalLike, params: KernelParams,
+def _ball_identity(k: int, params: KernelParams,
                    rel_tol: float) -> tuple[float, float]:
-    """(phi(r) Z(r, t), t q0^alpha) for the closed ball of radius r: the
-    cumulative mass is the first plus e^{-t q0^alpha}, where q0 = 1/r (2
-    for r = 1), the first prime power >= 1/r, has rank -1 - rank(r)."""
+    """(phi(r) Z(r, t), t q0^alpha) for the closed ball of radius r of rank
+    k (see _radius_rank): the cumulative mass is the first plus
+    e^{-t q0^alpha}, where q0 = 1/r (2 for r = 1), the first prime power
+    >= 1/r, has rank -1 - k."""
     require_positive(rel_tol=rel_tol)
     params.require_positive_time()
-    k = _radius_rank(radius)
     ln_z = _ln_z(-2 - k, params.t, params.alpha, rel_tol)
     inside = math.exp(_TABLE.log_phi_at(k) + ln_z)
     return inside, params.t * _TABLE.float_at(-1 - k) ** params.alpha
 
 
+def _ball_mass_at(k: int, params: KernelParams,
+                  rel_tol: float = 1e-13) -> float:
+    """ball_mass for the radius of rank k."""
+    inside, boundary = _ball_identity(k, params, rel_tol)
+    return inside + math.exp(-boundary)
+
+
 def ball_mass(radius: RationalLike, params: KernelParams,
               rel_tol: float = 1e-13) -> float:
     """Exact-identity cumulative mass: integral of Z over the closed ball."""
-    inside, boundary = _ball_identity(radius, params, rel_tol)
-    return inside + math.exp(-boundary)
+    return _ball_mass_at(_radius_rank(radius), params, rel_tol)
 
 
 def upper_tail_mass(radius: RationalLike, params: KernelParams,
                     rel_tol: float = 1e-13) -> float:
     """Mass outside the closed ball, via the same identity (stable form)."""
-    inside, boundary = _ball_identity(radius, params, rel_tol)
+    inside, boundary = _ball_identity(_radius_rank(radius), params, rel_tol)
     value = -math.expm1(-boundary) - inside
     return clamp_nonnegative(value, scale=max(1.0, params.t))
 

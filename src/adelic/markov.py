@@ -35,8 +35,8 @@ from .adele import (
 from .errors import IndeterminateCancellation, ToleranceError
 from .heatkernel import (
     KernelParams,
+    _ball_mass_at,
     _radius_rank,
-    ball_mass,
     sphere_masses,
     tail_mass_bound,
     z_finite,
@@ -257,7 +257,7 @@ def transition_prob_ball(
         return 1.0 if d <= radius else 0.0
     if d > radius:
         return float(_TABLE.phi_at(k)) * z_finite(d, params)
-    return ball_mass(radius, params)
+    return _ball_mass_at(k, params)
 
 
 def radius_law_chisquare(

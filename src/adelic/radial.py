@@ -132,17 +132,25 @@ class RadialStep:
 
     def sphere_values(self) -> list[tuple[Fraction, Fraction]]:
         """(radius, value) on every sphere in the coefficient envelope."""
+        k0, values = self._rank_values()
+        return [(_TABLE.fraction_at(k), v) for k, v in enumerate(values, k0)]
+
+    def _rank_values(self) -> tuple[int, list[Fraction]]:
+        """(k0, values): the value on the sphere of each rank k0, k0 + 1,
+        ... through the largest rank, k0 being the smallest rank; (0, [])
+        for the zero map."""
         by_rank = self._by_rank
         if not by_rank:
-            return []
+            return 0, []
         # walking down, the value on S_k sums the coefficients at ranks >= k
         out, value = [], Fraction(0)
-        for k in range(max(by_rank), min(by_rank) - 1, -1):
+        k0 = min(by_rank)
+        for k in range(max(by_rank), k0 - 1, -1):
             if k in by_rank:
                 value += by_rank[k]
-            out.append((_TABLE.fraction_at(k), value))
+            out.append(value)
         out.reverse()
-        return out
+        return k0, out
 
     def is_mean_zero(self) -> bool:
         """True when the integral vanishes (transform vanishes at 0)."""
@@ -190,11 +198,12 @@ class RadialStep:
                 "multiplier would produce infinitely many sphere values; "
                 "split off the inner ball first"
             )
-        spheres = self.sphere_values()
-        if not spheres:
-            return RadialStep.zero()
-        values = [Fraction(multiplier(r)) * v for r, v in spheres]
-        return RadialStep._from_sphere_ranks(min(self._by_rank), values, 0)
+        k0, values = self._rank_values()
+        values = [
+            Fraction(multiplier(_TABLE.fraction_at(k))) * v
+            for k, v in enumerate(values, k0)
+        ]
+        return RadialStep._from_sphere_ranks(k0, values, 0)
 
     def split_inner(self) -> tuple[Fraction, Fraction | None, "RadialStep"]:
         """(c0, rho, remainder): f = c0 * 1_{B(rho)} + remainder, where the

@@ -1,5 +1,7 @@
 """Solver tests: exact spectral paths, Duhamel quadrature, product space."""
+import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -206,6 +208,50 @@ def manufactured_setup(r=F(2), t=1.0, nodes=65):
     return w, cy.ForcingGrid(times=times, steps=steps)
 
 
+SEEDED_RADII = [F(1, 4), F(1, 3), F(1, 2), F(2), F(3), F(4), F(5)]
+
+
+def seeded_step(rng, mean_zero):
+    radii = rng.sample(SEEDED_RADII, rng.randint(1, 3))
+    step = RadialStep(
+        {r: F(rng.randint(-9, 9), rng.randint(1, 6)) for r in radii}
+    )
+    if mean_zero:
+        step = step - RadialStep.ball_indicator(F(1, 2)) * step.integral()
+    return step
+
+
+def seeded_duhamel_case(i):
+    """Exact outcome of one seeded Duhamel solve: (ranked step, pieces,
+    error_bound, tol), or the refusal. The cases alternate Simpson and
+    Trapezoid over 4, 8, 12 and 32 steps. Forcing nodes fall between the
+    quadrature nodes, most forcing and initial values have a nonzero
+    integral (inner pieces), and the quadrature times cover tau = t
+    exactly, a last node just below t (t = 0.7, 12 steps) and one just
+    above it (t = 0.1, 12 steps)."""
+    rng = random.Random(1000 + i)
+    quadrature = ("Simpson", "Trapezoid")[i % 2]
+    steps = (4, 8, 12, 32)[(i // 2) % 4]
+    t = rng.choice([0.25, 0.5, 1.0, 0.1, 0.7, 1.3, 2.0])
+    end = t * rng.choice([1.0, 1.0, 1.25])
+    inner = sorted(
+        rng.uniform(0.05, 0.95) * end for _ in range(rng.randint(0, 3))
+    )
+    times = (0.0, *inner, end)
+    f = cy.ForcingGrid(times=times, steps=tuple(
+        seeded_step(rng, rng.random() < 0.3) for _ in times
+    ))
+    u0 = seeded_step(rng, rng.random() < 0.3)
+    sym = cy.SymbolSpec(alpha=rng.choice([1.5, 2.0, 3.0]))
+    try:
+        got = cy.solve_nonhomogeneous(
+            u0, f, t, sym, quadrature=quadrature, steps=steps
+        )
+    except ValueError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return (got.step._by_rank, got.pieces, got.error_bound, got.tol)
+
+
 class TestDuhamel:
     def test_zero_forcing_matches_homogeneous(self):
         w = eigenfunction(F(2))
@@ -261,21 +307,30 @@ class TestDuhamel:
             assert got.error_bound == want.error_bound
 
     def test_coarse_pass_reuses_fine_nodes(self, monkeypatch):
-        # counted through the module global, the way the benchmark's
-        # tracer counts node solves
-        solves = []
-        solve = cy.solve_homogeneous
+        # one multiplier evaluation per (node, frequency sphere carrying a
+        # nonzero value), counted through the module global: the coarse
+        # rule reuses the fine nodes
+        calls = []
+        decay = cy._decay_factor
 
-        def counted(*args):
-            solves.append(args)
-            return solve(*args)
+        def counted(t, lam):
+            calls.append((t, lam))
+            return decay(t, lam)
 
-        monkeypatch.setattr(cy, "solve_homogeneous", counted)
+        monkeypatch.setattr(cy, "_decay_factor", counted)
         _, grid = manufactured_setup()
         fine = cy.solve_nonhomogeneous(
             RadialStep.zero(), grid, 1.0, SYM, steps=32
         )
-        assert len(solves) == 34  # 33 nodes plus the homogeneous flow
+        # the tau = t node and the zero initial value need no multiplier
+        want = []
+        for i in range(32):
+            tau = 1.0 * i / 32
+            _, _, rest = grid.at(tau).ft().split_inner()
+            want += [(1.0 - tau, float(r) ** ALPHA)
+                     for r, v in rest.sphere_values() if v]
+        assert len(want) == 32
+        assert calls == want
         coarse = cy.solve_nonhomogeneous(
             RadialStep.zero(), grid, 1.0, SYM, steps=16
         )
@@ -283,6 +338,20 @@ class TestDuhamel:
         diff = math.sqrt(float((fine.step - coarse.step).l2_norm_sq()))
         assert fine.is_exact()
         assert fine.error_bound == diff + fine.tol
+
+    # sha256 of repr() of the 60 outcomes of seeded_duhamel_case, computed
+    # by the node-by-node sum (transform, multiply and transform back at
+    # every quadrature node) that the Fourier-side sum replaced
+    FROZEN_SHA256 = (
+        "ca57bac6579759ce27349968b6243effa9d240286716707c529b012d40299730"
+    )
+
+    def test_results_frozen_from_node_by_node_sum(self):
+        outcomes = [seeded_duhamel_case(i) for i in range(60)]
+        assert sum(o[0] == "raised" for o in outcomes) == 5
+        assert sum(bool(o[1]) for o in outcomes if o[0] != "raised") == 54
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == self.FROZEN_SHA256
 
     def test_validation(self):
         w, grid = manufactured_setup()

@@ -135,6 +135,19 @@ class TestExitCodes:
         assert proc.stderr.startswith(b"invalid parameters: ")
         assert b"capped at 2^26" in proc.stderr
 
+    def test_huge_time_refused_before_the_walk(self, tmp_path):
+        start = time.perf_counter()
+        proc = run_cli(
+            ["kernel", "eval", "--radius", "2", "--t", "1e300",
+             "--alpha", "2"],
+            tmp_path, timeout=20,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"invalid parameters: t = 1e+300 ")
+        assert proc.stderr.count(b"\n") == 1
+        assert proc.stdout == b""
+
     def test_duhamel_quadrature_checked_at_time_zero(self, step_file,
                                                      tmp_path):
         forcing = tmp_path / "forcing.json"

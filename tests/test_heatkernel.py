@@ -429,3 +429,41 @@ class TestToleranceGuard:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+class TestHugeTime:
+    # at t = 1e300 the series only truncates far below radius 2^-26, the
+    # smallest the prime-power table holds; the walk down to that cap
+    # used to take about 20 s before the cap refused it
+    CALLS = {
+        "z_finite": lambda p: hk.z_finite(2, p),
+        "z_finite_0": lambda p: hk.z_finite(0, p),
+        "ln_z_finite": lambda p: hk.ln_z_finite(2, p),
+        "ball_mass": lambda p: hk.ball_mass(F(2), p),
+        "upper_tail_mass": lambda p: hk.upper_tail_mass(F(2), p),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_refused_before_the_walk(self, name):
+        def expired(signum, frame):
+            raise TimeoutError(f"{name} still running after 1 s")
+
+        params = hk.KernelParams(t=1e300, alpha=2.0)
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="too large for alpha = 2"):
+                self.CALLS[name](params)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 0.1
+
+    def test_large_times_still_answer(self):
+        # far below the refusal threshold (about 3e23 at alpha 2) the
+        # series truncates near q = 1/(2t)^(1/3) and answers
+        for t in (1e3, 1e6):
+            p = hk.KernelParams(t=t, alpha=2.0)
+            assert 0.0 < hk.z_finite(2, p) < 1.0
+            assert 0.0 < hk.ball_mass(F(2), p) <= 1.0

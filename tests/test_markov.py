@@ -14,7 +14,7 @@ from adelic.heatkernel import (
     upper_tail_mass,
     z_finite,
 )
-from adelic.primepow import phi, prev_pp
+from adelic.primepow import _TABLE, phi, prev_pp
 from adelic.util import derive_rng
 
 P1 = KernelParams(t=1.0, alpha=2.0)
@@ -176,6 +176,20 @@ class TestTransitionProb:
         got = mk.transition_prob_ball(P1, x, zero, F(2))
         assert got == ball_mass(F(2), P1)
         assert mk.transition_prob_ball(P1, zero, zero, F(2)) == got
+
+    def test_inside_ball_ranks_the_radius_once(self, monkeypatch):
+        ranked = []
+        rank_of = _TABLE.rank_of
+
+        def counted(x):
+            ranked.append(x)
+            return rank_of(x)
+
+        monkeypatch.setattr(_TABLE, "rank_of", counted)
+        zero = AdelePoint.zero()
+        got = mk.transition_prob_ball(P1, zero, zero, F(2))
+        assert ranked == [F(2)]
+        assert got == ball_mass(F(2), P1)
 
     def test_space_homogeneity(self):
         zero = AdelePoint.zero()
