@@ -23,33 +23,15 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .adele import distance, haar_volume, norm, parse_point
-from .adele import ball as ball_region
-from .adele import sphere as sphere_region
-from .cauchy import (
-    EvaluableRadial,
-    ForcingGrid,
-    RealGridFunction,
-    SymbolSpec,
-    solve_adelic,
-    solve_homogeneous,
-    solve_nonhomogeneous,
-)
 from .errors import IndeterminateCancellation, ToleranceError
-from .heatkernel import (
-    KernelParams,
-    normalization,
-    tail_mass_bound,
-    upper_tail_mass,
-    z_adelic,
-    z_finite,
-)
-from .markov import Truncation, sample_path, transition_prob_ball
-from .primepow import next_pp, phi, pp_range, prev_pp
-from .radial import RadialStep
+
+if TYPE_CHECKING:
+    from .cauchy import ForcingGrid, RealGridFunction
+    from .heatkernel import KernelParams
+    from .radial import RadialStep
 
 
 class UsageError(Exception):
@@ -168,10 +150,14 @@ def _opt(conv):
 
 
 def _kernel_params(p) -> KernelParams:
+    from .heatkernel import KernelParams
+
     return KernelParams(t=p["t"], alpha=p["alpha"], beta=p.get("beta"))
 
 
 def _read_step(path: Optional[str], inline: Optional[str]) -> RadialStep:
+    from .radial import RadialStep
+
     if inline is not None:
         text = inline
     elif path is not None:
@@ -189,13 +175,22 @@ def _read_step(path: Optional[str], inline: Optional[str]) -> RadialStep:
 
 
 def _read_forcing(path: str) -> ForcingGrid:
+    from .cauchy import ForcingGrid
+    from .radial import RadialStep
+
     try:
         with open(path) as fh:
             data = json.load(fh)
+        if not (isinstance(data, dict)
+                and isinstance(data.get("times"), list)
+                and isinstance(data.get("steps"), list)):
+            raise ValueError(
+                "expected a JSON object with 'times' and 'steps' lists"
+            )
         times = tuple(float(t) for t in data["times"])
         steps = tuple(RadialStep.from_dict(d) for d in data["steps"])
         interp = data.get("interpolation", "linear")
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad forcing grid {path}: {exc}")
     if interp != "linear":
         raise UsageError(f"bad forcing grid {path}: unsupported "
@@ -204,6 +199,8 @@ def _read_forcing(path: str) -> ForcingGrid:
 
 
 def _read_real_grid(path: str) -> RealGridFunction:
+    from .cauchy import RealGridFunction
+
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -231,6 +228,9 @@ def _read_real_grid(path: str) -> RealGridFunction:
 
 def _result_json(result) -> tuple[str, float]:
     """Serialize a solver result; returns (json text, error bound)."""
+    from .cauchy import EvaluableRadial
+    from .radial import RadialStep
+
     if isinstance(result, RadialStep):
         payload = {"exact": True, "error_bound": 0.0}
         payload.update(result.to_dict())
@@ -260,14 +260,20 @@ def _result_json(result) -> tuple[str, float]:
 
 
 def _cmd_phi(args):
+    from .primepow import phi
+
     value = phi(_fraction(args.x))
     cfg = RunConfig("phi", {"x": _fraction(args.x)}, args.output, args.meta)
     return cfg, RunResult(stdout=f"{value}\n", error_bounds={"value": 0.0})
 
 
 def _cmd_ppow(args):
+    from .primepow import next_pp, pp_range, prev_pp
+
     cfg = RunConfig(f"ppow {args.action}", {}, args.output, args.meta)
     if args.action == "range":
+        if args.y is None:
+            raise UsageError("ppow range: missing upper bound")
         lo, hi = _fraction(args.x), _fraction(args.y)
         cfg.params = {"lo": lo, "hi": hi}
         lines = [str(q.value) for q in pp_range(lo, hi)]
@@ -284,6 +290,8 @@ def _cmd_ppow(args):
 
 
 def _cmd_norm(args):
+    from .adele import distance, norm, parse_point
+
     x = parse_point(args.point)
     if args.point2 is not None:
         value = distance(x, parse_point(args.point2))
@@ -298,10 +306,10 @@ def _cmd_norm(args):
 
 
 def _cmd_volume(args):
+    from .adele import ball, haar_volume, sphere
+
     radius = _fraction(args.radius)
-    region = (
-        ball_region(radius) if args.kind == "ball" else sphere_region(radius)
-    )
+    region = ball(radius) if args.kind == "ball" else sphere(radius)
     value = haar_volume(region)
     cfg = RunConfig(
         "volume", {"kind": args.kind, "radius": radius},
@@ -318,6 +326,14 @@ def _cmd_ft(args):
 
 
 def _cmd_kernel(args):
+    from .heatkernel import (
+        normalization,
+        tail_mass_bound,
+        upper_tail_mass,
+        z_adelic,
+        z_finite,
+    )
+
     spec = [
         ("t", _float, None),
         ("alpha", _float, None),
@@ -361,6 +377,9 @@ def _cmd_kernel(args):
 
 
 def _cmd_simulate(args):
+    from .heatkernel import KernelParams
+    from .markov import Truncation, sample_path
+
     spec = [
         ("t-step", _float, None),
         ("steps", _int, None),
@@ -400,6 +419,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_transition(args):
+    from .adele import parse_point
+    from .markov import transition_prob_ball
+
     spec = [
         ("t", _float, None),
         ("alpha", _float, None),
@@ -421,6 +443,13 @@ def _cmd_transition(args):
 
 
 def _cmd_solve(args):
+    from .cauchy import (
+        SymbolSpec,
+        solve_adelic,
+        solve_homogeneous,
+        solve_nonhomogeneous,
+    )
+
     spec = [
         ("t", _float, None),
         ("alpha", _float, None),

@@ -41,6 +41,7 @@ from .util import clamp_nonnegative, require_finite, require_positive
 
 _CHEB = 1.04  # effective bound: ln phi(x) <= 1.04 x for x >= 2
 _LOG_GEO = -math.expm1(-_CHEB)  # 1 - e^{-1.04}
+_RS_FLOOR = 2 ** 20  # theta(x) > x (1 - 1/ln x) is used for x >= this
 
 
 @dataclass(frozen=True)
@@ -139,19 +140,43 @@ def _top_rank(radius, t: float, alpha: float, rel_tol: float) -> int:
 
 def _check_reach(top: int, t: float, alpha: float, rel_tol: float):
     """Refuse a series from rank top whose truncation rule cannot stop
-    above the smallest radius the sieve cap reaches, before walking down
-    to it. Down to rank k the sum is at most phi(q_top) e^{-t q_k^alpha}
-    (Abel summation), with phi(q_top) <= e^{1.04 q_top} (the envelope of
-    _check_peak); the remainder bound phi(1/m)(1 - e^{-t q_k^alpha}) for
-    prev q_k = 1/m is at least e^{-1.04 m - 1} once t q_k^alpha >= 1. A
-    rank the table holds has m <= cap and q_k >= 1/cap, so when
-    t cap^-alpha exceeds 1.04 (cap + q_top) + 1 + ln(rel_tol / 2) no such
-    rank meets the stopping rule of _ln_terms."""
-    need = (
-        _CHEB * (_SIEVE_CAP + _TABLE.float_at(top)) + 1.0
-        + math.log(rel_tol * 0.5)
+    at any rank the sieve cap lets the table hold, before walking down.
+
+    Proof. Let C = 2^26. A rank k the walk can test has q_{k-1} = 1/n with
+    n <= C, or q_{k-1} >= 1/2. The rule of _ln_terms stops at k when
+    rem_k < acc_k rel_tol / 2, with rem_k = phi(q_{k-1})(1 - e^{-t q_k^alpha})
+    and acc_k the sum of the terms of ranks k..top. Bound both uniformly:
+
+    * rem_k >= e^{-1.04 C - 1}: phi(1/n) = e^{-psi(n-1)} >= e^{-1.04 n}
+      (the envelope of _check_peak) and phi grows, so phi(q_{k-1}) >=
+      e^{-1.04 C}; q_k > 1/C, so 1 - e^{-t q_k^alpha} >= 1 - e^{-1} once
+      t C^-alpha >= 1, which the refusal requires.
+    * acc_k <= N e^{h}: there are N <= top + C + 2 ranks from the lowest
+      the table holds to top, and each term is at most phi(q) e^{-t q^alpha}.
+      For q >= 1/L (L = 2^20) that is at most e^{1.04 q_top - t L^-alpha}.
+      For q = 1/n with L < n <= C, the Rosser-Schoenfeld bound
+      theta(x) > x (1 - 1/ln x) for x >= 41 and psi >= theta give
+      phi(1/n) < e^{-c (n - 1)}, c = 1 - 1/ln L, so the term is at most
+      e^{c - c n - t n^-alpha} <= e^{c - c x - t x^-alpha}, where
+      x = min(C, (alpha t / c)^(1/(alpha+1))) minimizes c n + t n^-alpha
+      over n <= C. h is the larger of the two exponents.
+
+    When ln N + h + ln(rel_tol / 2) <= -1.04 C - 1, every rank the table
+    can hold has rem_k >= acc_k rel_tol / 2, so none meets the rule: each
+    refused series would have walked to the cap and raised there. At
+    alpha = 2 this refuses from t = 5.85e22; by estimate (psi(x) ~ x) the
+    walk reaches the cap from about t = 4.5e22."""
+    cap = float(_SIEVE_CAP)
+    if t * cap ** -alpha < 1.0:
+        return
+    c = 1.0 - 1.0 / math.log(_RS_FLOOR)
+    x = min(cap, (alpha * t / c) ** (1.0 / (alpha + 1.0)))
+    h = max(
+        _CHEB * _TABLE.float_at(top) - t * float(_RS_FLOOR) ** -alpha,
+        c - c * x - t * x ** -alpha,
     )
-    if t * float(_SIEVE_CAP) ** -alpha > need:
+    ln_acc = math.log(top + _SIEVE_CAP + 2) + h
+    if ln_acc + math.log(rel_tol * 0.5) <= -_CHEB * cap - 1.0:
         raise ValueError(
             f"t = {t:g} is too large for alpha = {alpha:g}: the kernel "
             "series reaches below radius 2^-26, the smallest the "

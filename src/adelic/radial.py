@@ -269,12 +269,18 @@ class RadialStep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadialStep":
-        return cls(
-            {
-                _radius_from_key(k): Fraction(v)
-                for k, v in data["ball_coefficients"].items()
+        coeffs = isinstance(data, dict) and data.get("ball_coefficients")
+        if not isinstance(coeffs, dict):
+            raise ValueError(
+                "expected a JSON object with a 'ball_coefficients' object"
+            )
+        try:
+            parsed = {
+                _radius_from_key(k): Fraction(v) for k, v in coeffs.items()
             }
-        )
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"bad ball coefficient: {exc}") from None
+        return cls(parsed)
 
     @classmethod
     def from_json(cls, text: str) -> "RadialStep":

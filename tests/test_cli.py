@@ -164,6 +164,37 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"invalid parameters: ")
 
+    @pytest.mark.parametrize("command,payload", [
+        ("ft", "[1]"),
+        ("ft", '"x"'),
+        ("ft", "null"),
+        ("ft", '{"ball_coefficients": [1]}'),
+        ("ft", '{"ball_coefficients": {"2^1": null}}'),
+        ("ft", '{"ball_coefficients": {"2^1": Infinity}}'),
+        ("duhamel", "[]"),
+        ("duhamel", '{"times": 1, "steps": []}'),
+        ("duhamel", '{"times": [0, 1], "steps": [1, 2]}'),
+        ("duhamel", '{"times": [null], "steps": []}'),
+    ])
+    def test_malformed_json_is_a_usage_error(self, step_file, tmp_path,
+                                             command, payload):
+        if command == "ft":
+            args = ["ft", "--json", payload]
+        else:
+            forcing = tmp_path / "forcing.json"
+            forcing.write_text(payload)
+            args = ["solve", "duhamel", "--t", "1", "--alpha", "2",
+                    "--u0", str(step_file), "--forcing", str(forcing)]
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"usage error: bad ")
+        assert proc.stderr.count(b"\n") == 1
+
+    def test_ppow_range_needs_an_upper_bound(self, tmp_path):
+        proc = run_cli(["ppow", "range", "1"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == b"usage error: ppow range: missing upper bound\n"
+
     def test_unsupported_interpolation(self, step_file, tmp_path):
         forcing = tmp_path / "forcing.json"
         forcing.write_text(json.dumps({

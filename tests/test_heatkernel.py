@@ -432,9 +432,10 @@ class TestToleranceGuard:
 
 
 class TestHugeTime:
-    # at t = 1e300 the series only truncates far below radius 2^-26, the
-    # smallest the prime-power table holds; the walk down to that cap
-    # used to take about 20 s before the cap refused it
+    # at these times the series truncates only below radius 2^-26, the
+    # smallest the prime-power table holds; the walk down to that cap took
+    # about 20 s before the cap refused it (3e23 lies below 3.1e23, where
+    # the refusal began without the lower bound on psi)
     CALLS = {
         "z_finite": lambda p: hk.z_finite(2, p),
         "z_finite_0": lambda p: hk.z_finite(0, p),
@@ -448,22 +449,55 @@ class TestHugeTime:
         def expired(signum, frame):
             raise TimeoutError(f"{name} still running after 1 s")
 
-        params = hk.KernelParams(t=1e300, alpha=2.0)
-        previous = signal.signal(signal.SIGALRM, expired)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        start = time.perf_counter()
-        try:
-            with pytest.raises(ValueError, match="too large for alpha = 2"):
-                self.CALLS[name](params)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert time.perf_counter() - start < 0.1
+        for t in (1e300, 3e23):
+            params = hk.KernelParams(t=t, alpha=2.0)
+            previous = signal.signal(signal.SIGALRM, expired)
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            start = time.perf_counter()
+            try:
+                with pytest.raises(ValueError,
+                                   match="too large for alpha = 2"):
+                    self.CALLS[name](params)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+            assert time.perf_counter() - start < 0.1
 
     def test_large_times_still_answer(self):
-        # far below the refusal threshold (about 3e23 at alpha 2) the
+        # far below the refusal threshold (5.85e22 at alpha 2) the
         # series truncates near q = 1/(2t)^(1/3) and answers
         for t in (1e3, 1e6):
             p = hk.KernelParams(t=t, alpha=2.0)
             assert 0.0 < hk.z_finite(2, p) < 1.0
             assert 0.0 < hk.ball_mass(F(2), p) <= 1.0
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_refused_series_could_not_stop_above_the_cap(self, monkeypatch,
+                                                         alpha):
+        # the same certificate at a sieve cap of 2^14 (Rosser-Schoenfeld
+        # from n > 2^10), where walking to the cap takes milliseconds:
+        # every refused t walks to the cap when not refused, and the
+        # refusal starts within a factor 2 of where that happens
+        cap = 2 ** 14
+        monkeypatch.setattr(pp, "_SIEVE_CAP", cap)
+        monkeypatch.setattr(hk, "_SIEVE_CAP", cap)
+        monkeypatch.setattr(hk, "_RS_FLOOR", 2 ** 10)
+        check = hk._check_reach
+        monkeypatch.setattr(hk, "_check_reach", lambda *args: None)
+        centre = cap ** (alpha + 1) / alpha
+        refused, reached = [], []
+        for i in range(-40, 41):
+            t = centre * 10 ** (i / 20)
+            monkeypatch.setattr(hk, "_TABLE", pp._PowerTable())
+            try:
+                check(-2, t, alpha, 1e-13)
+            except ValueError:
+                refused.append(t)
+            try:
+                for _ in hk._ln_terms(-2, t, alpha, 1e-13):
+                    pass
+            except ValueError as exc:
+                assert "capped at 2^26" in str(exc)
+                reached.append(t)
+        assert refused and set(refused) <= set(reached)
+        assert min(refused) <= 2 * min(reached)

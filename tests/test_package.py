@@ -1,0 +1,81 @@
+"""The package resolves its names lazily: every exported name reaches its
+defining module's object, and a cold CLI command loads only the layers it
+runs."""
+import os
+import subprocess
+import sys
+
+import pytest
+
+import adelic
+from adelic.checks import _PACKAGE_ROOT
+
+LAYERS = ("primepow", "adele", "radial", "heatkernel", "markov", "cauchy")
+
+
+def _fresh(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=_PACKAGE_ROOT), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_every_export_is_its_defining_modules_object():
+    for layer, names in adelic._EXPORTS.items():
+        module = getattr(adelic, layer)
+        for name in names:
+            assert getattr(adelic, name) is getattr(module, name), name
+    errors = adelic.errors
+    assert adelic.AdelicError is errors.AdelicError
+    assert adelic.ToleranceError is errors.ToleranceError
+    assert adelic.IndeterminateCancellation is errors.IndeterminateCancellation
+
+
+def test_all_lists_each_name_once():
+    assert len(adelic.__all__) == len(set(adelic.__all__)) == 61
+    assert set(adelic.__all__) <= set(dir(adelic))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        adelic.nope
+    with pytest.raises(ImportError):
+        exec("from adelic import nope", {})
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from adelic import *", namespace)
+    assert set(adelic.__all__) <= set(namespace)
+
+
+def test_importing_a_layer_binds_its_names_on_the_package():
+    # perfbench's tracer wraps the bindings it finds in vars(adelic)
+    out = _fresh(
+        "import adelic\n"
+        "before = 'normalization' in vars(adelic)\n"
+        "import adelic.heatkernel\n"
+        "print(before, vars(adelic)['normalization']"
+        " is adelic.heatkernel.normalization, 'phi' in vars(adelic),"
+        " 'RadialStep' in vars(adelic))\n"
+    )
+    assert out == "False True True False\n"
+
+
+@pytest.mark.parametrize("args,loaded", [
+    (["phi", "10"], {"primepow"}),
+    (["ppow", "next", "8"], {"primepow"}),
+    (["norm", "2:-1:1"], {"primepow", "adele"}),
+])
+def test_light_commands_leave_the_analytic_layers_unloaded(args, loaded):
+    out = _fresh(
+        "import sys, adelic.cli\n"
+        f"assert adelic.cli.main({args!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('adelic.')))\n"
+    )
+    modules = set(eval(out.splitlines()[-1]))
+    assert {m for m in modules if m[len("adelic."):] in LAYERS} == {
+        f"adelic.{m}" for m in loaded
+    }
