@@ -11,55 +11,19 @@ from __future__ import annotations
 import json
 import math
 import os
-import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .adele import (
-    AdelePoint,
-    add,
-    haar_volume,
-    norm,
-    sample_uniform,
-    sphere,
-)
-from .cauchy import (
-    ForcingGrid,
-    RealGridFunction,
-    SymbolSpec,
-    apply_adelic_operator,
-    apply_operator,
-    real_fractional_operator,
-    solve_homogeneous,
-    solve_nonhomogeneous,
-)
 from .errors import IndeterminateCancellation
-from .heatkernel import (
-    KernelParams,
-    normalization,
-    tail_mass_bound,
-    z_finite,
-    z_real,
-)
-from .markov import (
-    radius_distribution,
-    radius_law_chisquare,
-    transition_prob_ball,
-)
-from .primepow import (
-    is_prime,
-    next_pp,
-    phi,
-    pp_range,
-    prev_pp,
-    prime_power_pairs,
-)
-from .radial import RadialStep
-from .util import derive_rng
+
+if TYPE_CHECKING:
+    import subprocess
+
+    from .radial import RadialStep
 
 _SEED = 20260825  # master seed for every stochastic check
 
@@ -93,6 +57,8 @@ def _finish(name, budget, start, failures, note=""):
 
 
 def check_phi_order() -> CheckResult:
+    from .primepow import next_pp, phi, pp_range, prev_pp, prime_power_pairs
+
     start = time.perf_counter()
     failures = []
     pps = [q.value for q in pp_range(1, 10**4)]
@@ -133,6 +99,9 @@ def check_phi_order() -> CheckResult:
 
 
 def check_volume_telescoping() -> CheckResult:
+    from .adele import haar_volume, sphere
+    from .primepow import phi, pp_range, prev_pp
+
     start = time.perf_counter()
     failures = []
     radii = [q.value for q in pp_range(Fraction(1, 32), 32)]
@@ -155,6 +124,9 @@ def check_volume_telescoping() -> CheckResult:
 
 
 def _random_step(rng) -> RadialStep:
+    from .primepow import pp_range
+    from .radial import RadialStep
+
     pool = [q.value for q in pp_range(Fraction(1, 16), 16)]
     coeffs = {}
     for _ in range(rng.randint(1, 6)):
@@ -164,6 +136,10 @@ def _random_step(rng) -> RadialStep:
 
 
 def check_radial_ft() -> CheckResult:
+    from .primepow import phi, prev_pp
+    from .radial import RadialStep
+    from .util import derive_rng
+
     start = time.perf_counter()
     failures = []
     ints = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
@@ -201,6 +177,8 @@ def check_radial_ft() -> CheckResult:
 
 
 def _oracle_phi(x: Fraction) -> Fraction:
+    from .primepow import is_prime
+
     # independent product over primes; exponent counts p^j <= x (x >= 1)
     # or -#{j : p^j < 1/x} (x < 1, the bracket convention)
     if x >= 1:
@@ -230,6 +208,8 @@ def _oracle_phi(x: Fraction) -> Fraction:
 def _oracle_z(radius: Fraction, t: float, alpha: float) -> float:
     """Slow direct series at 60 significant digits."""
     from mpmath import mp
+
+    from .primepow import next_pp, prev_pp
 
     mp.dps = 60
 
@@ -268,6 +248,9 @@ _ORACLE_SPOTS = [
 
 
 def check_heat_kernel() -> CheckResult:
+    from .heatkernel import KernelParams, normalization, z_finite
+    from .primepow import phi, pp_range, prev_pp
+
     start = time.perf_counter()
     failures = []
     ts = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -310,6 +293,11 @@ def check_heat_kernel() -> CheckResult:
 
 
 def check_semigroup_mc() -> CheckResult:
+    from .adele import add, norm, sample_uniform, sphere
+    from .heatkernel import KernelParams
+    from .markov import radius_distribution, radius_law_chisquare
+    from .util import derive_rng
+
     start = time.perf_counter()
     failures = []
     n = 10**5
@@ -353,6 +341,11 @@ def check_semigroup_mc() -> CheckResult:
 
 
 def check_sampler_law() -> CheckResult:
+    from .adele import norm, sample_uniform, sphere
+    from .heatkernel import KernelParams
+    from .markov import radius_distribution, radius_law_chisquare
+    from .util import derive_rng
+
     start = time.perf_counter()
     failures = []
     dist = radius_distribution(
@@ -388,6 +381,11 @@ def check_sampler_law() -> CheckResult:
 
 
 def check_markov_conditions() -> CheckResult:
+    from .adele import AdelePoint, sample_uniform, sphere
+    from .heatkernel import KernelParams, tail_mass_bound
+    from .markov import transition_prob_ball
+    from .util import derive_rng
+
     start = time.perf_counter()
     failures = []
     alpha = 2.0
@@ -430,6 +428,14 @@ def check_markov_conditions() -> CheckResult:
 
 
 def check_solvers() -> CheckResult:
+    from .cauchy import (
+        ForcingGrid,
+        SymbolSpec,
+        solve_homogeneous,
+        solve_nonhomogeneous,
+    )
+    from .radial import RadialStep
+
     start = time.perf_counter()
     failures = []
     sym = SymbolSpec(alpha=2.0)
@@ -493,6 +499,16 @@ def check_solvers() -> CheckResult:
 
 def check_real_adelic() -> CheckResult:
     from scipy.integrate import quad
+
+    from .cauchy import (
+        RealGridFunction,
+        SymbolSpec,
+        apply_adelic_operator,
+        apply_operator,
+        real_fractional_operator,
+    )
+    from .heatkernel import KernelParams, normalization, z_real
+    from .radial import RadialStep
 
     start = time.perf_counter()
     failures = []
@@ -564,6 +580,8 @@ def run_cli(args, cwd, timeout=None) -> subprocess.CompletedProcess:
     whether or not an inherited PYTHONPATH entry is relative. A child
     still running after `timeout` seconds is killed (TimeoutExpired).
     """
+    import subprocess
+
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [_PACKAGE_ROOT] + ([inherited] if inherited else [])
@@ -581,6 +599,8 @@ def _exit_failure(args, proc) -> str:
 
 
 def _battery(tmp):
+    from .radial import RadialStep
+
     w = RadialStep.sphere_indicator(Fraction(2)).ft()
     with open(os.path.join(tmp, "step.json"), "w") as fh:
         fh.write(w.to_json())
@@ -641,6 +661,8 @@ def _battery(tmp):
 
 
 def check_cli_determinism() -> CheckResult:
+    import tempfile
+
     start = time.perf_counter()
     failures = []
     with tempfile.TemporaryDirectory() as tmp:

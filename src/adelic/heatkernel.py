@@ -41,7 +41,7 @@ from .util import clamp_nonnegative, require_finite, require_positive
 
 _CHEB = 1.04  # effective bound: ln phi(x) <= 1.04 x for x >= 2
 _LOG_GEO = -math.expm1(-_CHEB)  # 1 - e^{-1.04}
-_RS_FLOOR = 2 ** 20  # theta(x) > x (1 - 1/ln x) is used for x >= this
+_RS_FLOOR = 2 ** 20  # theta(x) > x (1 - 1/(2 ln x)) is used for x >= this
 
 
 @dataclass(frozen=True)
@@ -154,22 +154,22 @@ def _check_reach(top: int, t: float, alpha: float, rel_tol: float):
     * acc_k <= N e^{h}: there are N <= top + C + 2 ranks from the lowest
       the table holds to top, and each term is at most phi(q) e^{-t q^alpha}.
       For q >= 1/L (L = 2^20) that is at most e^{1.04 q_top - t L^-alpha}.
-      For q = 1/n with L < n <= C, the Rosser-Schoenfeld bound
-      theta(x) > x (1 - 1/ln x) for x >= 41 and psi >= theta give
-      phi(1/n) < e^{-c (n - 1)}, c = 1 - 1/ln L, so the term is at most
-      e^{c - c n - t n^-alpha} <= e^{c - c x - t x^-alpha}, where
-      x = min(C, (alpha t / c)^(1/(alpha+1))) minimizes c n + t n^-alpha
-      over n <= C. h is the larger of the two exponents.
+      For q = 1/n with L < n <= C, the Rosser-Schoenfeld (1962) bound
+      theta(x) > x (1 - 1/(2 ln x)) for x >= 563, psi >= theta and
+      n - 1 >= L give phi(1/n) < e^{-c (n - 1)}, c = 1 - 1/(2 ln L), so
+      the term is at most e^{c - c n - t n^-alpha} <= e^{c - c x - t
+      x^-alpha}, where x = min(C, (alpha t / c)^(1/(alpha+1))) minimizes
+      c n + t n^-alpha over n <= C. h is the larger of the two exponents.
 
     When ln N + h + ln(rel_tol / 2) <= -1.04 C - 1, every rank the table
     can hold has rem_k >= acc_k rel_tol / 2, so none meets the rule: each
     refused series would have walked to the cap and raised there. At
-    alpha = 2 this refuses from t = 5.85e22; by estimate (psi(x) ~ x) the
+    alpha = 2 this refuses from t = 5.42e22; by estimate (psi(x) ~ x) the
     walk reaches the cap from about t = 4.5e22."""
     cap = float(_SIEVE_CAP)
     if t * cap ** -alpha < 1.0:
         return
-    c = 1.0 - 1.0 / math.log(_RS_FLOOR)
+    c = 1.0 - 0.5 / math.log(_RS_FLOOR)
     x = min(cap, (alpha * t / c) ** (1.0 / (alpha + 1.0)))
     h = max(
         _CHEB * _TABLE.float_at(top) - t * float(_RS_FLOOR) ** -alpha,

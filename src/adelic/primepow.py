@@ -10,9 +10,10 @@ is closed under x -> 1/x. next_pp / prev_pp are the successor and
 predecessor in this order; they satisfy the duality
 (next_pp(n))^-1 = prev_pp(n^-1).
 
-Every order query goes through one integer index, the rank: 2 -> 0,
+Every table query goes through one integer index, the rank: 2 -> 0,
 3 -> 1, 4 -> 2, ..., 1/2 -> -1, 1/3 -> -2, .... Successor and predecessor
-are r +/- 1 and x -> 1/x is r -> -1-r.
+are r +/- 1 and x -> 1/x is r -> -1-r. next_pp and prev_pp need no rank:
+past the table they sieve a short window next to the query.
 
 phi is the multiplicative bracket product
 
@@ -257,36 +258,52 @@ def bracket_log(p: int, x: RationalLike) -> int:
 
 def _prime_powers_upto(n: int) -> tuple[tuple, tuple, tuple]:
     """(values, bases, exps) of every integer prime power in [2, n],
-    ascending by value.
+    ascending by value: the window [2, n], struck by the primes of the
+    same sieve to sqrt(n)."""
+    root = math.isqrt(n)
+    values, _, exps = _prime_powers_upto(root) if root >= 2 else ((), (), ())
+    return _prime_powers_between(
+        2, n, [v for v, k in zip(values, exps) if k == 1]
+    )
 
-    The sieve covers odd numbers only (odd[j] stands for 2j + 1). Only
-    primes p <= sqrt(n) have a power p^k with k >= 2 in range; those few
-    powers are merged into the prime list and their rows found by
-    bisection.
+
+def _prime_powers_between(lo: int, hi: int,
+                          primes) -> tuple[tuple, tuple, tuple]:
+    """(values, bases, exps) of every integer prime power in [lo, hi]
+    (lo >= 2), ascending by value. primes must hold every prime up to
+    sqrt(hi), ascending; larger ones are ignored.
+
+    The sieve covers the window's odd numbers only (odd[j] stands for
+    first + 2j). Each odd prime p <= sqrt(hi) strikes its odd multiples
+    from max(p^2, lo) on, so p itself survives. Only those primes have a
+    power p^k with k >= 2 in range; those few powers are merged into the
+    prime list and their rows found by bisection.
     """
-    odd = bytearray([1]) * ((n + 1) // 2)
-    odd[0] = 0
-    for i in range(3, math.isqrt(n) + 1, 2):
-        if odd[i >> 1]:
-            start = i * i >> 1
-            odd[start::i] = bytes((len(odd) - 1 - start) // i + 1)
-    primes = [2]
-    primes.extend(compress(range(1, n + 1, 2), odd))
+    roots = primes[: bisect.bisect_right(primes, math.isqrt(hi))]
+    first = lo | 1
+    size = max((hi - first) // 2 + 1, 0)
+    odd = bytearray([1]) * size
+    for p in roots[1:]:  # roots[0] is 2
+        m = max(p * p, -(-lo // p) * p)
+        start = (m + (m + 1) % 2 * p - first) >> 1  # the first odd multiple
+        if start < size:
+            odd[start::p] = bytes((size - 1 - start) // p + 1)
+    found = [2] if lo == 2 else []
+    found.extend(compress(range(first, hi + 1, 2), odd))
     higher = []
-    for p in primes[: bisect.bisect_right(primes, math.isqrt(n))]:
-        q, k = p * p, 2
-        while q <= n:
-            higher.append((q, p, k))
-            q *= p
-            k += 1
+    for k in range(2, hi.bit_length()):
+        # the primes p with lo <= p^k <= hi
+        a = bisect.bisect_right(roots, _iroot(lo - 1, k))
+        b = bisect.bisect_right(roots, _iroot(hi, k))
+        higher.extend((p ** k, p, k) for p in roots[a:b])
     higher.sort()
-    values = primes + [q for q, _, _ in higher]
+    values = found + [q for q, _, _ in higher]
     values.sort()  # two sorted runs: one linear merge
     bases = values.copy()
     exps = [1] * len(values)
     for j, (q, p, k) in enumerate(higher):
         # q's row: the primes below q plus the j higher powers below q
-        i = bisect.bisect_left(primes, q) + j
+        i = bisect.bisect_left(found, q) + j
         bases[i] = p
         exps[i] = k
     return tuple(values), tuple(bases), tuple(exps)
@@ -308,6 +325,10 @@ class _PowerTable:
     proves there is a prime in (n, 6n/5) for every n >= 25, and the table
     always holds every prime power up to 512. Sieve bounds are capped at
     _SIEVE_CAP; a larger request raises ValueError before allocating.
+
+    above/below need no rank: past the table they sieve a short window,
+    which needs the table only to its square root, so they answer up to
+    about _SIEVE_CAP^2.
     """
 
     def __init__(self):
@@ -343,6 +364,47 @@ class _PowerTable:
         if values[-1] <= m:
             values = self.extend_to(m + m // 5 + 1)[0]
         return values
+
+    def above(self, m: int) -> tuple[int, int]:
+        """(p, k) of the least integer prime power > m.
+
+        Past the table this sieves the windows (m, m + w] for w = 64, 128,
+        ... until one holds a prime power (Nagura bounds w by m/5), and
+        extends the table only to the window's square root."""
+        values, bases, exps, _ = self._snapshot
+        if m < values[-1]:
+            i = bisect.bisect_right(values, m)
+            return bases[i], exps[i]
+        width = 64
+        while True:
+            _, wbases, wexps = self._window(m + 1, m + width)
+            if wbases:
+                return wbases[0], wexps[0]
+            width *= 2
+
+    def below(self, c: int) -> tuple[int, int]:
+        """(p, k) of the greatest integer prime power < c, for c >= 3;
+        past the table (so c > 512) by the windows [c - w, c) as in
+        above."""
+        if c - 1 <= self._limit:
+            values, bases, exps, _ = self._snapshot
+            i = bisect.bisect_left(values, c) - 1
+            return bases[i], exps[i]
+        width = 64
+        while True:
+            _, wbases, wexps = self._window(c - width, c - 1)
+            if wbases:
+                return wbases[-1], wexps[-1]
+            width *= 2
+
+    def _window(self, lo: int, hi: int) -> tuple:
+        """The integer prime powers in [lo, hi], sieved by the table's
+        primes up to sqrt(hi)."""
+        root = math.isqrt(hi)
+        values, bases, exps, _ = self.extend_to(root)
+        i = bisect.bisect_right(values, root)
+        primes = [p for p, k in zip(bases[:i], exps[:i]) if k == 1]
+        return _prime_powers_between(lo, hi, primes)
 
     def rank_floor(self, x: Fraction) -> int:
         """Rank of the largest prime power <= x (-1 on [1/2, 2)); the table
@@ -434,15 +496,30 @@ class _PowerTable:
 _TABLE = _PowerTable()
 
 
+def _successor(x: Fraction) -> tuple[int, int]:
+    """(p, k) of the smallest prime power strictly greater than x."""
+    n, d = x.numerator, x.denominator
+    if n >= 2 * d:
+        # an integer prime power is > x iff it is > floor(x)
+        return _TABLE.above(n // d)
+    if 2 * n >= d:
+        return 2, 1
+    # 1/m for the greatest integer prime power m < 1/x, that is
+    # m < ceil(1/x)
+    p, k = _TABLE.below(-(-d // n))
+    return p, -k
+
+
 def next_pp(x: RationalLike) -> PrimePower:
     """Successor: the smallest prime power strictly greater than x."""
-    return _TABLE.at(_TABLE.rank_floor(as_fraction(x)) + 1)
+    return PrimePower._trusted(*_successor(as_fraction(x)))
 
 
 def prev_pp(x: RationalLike) -> PrimePower:
     """Predecessor: the largest prime power strictly less than x."""
-    # (next_pp(1/x))^-1, with the reciprocal r -> -1-r on ranks
-    return _TABLE.at(-2 - _TABLE.rank_floor(1 / as_fraction(x)))
+    # (next_pp(1/x))^-1
+    p, k = _successor(1 / as_fraction(x))
+    return PrimePower._trusted(p, -k)
 
 
 def pp_range(a: RationalLike, b: RationalLike) -> list[PrimePower]:

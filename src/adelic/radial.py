@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .primepow import _TABLE, RationalLike, as_fraction
+from .primepow import _SIEVE_CAP, _TABLE, RationalLike, as_fraction
 
 _NumberLike = (int, float, Fraction)
 
@@ -297,8 +297,17 @@ def _radius_key(rank: int) -> str:
 
 
 def _radius_from_key(key: str) -> Fraction:
-    p, k = key.split("^")
-    return Fraction(int(p)) ** int(k)
+    """The radius p^k of a "p^k" key. p^|k| >= 2^(|k| (bits(p) - 1)), so
+    a key past the table's cap is refused before the power is built."""
+    p, k = (int(part) for part in key.split("^"))
+    if p < 2:
+        raise ValueError(f"radius {key}: {p} is not prime")
+    if abs(k) * (p.bit_length() - 1) > _SIEVE_CAP.bit_length() - 1:
+        raise ValueError(
+            f"radius {key} lies past the prime-power table: sieve bounds "
+            "are capped at 2^26"
+        )
+    return Fraction(p) ** k
 
 
 # --------------------------------------------------------------------------

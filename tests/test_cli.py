@@ -190,6 +190,21 @@ class TestExitCodes:
         assert proc.stderr.startswith(b"usage error: bad ")
         assert proc.stderr.count(b"\n") == 1
 
+    @pytest.mark.parametrize("key", [
+        "2^-200000000", "2^200000000", "3^-99999999999", "0^-1",
+    ])
+    def test_hostile_radius_key_refused_before_the_power(self, tmp_path,
+                                                          key):
+        # a cold interpreter start is most of the second; building the
+        # power took 1.6 s at 2^(+-200000000)
+        payload = json.dumps({"ball_coefficients": {key: 1}})
+        start = time.perf_counter()
+        proc = run_cli(["ft", "--json", payload], tmp_path, timeout=20)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"usage error: bad radial step JSON: ")
+        assert proc.stderr.count(b"\n") == 1
+
     def test_ppow_range_needs_an_upper_bound(self, tmp_path):
         proc = run_cli(["ppow", "range", "1"], tmp_path)
         assert proc.returncode == 2

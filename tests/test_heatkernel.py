@@ -471,6 +471,40 @@ class TestHugeTime:
             assert 0.0 < hk.z_finite(2, p) < 1.0
             assert 0.0 < hk.ball_mass(F(2), p) <= 1.0
 
+    @pytest.mark.parametrize("alpha,start", [
+        (1.5, 7.994e18), (2.0, 5.421e22), (3.0, 2.794e30),
+    ])
+    def test_refuses_all_the_weaker_floor_refused(self, alpha, start):
+        # the check as it stood with theta(x) > x (1 - 1/ln x): the sharper
+        # floor only raises c, which lowers the bound h on every term
+        def weaker_refuses(t):
+            cap = float(pp._SIEVE_CAP)
+            if t * cap ** -alpha < 1.0:
+                return False
+            c = 1.0 - 1.0 / math.log(hk._RS_FLOOR)
+            x = min(cap, (alpha * t / c) ** (1.0 / (alpha + 1.0)))
+            h = max(
+                hk._CHEB * (1 / 3) - t * float(hk._RS_FLOOR) ** -alpha,
+                c - c * x - t * x ** -alpha,
+            )
+            ln_acc = math.log(pp._SIEVE_CAP) + h
+            return ln_acc + math.log(0.5e-13) <= -hk._CHEB * cap - 1.0
+
+        def refuses(t):
+            try:
+                hk._check_reach(-2, t, alpha, 1e-13)  # rank -2 is 1/3
+            except ValueError:
+                return True
+            return False
+
+        grid = [10 ** (17 + i / 40) for i in range(641)]
+        weaker = [t for t in grid if weaker_refuses(t)]
+        sharper = [t for t in grid if refuses(t)]
+        assert weaker and set(weaker) < set(sharper)
+        # the refusal band starts where the README says
+        assert start / 1.01 < min(sharper) < start * 1.07
+        assert not refuses(start / 1.001) and refuses(start * 1.001)
+
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_refused_series_could_not_stop_above_the_cap(self, monkeypatch,
                                                          alpha):

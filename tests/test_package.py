@@ -79,3 +79,17 @@ def test_light_commands_leave_the_analytic_layers_unloaded(args, loaded):
     assert {m for m in modules if m[len("adelic."):] in LAYERS} == {
         f"adelic.{m}" for m in loaded
     }
+
+
+def test_verify_volumes_loads_only_its_checks_layers():
+    out = _fresh(
+        "import sys, adelic.cli\n"
+        "assert adelic.cli.main(['verify', 'volumes']) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('adelic.') or m == 'numpy'))\n"
+    )
+    modules = set(eval(out.splitlines()[-1]))
+    assert "numpy" not in modules
+    assert {m for m in modules if m[len("adelic."):] in LAYERS} == {
+        "adelic.primepow", "adelic.adele",
+    }

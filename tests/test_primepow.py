@@ -447,6 +447,93 @@ class TestTableBuild:
         assert pp._TABLE._limit <= 3000
 
 
+def reference_prime_powers(limit):
+    """Every integer prime power <= limit, ascending, from primes_upto."""
+    primes = primes_upto(limit)
+    found = set(primes)
+    for p in primes[: bisect.bisect_right(primes, math.isqrt(limit))]:
+        q = p * p
+        while q <= limit:
+            found.add(q)
+            q *= p
+    return sorted(found)
+
+
+@pytest.fixture(scope="module")
+def reference_order():
+    """(next, prev) over all prime powers and their reciprocals, straight
+    from the definition: the least element above x, the greatest below."""
+    ref = reference_prime_powers(3_100_000)
+
+    def above(x):
+        if x >= 1:
+            return F(ref[bisect.bisect_right(ref, x)])
+        i = bisect.bisect_left(ref, 1 / x)  # 1/v > x iff v < 1/x
+        return F(1, ref[i - 1]) if i else F(2)
+
+    def below(x):
+        if x > 1:
+            i = bisect.bisect_left(ref, x)
+            return F(ref[i - 1]) if i else F(1, 2)
+        return F(1, ref[bisect.bisect_right(ref, 1 / x)])
+
+    return above, below
+
+
+class TestWindowedOrderQueries:
+    """Order queries past the table sieve a window next to the query; a
+    fresh table (rows up to 512) sends most of these queries there."""
+
+    def test_every_integer_and_reciprocal_to_5000(self, monkeypatch,
+                                                    reference_order):
+        above, below = reference_order
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        for n in range(1, 5001):
+            for x in (F(n), F(1, n)):
+                assert next_pp(x) == above(x), x
+                assert prev_pp(x) == below(x), x
+
+    def test_seeded_points_to_3e6(self, monkeypatch, reference_order):
+        above, below = reference_order
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        rng = random.Random(1952)
+        for _ in range(200):
+            n = rng.randint(2, 3_000_000)
+            frac = F(rng.randint(1, 6), 7)
+            for x in (F(n), F(1, n), n + frac, 1 / (n + frac)):
+                assert next_pp(x) == above(x), x
+                assert prev_pp(x) == below(x), x
+
+    def test_window_matches_the_table(self):
+        values, bases, exps = trial_division_table(5000)
+        primes = [v for v, k in zip(values, exps) if k == 1]
+        rng = random.Random(26)
+        for _ in range(300):
+            lo = rng.randint(2, 4900)
+            hi = lo + rng.randint(0, 100)
+            i = bisect.bisect_left(values, lo)
+            j = bisect.bisect_right(values, hi)
+            want = (values[i:j], bases[i:j], exps[i:j])
+            assert pp._prime_powers_between(lo, hi, primes) == want, (lo, hi)
+
+    @pytest.mark.parametrize("query,want", [
+        (lambda: next_pp(10**6), F(1_000_003)),
+        (lambda: prev_pp(F(1, 10**6)), F(1, 1_000_003)),
+    ], ids=["next", "prev"])
+    def test_cold_query_sieves_only_to_the_root(self, monkeypatch, query,
+                                                want):
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        assert query() == want
+        assert pp._TABLE._limit <= 2048
+
+    def test_successor_far_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        start = time.perf_counter()
+        got = next_pp(10**12)
+        assert time.perf_counter() - start < 1.0
+        assert (got.p, got.k) == (10**12 + 39, 1)
+
+
 class TestRankOf:
     def test_matches_rank_floor_on_prime_powers(self):
         values = [m for m, _, _ in pp.iter_int_prime_powers(5000)]
