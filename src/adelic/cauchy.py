@@ -22,7 +22,10 @@ summed there: each node tau < t transforms f(tau) once, splits off its
 inner ball as a lazy piece, and adds weight * e^{-(t-tau) q^alpha} * value
 on each frequency sphere q into one per-rank sum per quadrature rule; each
 rule's sum is transformed back once (the node tau = t adds f(t) itself).
-The arithmetic is exact and linear, so the sums are the same rationals as
+A per-rank sum is accumulated as an integer pair (numerator, denominator)
+over least common denominators, the float weights entering through their
+exact as_integer_ratio, and becomes one Fraction at the end. The
+arithmetic is exact and linear, so the sums are the same rationals as
 evolving every node and summing the results. The reported error bound is
 the whole step-halving difference |fine - coarse| (L2), plus the kernel
 tolerance. It is not divided by 2^order - 1 as a Richardson estimate would
@@ -257,22 +260,34 @@ def _accumulate(
 
 class _RuleSum:
     """One quadrature rule's share of the Duhamel sum: weighted sphere
-    values of the evolved forcing by frequency rank, the inner pieces by
-    shape, and the tau = t node's step."""
+    values of the evolved forcing by frequency rank, each an exact
+    [numerator, denominator] pair of ints, the inner pieces by shape, and
+    the tau = t node's step."""
 
     __slots__ = ("spheres", "pieces", "step")
 
     def __init__(self):
-        self.spheres: dict[int, Fraction] = {}
+        self.spheres: dict[int, list[int]] = {}
         self.pieces: dict = {}
         self.step = RadialStep.zero()
+
+    def add(self, k: int, num: int, den: int) -> None:
+        """Add num/den (den > 0) to the sum on the sphere of rank k, over
+        the least common denominator; nothing is reduced until the end."""
+        pair = self.spheres.get(k)
+        if pair is None:
+            self.spheres[k] = [num, den]
+            return
+        lcd = math.lcm(pair[1], den)
+        pair[0] = pair[0] * (lcd // pair[1]) + num * (lcd // den)
+        pair[1] = lcd
 
     def total_step(self) -> RadialStep:
         if not self.spheres:
             return self.step
         k0 = min(self.spheres)
         values = [
-            self.spheres.get(k, Fraction(0))
+            Fraction(*self.spheres.get(k, (0, 1)))
             for k in range(k0, max(self.spheres) + 1)
         ]
         return RadialStep._from_sphere_ranks(k0, values, 0).ft() + self.step
@@ -287,21 +302,25 @@ def _duhamel(
     so each rule sums weighted sphere values by rank and is transformed
     back once. Coarse node j is fine node 2j -- t*(2j)/m equals t*j/(m/2)
     exactly in binary floating point -- so each node's multiplier is
-    evaluated once for both rules."""
+    evaluated once for both rules. Each sphere term weight * decay * value
+    is summed as an integer pair (the float weight's as_integer_ratio and
+    the rationals' numerators and denominators), so one Fraction is built
+    per (rule, rank) instead of two products and a sum per term."""
     alpha = symbol.alpha
+    powers: dict[int, float] = {}  # q^alpha by rank, for this solve
     fine, coarse = _RuleSum(), _RuleSum()
     coarse_w = _weights(quadrature, m // 2, t)
     for i, w in enumerate(_weights(quadrature, m, t)):
-        rules = [(fine, Fraction(w))]
+        rules = [(fine, w)]
         if i % 2 == 0:
-            rules.append((coarse, Fraction(coarse_w[i // 2])))
+            rules.append((coarse, coarse_w[i // 2]))
         tau = t * i / m
         g = f.at(tau)
         dt = t - tau
         _require_time(dt)
         if dt == 0:
             for rule, weight in rules:
-                rule.step = rule.step + g * weight
+                rule.step = rule.step + g * Fraction(weight)
             continue
         c0, rho, rest = g.ft().split_inner()
         if c0:
@@ -311,15 +330,21 @@ def _duhamel(
             )
             for rule, weight in rules:
                 rule.pieces[shape] = (
-                    rule.pieces.get(shape, 0.0) + float(weight) * float(c0)
+                    rule.pieces.get(shape, 0.0) + weight * float(c0)
                 )
+        ratios = [(rule, *weight.as_integer_ratio()) for rule, weight in rules]
         k0, values = rest._rank_values()
         for k, v in enumerate(values, k0):
             if not v:
                 continue
-            mv = _decay_factor(dt, _TABLE.float_at(k) ** alpha) * v
-            for rule, weight in rules:
-                rule.spheres[k] = rule.spheres.get(k, 0) + weight * mv
+            lam = powers.get(k)
+            if lam is None:
+                lam = powers[k] = _TABLE.float_at(k) ** alpha
+            decay = _decay_factor(dt, lam)
+            num = decay.numerator * v.numerator
+            den = decay.denominator * v.denominator
+            for rule, wn, wd in ratios:
+                rule.add(k, wn * num, wd * den)
     return fine.total_step(), fine.pieces, coarse.total_step(), coarse.pieces
 
 

@@ -76,25 +76,6 @@ def _radius_rank(radius: RationalLike) -> int:
     return -1 if r == 1 else _TABLE.rank_of(r)
 
 
-def _ln_delta(k: int, t: float, alpha: float) -> float:
-    """ln(e^{-t q^alpha} - e^{-t (next q)^alpha}) for q of rank k, computed
-    stably."""
-    a = _TABLE.float_at(k) ** alpha
-    b = _TABLE.float_at(k + 1) ** alpha
-    gap = -math.expm1(-t * (b - a))  # 1 - e^{-t(b-a)} > 0
-    if gap <= 0.0:
-        return -math.inf
-    return -t * a + math.log(gap)
-
-
-def _low_remainder_ln(k: int, t: float, alpha: float) -> float:
-    """ln bound for the sum over prime powers strictly below rank k."""
-    gap = -math.expm1(-t * _TABLE.float_at(k) ** alpha)
-    if gap <= 0.0:
-        return -math.inf
-    return _TABLE.log_phi_at(k - 1) + math.log(gap)
-
-
 def _check_peak(t: float, alpha: float):
     """Refuse parameters whose largest series term, under the e^{1.04 q}
     envelope, leaves the double range; checked before any table walk, since
@@ -184,36 +165,60 @@ def _check_reach(top: int, t: float, alpha: float, rel_tol: float):
         )
 
 
-def _ln_terms(top: int, t: float, alpha: float, rel_tol: float):
-    """Descending ln-terms of the defining series from rank top, truncated
-    at relative accuracy rel_tol; yields floats."""
+def _ln_z(top: int, t: float, alpha: float, rel_tol: float,
+          terms: Optional[list] = None) -> float:
+    """ln of the defining series summed down from rank top, truncated at
+    relative accuracy rel_tol; appends each ln-term to terms when given.
+
+    Term k is ln phi(q) + ln(e^{-t q^alpha} - e^{-t (next q)^alpha}) for q
+    of rank k, the difference taken stably. The walk stops once the bound
+    ln phi(prev q) + ln(1 - e^{-t q^alpha}) on the sum below rank k falls
+    under the running sum times rel_tol / 2. Each rank's q^alpha is
+    computed once: it is the next q's power of the rank below."""
     _check_reach(top, t, alpha, rel_tol)
+    log, expm1, inf = math.log, math.expm1, math.inf
+    table = _TABLE
+    table._index(top)
+    table._index(top + 1)
+    values, bases, _, logphi = table._snapshot
+    ln_half_tol = math.log(rel_tol * 0.5)
     k = top
-    acc = -math.inf
+    i = k if k >= 0 else -1 - k
+    lp = logphi[i] if k >= 0 else log(bases[i]) - logphi[i]
+    a = (float(values[i]) if k >= 0 else 1 / values[i]) ** alpha
+    b = (float(values[k + 1]) if k >= -1 else 1 / values[-2 - k]) ** alpha
+    acc = -inf
     while True:
-        term = _TABLE.log_phi_at(k) + _ln_delta(k, t, alpha)
-        yield term
-        acc = _logaddexp(acc, term)
-        rem = _low_remainder_ln(k, t, alpha)
-        if rem < acc + math.log(rel_tol * 0.5) or rem == -math.inf:
-            return
+        gap = -expm1(-t * (b - a))
+        term = lp + (-t * a + log(gap)) if gap > 0.0 else -inf
+        if terms is not None:
+            terms.append(term)
+        if acc == -inf:
+            acc = term
+        elif term != -inf:
+            hi, lo = (acc, term) if acc >= term else (term, acc)
+            acc = hi + math.log1p(math.exp(lo - hi))
+        gap = -expm1(-t * a)
+        if gap <= 0.0:
+            return acc
         k -= 1
+        i = k if k >= 0 else -1 - k
+        if i >= len(values):  # a walk down the reciprocals
+            table._index(k)
+            values, bases, _, logphi = table._snapshot
+        lp = logphi[i] if k >= 0 else log(bases[i]) - logphi[i]
+        if lp + log(gap) < acc + ln_half_tol:
+            return acc
+        b = a
+        a = (float(values[i]) if k >= 0 else 1 / values[i]) ** alpha
 
 
-def _ln_z(top: int, t: float, alpha: float, rel_tol: float) -> float:
-    acc = -math.inf
-    for term in _ln_terms(top, t, alpha, rel_tol):
-        acc = _logaddexp(acc, term)
-    return acc
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+def _ln_terms(top: int, t: float, alpha: float,
+              rel_tol: float) -> list[float]:
+    """The descending ln-terms that _ln_z sums."""
+    terms: list[float] = []
+    _ln_z(top, t, alpha, rel_tol, terms)
+    return terms
 
 
 def ln_z_finite(radius: RationalLike, params: KernelParams,
@@ -235,7 +240,7 @@ def z_finite(radius: RationalLike, params: KernelParams,
     params.require_positive_time()
     t, alpha, rel_tol = params.t, params.alpha, min(tol, 1e-13)
     top = _top_rank(radius, t, alpha, rel_tol)
-    terms = list(_ln_terms(top, t, alpha, rel_tol))
+    terms = _ln_terms(top, t, alpha, rel_tol)
     peak = max(terms)
     if peak > 709.0:
         raise OverflowError(
@@ -251,20 +256,23 @@ def z_finite(radius: RationalLike, params: KernelParams,
 @dataclass(frozen=True)
 class SphereMasses:
     """Masses m(r) = Z(r,t) vol(S_r) on a window of prime-power radii,
-    with the two exact tail sums (identity above)."""
+    ascending from the radius of rank k_lo, with the two exact tail sums
+    (identity above)."""
 
-    radii: tuple[Fraction, ...]
+    k_lo: int
     masses: tuple[float, ...]
     low_tail: float   # sum over radii < radii[0]
     up_tail: float    # sum over radii > radii[-1]
 
+    @property
+    def radii(self) -> tuple[Fraction, ...]:
+        k_lo = self.k_lo
+        return tuple(
+            _TABLE.fraction_at(k) for k in range(k_lo, k_lo + len(self.masses))
+        )
+
     def total(self) -> float:
         return self.low_tail + math.fsum(self.masses) + self.up_tail
-
-
-def _ln_vol_sphere(k: int) -> float:
-    """ln vol(S_r) = ln(phi(r) - phi(prev r)) for r of rank k."""
-    return _TABLE.log_phi_at(k) + math.log1p(-1.0 / _TABLE.base_at(k))
 
 
 def sphere_masses(
@@ -282,14 +290,37 @@ def sphere_masses(
     ln_z_hi = _ln_z(-2 - k_hi, t, alpha, rel_tol)
     # descending sweep: stepping the radius down one prime power adds the
     # single series term q = 1/r (rank -1-k for r of rank k), since
-    # prev_pp(1/prev_pp(r)) = 1/r
+    # prev_pp(1/prev_pp(r)) = 1/r. r and q share table row i, and the
+    # next q is 1/prev_pp(r), whose power is the following step's q^alpha.
+    # ln vol(S_r) = ln(phi(r) - phi(prev r)) = ln phi(r) + ln(1 - 1/p).
+    log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
+    _TABLE._index(max(k_hi, -k_lo))
+    values, bases, _, logphi = _TABLE._snapshot
     ln_masses = []
     acc = ln_z_hi
+    a = (1 / values[k_hi] if k_hi >= 0 else float(values[-1 - k_hi])) ** alpha
     for k in range(k_hi, k_lo - 1, -1):
-        ln_masses.append(_ln_vol_sphere(k) + acc)
-        acc = _logaddexp(
-            acc, _TABLE.log_phi_at(-1 - k) + _ln_delta(-1 - k, t, alpha)
-        )
+        if k >= 0:
+            base = bases[k]
+            lp_r = logphi[k]
+            lp_q = log(base) - lp_r
+            nxt = 1 / values[k - 1] if k else float(values[0])
+        else:
+            base = bases[-1 - k]
+            lp_q = logphi[-1 - k]
+            lp_r = log(base) - lp_q
+            nxt = float(values[-k])
+        ln_masses.append(lp_r + log1p(-1.0 / base) + acc)
+        b = nxt ** alpha
+        gap = -expm1(-t * (b - a))
+        if gap > 0.0:
+            term = lp_q + (-t * a + log(gap))
+            if acc == -math.inf:
+                acc = term
+            else:
+                hi, lo = (acc, term) if acc >= term else (term, acc)
+                acc = hi + log1p(exp(lo - hi))
+        a = b
     ln_z_below = acc  # ln Z(prev_pp(lo), t)
     low_tail = math.exp(_TABLE.log_phi_at(k_lo - 1) + ln_z_below) + math.exp(
         -t * _TABLE.float_at(k_lo - 1) ** -alpha
@@ -298,9 +329,8 @@ def sphere_masses(
         _TABLE.log_phi_at(k_hi) + ln_z_hi
     )
     up_tail = clamp_nonnegative(up_tail, scale=max(1.0, t))
-    radii = tuple(_TABLE.fraction_at(k) for k in range(k_lo, k_hi + 1))
-    masses = tuple(math.exp(m) for m in reversed(ln_masses))
-    return SphereMasses(radii, masses, low_tail, up_tail)
+    masses = tuple(map(math.exp, reversed(ln_masses)))
+    return SphereMasses(k_lo, masses, low_tail, up_tail)
 
 
 def _ball_identity(k: int, params: KernelParams,
@@ -380,8 +410,8 @@ def moment_integral(params: KernelParams, beta_weight: float,
     while True:
         q = _TABLE.float_at(k)
         lt = (
-            _ln_vol_sphere(k) + (w * math.log(q) if w else 0.0)
-            - t * q ** alpha
+            _TABLE.log_phi_at(k) + math.log1p(-1.0 / _TABLE.base_at(k))
+            + (w * math.log(q) if w else 0.0) - t * q ** alpha
         )
         if lt > 709.0:
             raise OverflowError("moment integral exceeds the double range")
