@@ -314,7 +314,8 @@ def _duhamel(
         rules = [(fine, w)]
         if i % 2 == 0:
             rules.append((coarse, coarse_w[i // 2]))
-        tau = t * i / m
+        # t * m / m can miss t by an ulp either way: the last node is t
+        tau = t if i == m else t * i / m
         g = f.at(tau)
         dt = t - tau
         _require_time(dt)

@@ -226,9 +226,9 @@ def seeded_duhamel_case(i):
     error_bound, tol), or the refusal. The cases alternate Simpson and
     Trapezoid over 4, 8, 12 and 32 steps. Forcing nodes fall between the
     quadrature nodes, most forcing and initial values have a nonzero
-    integral (inner pieces), and the quadrature times cover tau = t
-    exactly, a last node just below t (t = 0.7, 12 steps) and one just
-    above it (t = 0.1, 12 steps)."""
+    integral (inner pieces), and the quadrature times include pairs where
+    t * m / m misses t (t = 0.7 and t = 0.1 with 12 steps): the last node
+    must still be tau = t."""
     rng = random.Random(1000 + i)
     quadrature = ("Simpson", "Trapezoid")[i % 2]
     steps = (4, 8, 12, 32)[(i // 2) % 4]
@@ -341,17 +341,36 @@ class TestDuhamel:
 
     # sha256 of repr() of the 60 outcomes of seeded_duhamel_case, computed
     # by the node-by-node sum (transform, multiply and transform back at
-    # every quadrature node) that the Fourier-side sum replaced
+    # every quadrature node) that the Fourier-side sum replaced, with the
+    # last node at tau = t
     FROZEN_SHA256 = (
-        "ca57bac6579759ce27349968b6243effa9d240286716707c529b012d40299730"
+        "f8e02f08ede307d4176c0239663154d1445f6410dc63c75ab1b8d51c1b4ce69c"
     )
 
     def test_results_frozen_from_node_by_node_sum(self):
         outcomes = [seeded_duhamel_case(i) for i in range(60)]
-        assert sum(o[0] == "raised" for o in outcomes) == 5
-        assert sum(bool(o[1]) for o in outcomes if o[0] != "raised") == 54
+        assert sum(o[0] == "raised" for o in outcomes) == 0
+        assert sum(bool(o[1]) for o in outcomes if o[0] != "raised") == 59
         digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
         assert digest == self.FROZEN_SHA256
+
+    @pytest.mark.parametrize("t", [0.1, 0.7])
+    def test_last_node_is_t(self, t):
+        # 0.1 * 12 / 12 lies above 0.1 and 0.7 * 12 / 12 below 0.7: the
+        # first was refused, the second evolved f(t) for 1.1e-16
+        assert t * 12 / 12 != t
+        w = eigenfunction(F(2))
+        grid = cy.ForcingGrid(times=(0.0, t), steps=(w, w * F(2)))
+        got = cy.solve_nonhomogeneous(
+            RadialStep.zero(), grid, t, SYM, quadrature="Trapezoid", steps=12,
+        )
+        nodes = [grid.at(t * i / 12) for i in range(12)] + [grid.at(t)]
+        want = RadialStep.zero()
+        for i, (g, h) in enumerate(zip(nodes, cy._weights("Trapezoid", 12, t))):
+            evolved = cy.solve_homogeneous(g, t - t * i / 12 if i < 12 else 0.0,
+                                           SYM)
+            want = want + evolved * F(h)
+        assert got.step == want
 
     def test_validation(self):
         w, grid = manufactured_setup()
