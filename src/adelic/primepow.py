@@ -320,11 +320,11 @@ class _PowerTable:
 
     Lazily extended by re-sieving to at least a doubled bound; extension is
     serialized by a lock while readers work on immutable snapshots, so
-    concurrent reads during extension are safe. Extending to x + x // 5 + 1
-    guarantees that the table contains a successor for x: Nagura (1952)
-    proves there is a prime in (n, 6n/5) for every n >= 25, and the table
-    always holds every prime power up to 512. Sieve bounds are capped at
-    _SIEVE_CAP; a larger request raises ValueError before allocating.
+    concurrent reads during extension are safe. rank_floor extends the
+    table only to its argument; a row past the table (such as the
+    successor of its last value) is sieved when _index first reads it.
+    Sieve bounds are capped at _SIEVE_CAP; a larger request raises
+    ValueError before allocating.
 
     above/below need no rank: past the table they sieve a short window,
     which needs the table only to its square root, so they answer up to
@@ -357,13 +357,6 @@ class _PowerTable:
             self._snapshot = (values, bases, exps, logphi)
             self._limit = new_limit
             return self._snapshot
-
-    def _values_past(self, m: int) -> tuple:
-        """Table values whose last entry exceeds m."""
-        values = self._snapshot[0]
-        if values[-1] <= m:
-            values = self.extend_to(m + m // 5 + 1)[0]
-        return values
 
     def above(self, m: int) -> tuple[int, int]:
         """(p, k) of the least integer prime power > m.
@@ -407,25 +400,27 @@ class _PowerTable:
         return _prime_powers_between(lo, hi, primes)
 
     def rank_floor(self, x: Fraction) -> int:
-        """Rank of the largest prime power <= x (-1 on [1/2, 2)); the table
-        is extended so that rank + 1 exists."""
+        """Rank of the largest prime power <= x (-1 on [1/2, 2)). The table
+        is extended to floor(x) or ceil(1/x) only, so the rank's own row
+        or the next one may lie past it; _index sieves those on demand."""
         n, d = x.numerator, x.denominator
         if n >= 2 * d:
             # an integer prime power is <= x iff it is <= floor(x)
             m = n // d
-            return bisect.bisect_right(self._values_past(m), m) - 1
+            return bisect.bisect_right(self.extend_to(m)[0], m) - 1
         if 2 * n >= d:
             return -1
         # the largest prime power <= x is 1/m for the smallest integer
-        # prime power m >= 1/x, that is m >= ceil(1/x)
+        # prime power m >= 1/x, that is m >= ceil(1/x): every row below
+        # it holds a value < m, so it is the table's count of those
         m = -(-d // n)
-        return -1 - bisect.bisect_left(self._values_past(m), m)
+        return -1 - bisect.bisect_left(self.extend_to(m)[0], m)
 
     def rank_of(self, x: Fraction) -> int:
         """Rank of x if x is a prime power, else ValueError: x is one iff
         it is the value of its own rank_floor."""
         rank = self.rank_floor(x)
-        m = self._snapshot[0][self._index(rank)]
+        m = self._value(rank)
         if (x.numerator, x.denominator) != ((m, 1) if rank >= 0 else (1, m)):
             raise ValueError(f"{x} is not a prime power")
         return rank
@@ -433,11 +428,17 @@ class _PowerTable:
     def _index(self, rank: int) -> int:
         """Table index of a rank (rank i >= 0 and its reciprocal -1-i both
         read row i); extends the table until that row exists, since a walk
-        down through the reciprocals reads ever larger rows."""
+        down through the reciprocals reads ever larger rows. Read the
+        snapshot only after this returns: an extension replaces it."""
         i = rank if rank >= 0 else -1 - rank
         while i >= len(self._snapshot[0]):
             self.extend_to(self._limit + 1)
         return i
+
+    def _value(self, rank: int) -> int:
+        """The integer m of the rank's row: its value is m or 1/m."""
+        i = self._index(rank)
+        return self._snapshot[0][i]
 
     def at(self, rank: int) -> PrimePower:
         """The prime power of the given rank."""
@@ -448,18 +449,19 @@ class _PowerTable:
 
     def fraction_at(self, rank: int) -> Fraction:
         """The exact value of the given rank."""
-        m = self._snapshot[0][self._index(rank)]
+        m = self._value(rank)
         return Fraction(m) if rank >= 0 else Fraction(1, m)
 
     def float_at(self, rank: int) -> float:
         """float of the value of the given rank; 1 / m is int true division,
         bit-equal to float(Fraction(1, m))."""
-        m = self._snapshot[0][self._index(rank)]
+        m = self._value(rank)
         return float(m) if rank >= 0 else 1 / m
 
     def base_at(self, rank: int) -> int:
         """The prime p of the rank's value p^k."""
-        return self._snapshot[1][self._index(rank)]
+        i = self._index(rank)
+        return self._snapshot[1][i]
 
     def phi_at(self, rank: int) -> Fraction:
         """phi of the value of the given rank, exactly: the product of the

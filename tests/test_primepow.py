@@ -350,6 +350,48 @@ class TestSieveCap:
         assert table._limit == 3000
 
 
+    def test_values_up_to_the_cap_are_ranked(self, monkeypatch):
+        # rank_floor sieves only to floor(x) or ceil(1/x), so every prime
+        # power up to the cap has a rank, phi and log phi; the row past
+        # the cap is refused only when it is read
+        cap = 2 ** 12
+        monkeypatch.setattr(pp, "_SIEVE_CAP", cap)
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        values, bases, _ = trial_division_table(cap)
+        top = len(values) - 1
+        assert values[top] == cap
+        first = bisect.bisect_right(values, cap / 1.2)
+        for j in range(first, top + 1):
+            q = values[j]
+            assert pp._TABLE.rank_of(F(q)) == j
+            assert pp._TABLE.rank_of(F(1, q)) == -1 - j
+            exact = math.prod(bases[: j + 1])
+            assert phi(q) == exact
+            assert phi(F(1, q)) == F(bases[j], exact)
+            assert math.isclose(log_phi(q), math.log(exact), rel_tol=1e-12)
+        assert pp._TABLE.rank_floor(F(cap - 1)) == top - 1
+        assert pp._TABLE.rank_floor(F(1, cap - 1)) == -1 - top
+        assert pp._TABLE._limit == cap
+        with pytest.raises(ValueError, match="capped at 2\\^26"):
+            pp._TABLE.float_at(top + 1)
+
+    def test_row_past_the_table_is_read_after_sieving(self, monkeypatch):
+        # 1/4096 is the largest prime power <= 1/4095; a fresh table sieved
+        # to 4095 does not hold its row until the accessor sieves it
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        rank = pp._TABLE.rank_floor(F(1, 4095))
+        assert pp._TABLE._limit == 4095
+        assert pp._TABLE.fraction_at(rank) == F(1, 4096)
+        for read in ("rank_of", "fraction_at", "float_at", "base_at"):
+            table = pp._PowerTable()
+            table.extend_to(4095)
+            arg = F(1, 4096) if read == "rank_of" else rank
+            assert getattr(table, read)(arg) == {
+                "rank_of": rank, "fraction_at": F(1, 4096),
+                "float_at": 1 / 4096, "base_at": 2,
+            }[read]
+
+
 class TestHugePrimePowers:
     @pytest.mark.parametrize("x,expect", [
         (2**61 - 1, (2**61 - 1, 1)),
