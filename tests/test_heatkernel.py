@@ -535,3 +535,185 @@ class TestHugeTime:
                 reached.append(t)
         assert refused and set(refused) <= set(reached)
         assert min(refused) <= 2 * min(reached)
+
+
+# The series and sweeps written with one table accessor per read, as they
+# were before the rank loops were tightened; the loops must reproduce them
+# bit for bit, refusals included.
+
+
+def ref_ln_delta(k, t, alpha):
+    a = hk._TABLE.float_at(k) ** alpha
+    b = hk._TABLE.float_at(k + 1) ** alpha
+    gap = -math.expm1(-t * (b - a))
+    if gap <= 0.0:
+        return -math.inf
+    return -t * a + math.log(gap)
+
+
+def ref_low_remainder_ln(k, t, alpha):
+    gap = -math.expm1(-t * hk._TABLE.float_at(k) ** alpha)
+    if gap <= 0.0:
+        return -math.inf
+    return hk._TABLE.log_phi_at(k - 1) + math.log(gap)
+
+
+def ref_logaddexp(a, b):
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def ref_ln_terms(top, t, alpha, rel_tol):
+    hk._check_reach(top, t, alpha, rel_tol)
+    terms, acc, k = [], -math.inf, top
+    while True:
+        term = hk._TABLE.log_phi_at(k) + ref_ln_delta(k, t, alpha)
+        terms.append(term)
+        acc = ref_logaddexp(acc, term)
+        rem = ref_low_remainder_ln(k, t, alpha)
+        if rem < acc + math.log(rel_tol * 0.5) or rem == -math.inf:
+            return terms
+        k -= 1
+
+
+def ref_ln_z(top, t, alpha, rel_tol):
+    acc = -math.inf
+    for term in ref_ln_terms(top, t, alpha, rel_tol):
+        acc = ref_logaddexp(acc, term)
+    return acc
+
+
+def ref_z_finite(radius, p, tol=1e-12):
+    rel_tol = min(tol, 1e-13)
+    top = hk._top_rank(radius, p.t, p.alpha, rel_tol)
+    terms = ref_ln_terms(top, p.t, p.alpha, rel_tol)
+    if max(terms) > 709.0:
+        raise OverflowError(
+            "kernel value exceeds the double range; use ln_z_finite"
+        )
+    return math.fsum(math.exp(x) for x in terms)
+
+
+def ref_ln_z_finite(radius, p, rel_tol=1e-13):
+    return ref_ln_z(hk._top_rank(radius, p.t, p.alpha, rel_tol), p.t,
+                    p.alpha, rel_tol)
+
+
+def ref_ball_mass(radius, p, rel_tol=1e-13):
+    k = hk._radius_rank(radius)
+    ln_z = ref_ln_z(-2 - k, p.t, p.alpha, rel_tol)
+    inside = math.exp(hk._TABLE.log_phi_at(k) + ln_z)
+    return inside + math.exp(-(p.t * hk._TABLE.float_at(-1 - k) ** p.alpha))
+
+
+def ref_sphere_masses(p, r_min, r_max, rel_tol=1e-13):
+    table, t, alpha = hk._TABLE, p.t, p.alpha
+    k_lo, k_hi = table.rank_of(F(r_min)), table.rank_of(F(r_max))
+    ln_z_hi = ref_ln_z(-2 - k_hi, t, alpha, rel_tol)
+    ln_masses, acc = [], ln_z_hi
+    for k in range(k_hi, k_lo - 1, -1):
+        ln_vol = table.log_phi_at(k) + math.log1p(-1.0 / table.base_at(k))
+        ln_masses.append(ln_vol + acc)
+        acc = ref_logaddexp(
+            acc, table.log_phi_at(-1 - k) + ref_ln_delta(-1 - k, t, alpha)
+        )
+    low_tail = math.exp(table.log_phi_at(k_lo - 1) + acc) + math.exp(
+        -t * table.float_at(k_lo - 1) ** -alpha
+    )
+    up_tail = -math.expm1(-t * table.float_at(k_hi) ** -alpha) - math.exp(
+        table.log_phi_at(k_hi) + ln_z_hi
+    )
+    up_tail = hk.clamp_nonnegative(up_tail, scale=max(1.0, t))
+    radii = tuple(table.fraction_at(k) for k in range(k_lo, k_hi + 1))
+    masses = tuple(math.exp(m) for m in reversed(ln_masses))
+    return radii, masses, low_tail, up_tail
+
+
+def ref_normalization(p, tol=1e-6):
+    _, masses, low, up = ref_sphere_masses(p, F(1, 64), F(1024),
+                                           min(tol, 1e-10))
+    return low + math.fsum(masses) + up
+
+
+def _outcome(call):
+    """float.hex of each float in the result, or the refusal."""
+    try:
+        got = call()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, hk.SphereMasses):
+        got = (got.radii, got.masses, got.low_tail, got.up_tail)
+    if isinstance(got, float):
+        return got.hex()
+    radii, masses, low, up = got
+    return radii, [m.hex() for m in masses], low.hex(), up.hex()
+
+
+def _pairs(p, radius, window):
+    """(new, reference) calls of every sweep at one (t, alpha) point."""
+    pairs = [
+        (lambda: hk.z_finite(radius, p), lambda: ref_z_finite(radius, p)),
+        (lambda: hk.ln_z_finite(radius, p),
+         lambda: ref_ln_z_finite(radius, p)),
+        (lambda: hk.sphere_masses(p, *window),
+         lambda: ref_sphere_masses(p, *window)),
+        (lambda: hk.normalization(p), lambda: ref_normalization(p)),
+    ]
+    if radius:
+        pairs.append((lambda: hk.ball_mass(radius, p),
+                      lambda: ref_ball_mass(radius, p)))
+    return pairs
+
+
+WINDOWS = [(F(1, 64), F(1024)), (F(1, 4096), F(8)), (F(1, 2), F(2))]
+RADII = [F(0), F(1, 4096), F(1, 4), F(1, 2), F(1), F(3), F(8)]
+
+
+class TestSweepsBitIdentical:
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.05, 1.0, 7.0])
+    def test_grid(self, t, alpha):
+        p = hk.KernelParams(t=t, alpha=alpha)
+        for i, radius in enumerate(RADII):
+            for new, ref in _pairs(p, radius, WINDOWS[i % len(WINDOWS)]):
+                assert _outcome(new) == _outcome(ref), (t, alpha, radius)
+
+    @pytest.mark.parametrize("t,alpha,radius,kind", [
+        (0.001, 1.03, F(0), "peak"),         # _check_peak, before any walk
+        (0.01, 1.5, F(1, 4096), "ln_z"),     # z_finite overflows, ln_z not
+        (1.0, 1.03, F(0), "sieved"),         # the start lies past the cap
+        (1e30, 2.0, F(0), "too large"),      # _check_reach refuses
+    ])
+    def test_overflow_and_refusals(self, t, alpha, radius, kind):
+        p = hk.KernelParams(t=t, alpha=alpha)
+        outcomes = [
+            (_outcome(new), _outcome(ref))
+            for new, ref in _pairs(p, radius, WINDOWS[1])
+        ]
+        for got, want in outcomes:
+            assert got == want
+        assert kind in repr(outcomes[0][0])
+
+    @pytest.mark.parametrize("call", ["z_finite", "sphere_masses"])
+    def test_walk_extends_a_fresh_table(self, monkeypatch, call):
+        # at t = 1e9 the series walks down to radii near 1/1300 and the
+        # window reaches 1/4096, past the 512 a fresh table holds: rows are
+        # sieved in the middle of the walk
+        p = hk.KernelParams(t=1e9, alpha=2.0)
+        new, ref = {
+            "z_finite": (lambda: hk.z_finite(0, p),
+                         lambda: ref_z_finite(0, p)),
+            "sphere_masses": (lambda: hk.sphere_masses(p, *WINDOWS[1]),
+                              lambda: ref_sphere_masses(p, *WINDOWS[1])),
+        }[call]
+        results = []
+        for run in (new, ref):
+            table = pp._PowerTable()
+            monkeypatch.setattr(hk, "_TABLE", table)
+            results.append(_outcome(run))
+            assert table._limit > 512
+        assert results[0] == results[1]

@@ -8,15 +8,15 @@ import sys
 import pytest
 
 import adelic
-from adelic.checks import _PACKAGE_ROOT
+from adelic.checks import _PACKAGE_ROOT, _battery
 
 LAYERS = ("primepow", "adele", "radial", "heatkernel", "markov", "cauchy")
 
 
-def _fresh(code: str) -> str:
+def _fresh(code: str, cwd=None) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=_PACKAGE_ROOT), timeout=60,
+        env=dict(os.environ, PYTHONPATH=_PACKAGE_ROOT), timeout=60, cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -93,3 +93,23 @@ def test_verify_volumes_loads_only_its_checks_layers():
     assert {m for m in modules if m[len("adelic."):] in LAYERS} == {
         "adelic.primepow", "adelic.adele",
     }
+
+
+@pytest.mark.parametrize("command", [
+    "kernel eval", "kernel normalize", "transition", "solve duhamel",
+])
+def test_analytic_commands_leave_numeric_libraries_unloaded(tmp_path,
+                                                            command):
+    # the analytic layers are pure Python; numpy, scipy or mpmath in one
+    # of them would add its import to every cold run of these commands
+    args = next(
+        args for args, _ in _battery(str(tmp_path))
+        if " ".join(args).startswith(command)
+    )
+    out = _fresh(
+        "import sys, adelic.cli\n"
+        f"assert adelic.cli.main({args!r}) == 0\n"
+        "print(sorted({'numpy', 'scipy', 'mpmath'} & set(sys.modules)))\n",
+        cwd=tmp_path,
+    )
+    assert out.splitlines()[-1] == "[]"
