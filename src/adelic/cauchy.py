@@ -302,10 +302,7 @@ def _duhamel(
     so each rule sums weighted sphere values by rank and is transformed
     back once. Coarse node j is fine node 2j -- t*(2j)/m equals t*j/(m/2)
     exactly in binary floating point -- so each node's multiplier is
-    evaluated once for both rules. Each sphere term weight * decay * value
-    is summed as an integer pair (the float weight's as_integer_ratio and
-    the rationals' numerators and denominators), so one Fraction is built
-    per (rule, rank) instead of two products and a sum per term."""
+    evaluated once for both rules."""
     alpha = symbol.alpha
     powers: dict[int, float] = {}  # q^alpha by rank, for this solve
     fine, coarse = _RuleSum(), _RuleSum()

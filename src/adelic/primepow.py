@@ -420,7 +420,8 @@ class _PowerTable:
         """Rank of x if x is a prime power, else ValueError: x is one iff
         it is the value of its own rank_floor."""
         rank = self.rank_floor(x)
-        m = self._value(rank)
+        i = self._index(rank)
+        m = self._snapshot[0][i]
         if (x.numerator, x.denominator) != ((m, 1) if rank >= 0 else (1, m)):
             raise ValueError(f"{x} is not a prime power")
         return rank
@@ -435,11 +436,6 @@ class _PowerTable:
             self.extend_to(self._limit + 1)
         return i
 
-    def _value(self, rank: int) -> int:
-        """The integer m of the rank's row: its value is m or 1/m."""
-        i = self._index(rank)
-        return self._snapshot[0][i]
-
     def at(self, rank: int) -> PrimePower:
         """The prime power of the given rank."""
         i = self._index(rank)
@@ -449,13 +445,15 @@ class _PowerTable:
 
     def fraction_at(self, rank: int) -> Fraction:
         """The exact value of the given rank."""
-        m = self._value(rank)
+        i = self._index(rank)
+        m = self._snapshot[0][i]
         return Fraction(m) if rank >= 0 else Fraction(1, m)
 
     def float_at(self, rank: int) -> float:
         """float of the value of the given rank; 1 / m is int true division,
         bit-equal to float(Fraction(1, m))."""
-        m = self._value(rank)
+        i = self._index(rank)
+        m = self._snapshot[0][i]
         return float(m) if rank >= 0 else 1 / m
 
     def base_at(self, rank: int) -> int:

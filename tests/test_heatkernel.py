@@ -700,7 +700,7 @@ class TestSweepsBitIdentical:
 
     @pytest.mark.parametrize("call", ["z_finite", "sphere_masses"])
     def test_walk_extends_a_fresh_table(self, monkeypatch, call):
-        # at t = 1e9 the series walks down to radii near 1/1300 and the
+        # at t = 1e9 the series walks down past radius 1/1024 and the
         # window reaches 1/4096, past the 512 a fresh table holds: rows are
         # sieved in the middle of the walk
         p = hk.KernelParams(t=1e9, alpha=2.0)
