@@ -12,19 +12,23 @@ Homogeneous evolution is the multiplier e^{-t r^alpha}. For integer times
 the per-sphere factor is computed once as an exact rational e^{-lambda}
 and raised to the t-th power, so composing evolutions over integer times
 is exact arithmetic (the floating-point error enters once, in the base).
+Such a power is refused past _DECAY_BITS_CAP bits, before it is built.
 Fractional times use a fresh exponential per call and compose only to
 machine precision.
 
 The non-homogeneous solution is the homogeneous flow plus a Duhamel
 integral, discretized by composite Trapezoid/Simpson quadrature in the
 forcing time. The flow is diagonal on the Fourier side, so the integral is
-summed there: each node tau < t transforms f(tau) once, splits off its
-inner ball as a lazy piece, and adds weight * e^{-(t-tau) q^alpha} * value
-on each frequency sphere q into one per-rank sum per quadrature rule; each
-rule's sum is transformed back once (the node tau = t adds f(t) itself).
-A per-rank sum is accumulated as an integer pair (numerator, denominator)
-over least common denominators, the float weights entering through their
-exact as_integer_ratio, and becomes one Fraction at the end. The
+summed there: each node tau < t transforms f(tau), splits off its inner
+ball as a lazy piece and reads the remainder's value on each frequency
+sphere q, all in one walk up the ranks of f(tau) (a running sum of exact
+integer pairs c_k phi(k)), and adds weight * e^{-(t-tau) q^alpha} * value
+into one per-rank sum per quadrature rule; each rule's sum is transformed
+back once (the node tau = t adds f(t) itself). The homogeneous flow uses
+the same walk for its transform, split and sphere values. A per-rank sum
+is accumulated as an integer pair (numerator, denominator) over least
+common denominators, the float weights entering through their exact
+as_integer_ratio, and becomes one Fraction at the end. The
 arithmetic is exact and linear, so the sums are the same rationals as
 evolving every node and summing the results. The reported error bound is
 the whole step-halving difference |fine - coarse| (L2), plus the kernel
@@ -144,11 +148,14 @@ def _multiply(
     Exact step when the transform has zero inner value; otherwise the
     inner ball is split off into a lazily evaluated piece of the given
     kind."""
-    fhat = f.ft()
-    if fhat.has_zero_inner_value():
-        return fhat.apply_multiplier(mult).ft()
-    c0, rho, rest = fhat.split_inner()
-    exact = rest.apply_multiplier(mult).ft()
+    c0, rho, k0, values = f._ft_sphere_pairs()
+    values = [
+        Fraction(mult(_TABLE.fraction_at(k))) * Fraction(num, den)
+        for k, (num, den) in enumerate(values, k0)
+    ]
+    exact = RadialStep._from_sphere_ranks(k0, values, 0).ft()
+    if not c0:
+        return exact
     piece = InnerPiece(
         scale=float(c0), rho=rho, kind=kind, exponent=exponent, time=time
     )
@@ -167,11 +174,28 @@ def apply_operator(
     return _multiply(f, mult, tol, "power", gamma)
 
 
+# An exact integer-time decay factor e^{-lambda}^t holding more bits than
+# this (numerator and denominator together, about 315,000 decimal digits)
+# is refused: the power and every product with it grow without bound in t.
+_DECAY_BITS_CAP = 1 << 20
+
+
 def _decay_factor(t: float, lam: float) -> Fraction:
     # integer times: exact power of a single rational base, so factors
     # compose exactly; fractional times: one fresh exponential
     if t == int(t):
-        return Fraction(math.exp(-lam)) ** int(t)
+        base = Fraction(math.exp(-lam))
+        n = int(t)
+        # bits per factor, at most: the numerator's unless it is 0 or 1,
+        # and log2 of the power-of-two denominator
+        num, den = base.numerator, base.denominator
+        size = (num.bit_length() if num > 1 else 0) + den.bit_length() - 1
+        if n * size > _DECAY_BITS_CAP:
+            raise ValueError(
+                f"the exact decay factor at integer time {n} would hold up "
+                f"to {n * size} bits, past the cap of 2^20 bits"
+            )
+        return base ** n
     return Fraction(math.exp(-t * lam))
 
 
@@ -320,7 +344,7 @@ def _duhamel(
             for rule, weight in rules:
                 rule.step = rule.step + g * Fraction(weight)
             continue
-        c0, rho, rest = g.ft().split_inner()
+        c0, rho, k0, values = g._ft_sphere_pairs()
         if c0:
             # pieces are keyed by their shape: the piece itself at scale 1
             shape = InnerPiece(
@@ -331,16 +355,15 @@ def _duhamel(
                     rule.pieces.get(shape, 0.0) + weight * float(c0)
                 )
         ratios = [(rule, *weight.as_integer_ratio()) for rule, weight in rules]
-        k0, values = rest._rank_values()
-        for k, v in enumerate(values, k0):
-            if not v:
+        for k, (vn, vd) in enumerate(values, k0):
+            if not vn:
                 continue
             lam = powers.get(k)
             if lam is None:
                 lam = powers[k] = _TABLE.float_at(k) ** alpha
             decay = _decay_factor(dt, lam)
-            num = decay.numerator * v.numerator
-            den = decay.denominator * v.denominator
+            num = decay.numerator * vn
+            den = decay.denominator * vd
             for rule, wn, wd in ratios:
                 rule.add(k, wn * num, wd * den)
     return fine.total_step(), fine.pieces, coarse.total_step(), coarse.pieces

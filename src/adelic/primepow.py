@@ -438,10 +438,13 @@ class _PowerTable:
 
     def at(self, rank: int) -> PrimePower:
         """The prime power of the given rank."""
+        return PrimePower._trusted(*self.base_exp_at(rank))
+
+    def base_exp_at(self, rank: int) -> tuple[int, int]:
+        """(p, k) of the rank's value p^k, k < 0 for the reciprocals."""
         i = self._index(rank)
         _, bases, exps, _ = self._snapshot
-        k = exps[i] if rank >= 0 else -exps[i]
-        return PrimePower._trusted(bases[i], k)
+        return bases[i], exps[i] if rank >= 0 else -exps[i]
 
     def fraction_at(self, rank: int) -> Fraction:
         """The exact value of the given rank."""
@@ -470,6 +473,15 @@ class _PowerTable:
             return Fraction(self._exact_phi(i))
         return Fraction(self._snapshot[1][i], self._exact_phi(i))
 
+    def phi_pair_at(self, rank: int) -> tuple[int, int]:
+        """phi_at as an integer pair (numerator, denominator), not reduced:
+        (phi(m), 1) for rank i >= 0 and (base(m), phi(m)) for the
+        reciprocal of m."""
+        i = self._index(rank)
+        if rank >= 0:
+            return self._exact_phi(i), 1
+        return self._snapshot[1][i], self._exact_phi(i)
+
     def log_phi_at(self, rank: int) -> float:
         """log phi of the value of the given rank (log(base) - log phi(m)
         for the reciprocal of m; rank -1 gives exactly 0.0)."""
@@ -481,6 +493,9 @@ class _PowerTable:
 
     def _exact_phi(self, i: int) -> int:
         """The product of the bases of rows 0..i (row i must exist)."""
+        exact = self._exact  # appended to under the lock only
+        if i < len(exact):
+            return exact[i]
         values, bases, _, _ = self._snapshot
         with self._exact_lock:
             if i < len(self._exact):

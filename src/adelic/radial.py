@@ -33,6 +33,7 @@ from typing import Callable, Mapping
 from .primepow import _SIEVE_CAP, _TABLE, RationalLike, as_fraction
 
 _NumberLike = (int, float, Fraction)
+_ZERO = Fraction(0)
 
 
 class RadialStep:
@@ -123,9 +124,24 @@ class RadialStep:
         return _TABLE.fraction_at(min(self._by_rank)) if self._by_rank else None
 
     def value(self, s: RationalLike) -> Fraction:
-        """Value at any point of norm s (s = 0 gives the value at zero)."""
-        s = as_fraction(s) if s else Fraction(0)
-        return sum((c for r, c in self.coeffs.items() if r >= s), Fraction(0))
+        """Value at any point of norm s (s = 0 gives the value at zero):
+        the sum of the coefficients from the first rank whose radius is
+        >= s. s is ranked only inside the coefficient envelope, so the
+        table is never extended past it."""
+        if not s:
+            return self.value_at_zero()
+        s = as_fraction(s)
+        by_rank = self._by_rank
+        if not by_rank or s <= _TABLE.fraction_at(next(iter(by_rank))):
+            return self.value_at_zero()
+        if s > _TABLE.fraction_at(next(reversed(by_rank))):
+            return Fraction(0)
+        k = _TABLE.rank_floor(s)
+        if _TABLE.fraction_at(k) != s:
+            k += 1
+        return sum(
+            (c for r, c in by_rank.items() if r >= k), Fraction(0)
+        )
 
     def value_at_zero(self) -> Fraction:
         return sum(self._by_rank.values(), Fraction(0))
@@ -134,6 +150,43 @@ class RadialStep:
         """(radius, value) on every sphere in the coefficient envelope."""
         k0, values = self._rank_values()
         return [(_TABLE.fraction_at(k), v) for k, v in enumerate(values, k0)]
+
+    def _ft_sphere_pairs(
+        self,
+    ) -> tuple[Fraction, Fraction | None, int, list[tuple[int, int]]]:
+        """ft().split_inner() followed by the remainder's _rank_values(),
+        from one walk up the ranks: (c0, rho, k0, values), values[i] being
+        the remainder's value on the sphere of rank k0 + i as an integer
+        pair (numerator, denominator > 0), not reduced.
+
+        FT maps rank k to -2-k with weight phi(k), so the running sum of
+        c_k phi(k) through rank k is the transform's value on the sphere
+        of rank -2-k and on the gap spheres below it, down to the next
+        coefficient's; the final sum is c0, and rho has rank -3 - max k.
+        """
+        by_rank = self._by_rank
+        if not by_rank:
+            return _ZERO, None, 0, []
+        phi_pair = _TABLE.phi_pair_at
+        num, den = 0, 1
+        running: list[tuple[int, int]] = []
+        last = next(iter(by_rank))
+        for k, c in by_rank.items():
+            if k - last > 1:
+                running += [(num, den)] * (k - last - 1)
+            a, b = phi_pair(k)
+            n, d = c.numerator * a, c.denominator * b
+            lcd = math.lcm(den, d)
+            num = num * (lcd // den) + n * (lcd // d)
+            den = lcd
+            running.append((num, den))
+            last = k
+        running.reverse()
+        if not num:
+            return _ZERO, None, -2 - last, running
+        # the remainder is 0 on the sphere of rho, and c0 less than FT below
+        return (Fraction(num, den), _TABLE.fraction_at(-3 - last), -3 - last,
+                [(0, 1), *running])
 
     def _rank_values(self) -> tuple[int, list[Fraction]]:
         """(k0, values): the value on the sphere of each rank k0, k0 + 1,
@@ -292,8 +345,8 @@ def _canonical(by_rank: dict[int, Fraction]) -> dict[int, Fraction]:
 
 
 def _radius_key(rank: int) -> str:
-    pk = _TABLE.at(rank)
-    return f"{pk.p}^{pk.k}"
+    p, k = _TABLE.base_exp_at(rank)
+    return f"{p}^{k}"
 
 
 def _radius_from_key(key: str) -> Fraction:
@@ -365,15 +418,17 @@ def ft_ball_eval(
 
     terms = []
     f_up = f_at(k + 1)
+    phi_q = float(_TABLE.phi_at(k))
     bound = math.inf
     for _ in range(max_terms):
         f_q = f_at(k)
-        terms.append(float(_TABLE.phi_at(k)) * (f_q - f_up))
+        phi_prev = float(_TABLE.phi_at(k - 1))
+        terms.append(phi_q * (f_q - f_up))
         # remainder below q telescopes: |sum| <= phi(prev q) |g(q) - g(0+)|
-        bound = float(_TABLE.phi_at(k - 1)) * abs(f_q - profile_at_zero)
+        bound = phi_prev * abs(f_q - profile_at_zero)
         if bound < tol:
             break
-        f_up = f_q
+        f_up, phi_q = f_q, phi_prev
         k -= 1
     else:
         raise ValueError("transform evaluation did not reach tolerance")
