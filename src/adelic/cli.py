@@ -34,6 +34,10 @@ if TYPE_CHECKING:
     from .radial import RadialStep
 
 
+# the ValueError raised by str(int) past sys.get_int_max_str_digits()
+_INT_STR_LIMIT = "for integer string conversion"
+
+
 class UsageError(Exception):
     pass
 
@@ -669,6 +673,14 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
+        if _INT_STR_LIMIT in str(exc):
+            print(
+                "range error: result too large to print: an exact rational "
+                f"in it has more than {sys.get_int_max_str_digits()} decimal "
+                "digits, the interpreter's integer-to-string limit",
+                file=sys.stderr,
+            )
+            return 2
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     except ToleranceError as exc:

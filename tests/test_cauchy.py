@@ -2,6 +2,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -549,3 +550,146 @@ class TestRankWalk:
             (0.06756313793291802, 1.1882896783663346e-11),
             (0.0021149133949178666, 1.1882896783663346e-11),
         ]
+
+
+def evolve_by_three_passes(g, dt, alpha=ALPHA):
+    """e^{-dt r^alpha} g through the public transform, split and
+    multiplier methods: (exact step, inner piece or None)."""
+    if dt == 0:
+        return g, None
+    c0, rho, rest = g.ft().split_inner()
+    step = rest.apply_multiplier(
+        lambda q: cy._decay_factor(dt, float(q) ** alpha)
+    ).ft()
+    if not c0:
+        return step, None
+    return step, cy.InnerPiece(
+        scale=float(c0), rho=rho, kind="heat", exponent=alpha, time=dt
+    )
+
+
+def node_by_node(grid, t, quadrature, m, alpha=ALPHA):
+    """The fine quadrature sum of the Duhamel integral, one evolution per
+    node: (step, {piece shape: scale})."""
+    step, pieces = RadialStep.zero(), {}
+    for i, w in enumerate(cy._weights(quadrature, m, t)):
+        tau = t if i == m else t * i / m
+        evolved, piece = evolve_by_three_passes(grid.at(tau), t - tau, alpha)
+        step = step + evolved * F(w)
+        if piece is not None:
+            shape = cy.replace(piece, scale=1.0)
+            pieces[shape] = pieces.get(shape, 0.0) + w * piece.scale
+    return step, pieces
+
+
+def battery_forcing():
+    """The CLI battery's forcing: three nodes, linear in between."""
+    w = eigenfunction(F(2))
+    taus = (0.0, 0.5, 1.0)
+    return cy.ForcingGrid(times=taus, steps=tuple(
+        w * F(math.cos(tau) + 4 * math.sin(tau)) for tau in taus
+    ))
+
+
+def mixed_forcing(end):
+    """Forcing with a nonzero integral (inner pieces), gapped ranks on both
+    sides of radius 1/2, and nodes between the quadrature nodes."""
+    a = RadialStep({F(1, 9): F(3, 7), F(1, 2): 1, F(2): F(-1, 3), F(8): 2})
+    b = RadialStep({F(1, 4): -2, F(3): F(5, 2)})
+    return cy.ForcingGrid(times=(0.0, 0.3 * end, end), steps=(a, b, a - b))
+
+
+class TestOnePassDuhamel:
+    @pytest.mark.parametrize("quadrature", ["Simpson", "Trapezoid"])
+    @pytest.mark.parametrize("grid,t,m", [
+        (battery_forcing(), 1.0, 16),
+        (mixed_forcing(1.0), 1.0, 16),
+        (mixed_forcing(1.0), 0.7, 12),
+    ], ids=["battery-16", "mixed-16", "mixed-0.7"])
+    def test_interpolated_nodes_match_node_by_node(self, grid, t, m,
+                                                   quadrature):
+        got = cy.solve_nonhomogeneous(
+            RadialStep.zero(), grid, t, SYM, quadrature=quadrature, steps=m
+        )
+        want_step, want_pieces = node_by_node(grid, t, quadrature, m)
+        assert got.step == want_step
+        assert got.pieces == tuple(
+            cy.replace(shape, scale=s)
+            for shape, s in want_pieces.items() if s != 0.0
+        )
+
+    @pytest.mark.parametrize("quadrature", ["Simpson", "Trapezoid"])
+    @pytest.mark.parametrize("grid", [
+        mixed_forcing(4.0),
+        cy.ForcingGrid(times=(0.0, 4.0), steps=(
+            eigenfunction(F(2)), eigenfunction(F(3)) * F(-2))),
+    ], ids=["mixed", "eigen"])
+    def test_integer_time_steps_match_node_by_node(self, grid, quadrature,
+                                                   monkeypatch):
+        # t = 4 in 4 steps: every dt is an integer, so every decay factor
+        # is an exact power
+        powers = []
+        decay = cy._decay_factor
+
+        def counted(t, lam):
+            powers.append(t == int(t))
+            return decay(t, lam)
+
+        monkeypatch.setattr(cy, "_decay_factor", counted)
+        got = cy.solve_nonhomogeneous(
+            RadialStep.zero(), grid, 4.0, SYM, quadrature=quadrature, steps=4
+        )
+        assert powers and all(powers)
+        want_step, want_pieces = node_by_node(grid, 4.0, quadrature, 4)
+        assert got.step == want_step
+        assert {replace_scale(p): p.scale for p in got.pieces} == {
+            shape: s for shape, s in want_pieces.items() if s != 0.0}
+
+    def test_one_transform_per_rule(self, monkeypatch):
+        counts = {"ft": 0, "split_inner": 0, "_rank_values": 0}
+        for name in counts:
+            method = getattr(RadialStep, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                counts[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(RadialStep, name, counted)
+        fine, _, coarse, _ = cy._duhamel(
+            mixed_forcing(1.0), 1.0, SYM, "Simpson", 16
+        )
+        assert counts == {"ft": 2, "split_inner": 0, "_rank_values": 0}
+        assert not fine.is_zero() and not coarse.is_zero()
+
+
+def replace_scale(piece):
+    return cy.replace(piece, scale=1.0)
+
+
+class TestIntegerTimeCap:
+    def test_huge_integer_time_refused_before_the_power(self):
+        w = eigenfunction(F(2))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"cap of 2\^20 bits"):
+            cy.solve_homogeneous(w, 1e6, cy.SymbolSpec(2.0))
+        with pytest.raises(ValueError, match=r"cap of 2\^20 bits"):
+            cy.solve_homogeneous(w, 1e300, cy.SymbolSpec(2.0))
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_counts_the_power_bits(self):
+        lam = 4.0  # e^-4 is m / 2^58 with a 53-bit odd m
+        base = F(math.exp(-lam))
+        size = base.numerator.bit_length() + base.denominator.bit_length() - 1
+        below = cy._DECAY_BITS_CAP // size
+        got = cy._decay_factor(float(below), lam)
+        assert got == base ** below
+        assert got.numerator.bit_length() + got.denominator.bit_length() \
+            <= cy._DECAY_BITS_CAP + 2
+        with pytest.raises(ValueError, match="cap"):
+            cy._decay_factor(float(below + 1), lam)
+
+    def test_trivial_bases_are_never_refused(self):
+        # e^-lam rounds to 0 or 1: every power is 0 or 1
+        assert cy._decay_factor(1e9, 800.0) == 0
+        assert cy._decay_factor(1e9, 1e-20) == 1
+        assert cy._decay_factor(1e9 + 0.5, 4.0) == F(math.exp(-(1e9 + 0.5) * 4))

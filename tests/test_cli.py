@@ -148,6 +148,36 @@ class TestExitCodes:
         assert proc.stderr.count(b"\n") == 1
         assert proc.stdout == b""
 
+    def test_integer_time_past_the_decay_cap(self, step_file, tmp_path):
+        start = time.perf_counter()
+        proc = run_cli(
+            ["solve", "homogeneous", "--t", "1e6", "--alpha", "2",
+             "--input", str(step_file)],
+            tmp_path, timeout=20,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"invalid parameters: the exact decay")
+        assert b"cap of 2^20 bits" in proc.stderr
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "homogeneous", "--t", "1000", "--alpha", "2"],
+        ["phi", "100000"],
+    ])
+    def test_result_too_large_to_print(self, step_file, tmp_path, args):
+        # exact, but a rational with more digits than str(int) converts
+        if args[0] == "solve":
+            args = [*args, "--input", str(step_file)]
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            b"range error: result too large to print: an exact rational"
+        )
+        assert b"decimal digits" in proc.stderr
+        assert proc.stderr.count(b"\n") == 1
+        assert proc.stdout == b""
+
     def test_duhamel_quadrature_checked_at_time_zero(self, step_file,
                                                      tmp_path):
         forcing = tmp_path / "forcing.json"

@@ -346,3 +346,138 @@ class TestRankKeyed:
     def test_radius_past_sieve_cap(self):
         with pytest.raises(ValueError, match="capped"):
             RadialStep({F(2) ** 27: 1})
+
+
+def gapped_step(rng):
+    """Up to 6 coefficients on ranks -12..11: gaps between them, ranks on
+    both sides of -1 (radius 1/2) and, now and then, a zero integral."""
+    ranks = sorted(rng.sample(range(-12, 12), rng.randint(0, 6)))
+    f = RadialStep._trusted(
+        {k: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+         for k in ranks}
+    )
+    if ranks and rng.random() < 0.25:
+        f = f - RadialStep.ball_indicator(pp._TABLE.fraction_at(ranks[0])) \
+            * (f.integral() / pp._TABLE.phi_at(ranks[0]))
+    return f
+
+
+class TestOnePassTransform:
+    EDGE_CASES = [
+        RadialStep.zero(),
+        RadialStep.ball_indicator(F(1, 2)),
+        RadialStep({F(7): F(-3, 5)}),
+        RadialStep({F(2): 1, F(1, 2): -2}),          # zero integral, rank -1/0
+        RadialStep.sphere_indicator(F(2)).ft(),      # zero inner value
+        RadialStep({F(1, 9): F(3, 7), F(2): F(1, 3), F(8): -2}),
+    ]
+
+    @staticmethod
+    def three_passes(f):
+        c0, rho, rest = f.ft().split_inner()
+        k0, values = rest._rank_values()
+        return c0, rho, k0, values
+
+    def check(self, f):
+        c0, rho, k0, pairs = f._ft_sphere_pairs()
+        assert all(type(n) is int and type(d) is int and d > 0
+                   for n, d in pairs)
+        values = [F(n, d) for n, d in pairs]
+        assert (c0, rho, k0, values) == self.three_passes(f)
+        assert type(c0) is F
+
+    @pytest.mark.parametrize("f", EDGE_CASES)
+    def test_edge_cases(self, f):
+        self.check(f)
+
+    def test_seeded_steps(self):
+        rng = random.Random(20261019)
+        zero_inner = 0
+        for _ in range(300):
+            f = gapped_step(rng)
+            zero_inner += not f.is_zero() and f.integral() == 0
+            self.check(f)
+        assert zero_inner > 10
+
+    def test_no_rank_lookups(self, monkeypatch):
+        rng = random.Random(3)
+        steps = [gapped_step(rng) for _ in range(20)]
+        monkeypatch.setattr(pp._TABLE, "rank_floor", None)
+        for f in steps:
+            f._ft_sphere_pairs()
+
+
+class TestValueByRank:
+    @staticmethod
+    def coefficient_sum(f, s):
+        s = F(s)
+        return sum((c for r, c in f.coeffs.items() if r >= s), F(0))
+
+    def test_matches_the_coefficient_sum(self):
+        rng = random.Random(8)
+        points = [0, F(1, 10), F(1, 9), F(1, 6), F(1, 2), F(3, 4), F(1),
+                  F(2), F(5, 2), F(3), F(6), F(7), F(10), F(11), 0.3, 2.5]
+        for _ in range(100):
+            f = gapped_step(rng)
+            for s in points:
+                got = f.value(s)
+                assert type(got) is F
+                assert got == self.coefficient_sum(f, s)
+
+    def test_points_past_the_envelope_rank_nothing(self, monkeypatch):
+        # past the cap in either direction: ranking these would sieve
+        f = RadialStep({F(1, 3): 2, F(4): F(-1, 2)})
+        monkeypatch.setattr(pp._TABLE, "rank_floor", None)
+        assert f.value(F(2) ** 40) == 0
+        assert f.value(F(1, 2 ** 40)) == F(3, 2)
+        assert f.value(F(1, 3)) == F(3, 2)
+
+
+class TestTableReads:
+    def test_radius_keys_build_no_prime_power(self, monkeypatch):
+        f = RadialStep({F(1, 9): F(3, 7), F(8): -2, F(1, 2): 1, F(2): 5})
+        want = f.to_json()
+        monkeypatch.setattr(pp._TABLE, "at", None)
+        assert f.to_json() == want
+        assert f.to_dict()["ball_coefficients"] == {
+            "3^-2": "3/7", "2^-1": "1", "2^1": "5", "2^3": "-2"}
+
+    def test_ft_ball_eval_one_phi_per_term(self, monkeypatch):
+        # the reference loop reads phi(q) and phi(prev q) for every term;
+        # the walk carries phi(prev q) over as the next term's phi(q)
+        table = pp._TABLE
+
+        def reference(profile, rho, s, at_zero, tol):
+            k_rho = table.rank_floor(F(rho))
+            k = min(k_rho, -2 - table.rank_floor(F(s))) if s else k_rho
+
+            def f_at(rank):
+                return 0.0 if rank > k_rho else float(
+                    profile(table.fraction_at(rank)))
+            terms, f_up = [], f_at(k + 1)
+            while True:
+                f_q = f_at(k)
+                terms.append(float(table.phi_at(k)) * (f_q - f_up))
+                bound = float(table.phi_at(k - 1)) * abs(f_q - at_zero)
+                if bound < tol:
+                    return math.fsum(terms), bound, len(terms)
+                f_up = f_q
+                k -= 1
+
+        calls = []
+        phi_at = table.phi_at
+
+        def counted(rank):
+            calls.append(rank)
+            return phi_at(rank)
+
+        for rho, s in ((F(8), 0), (F(5), F(1, 3)), (F(1, 2), F(2)),
+                       (F(27), F(1, 7))):
+            profile = lambda q: math.exp(-0.7 * float(q) ** 1.5)
+            value, bound, n = reference(profile, rho, s, 1.0, 1e-12)
+            monkeypatch.setattr(table, "phi_at", counted)
+            calls.clear()
+            assert ft_ball_eval(profile, rho, s, 1.0, tol=1e-12) == (
+                value, bound)
+            monkeypatch.setattr(table, "phi_at", phi_at)
+            assert len(calls) == n + 1
