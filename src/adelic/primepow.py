@@ -493,9 +493,6 @@ class _PowerTable:
 
     def _exact_phi(self, i: int) -> int:
         """The product of the bases of rows 0..i (row i must exist)."""
-        exact = self._exact  # appended to under the lock only
-        if i < len(exact):
-            return exact[i]
         values, bases, _, _ = self._snapshot
         with self._exact_lock:
             if i < len(self._exact):

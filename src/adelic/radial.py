@@ -33,7 +33,6 @@ from typing import Callable, Mapping
 from .primepow import _SIEVE_CAP, _TABLE, RationalLike, as_fraction
 
 _NumberLike = (int, float, Fraction)
-_ZERO = Fraction(0)
 
 
 class RadialStep:
@@ -166,7 +165,7 @@ class RadialStep:
         """
         by_rank = self._by_rank
         if not by_rank:
-            return _ZERO, None, 0, []
+            return Fraction(0), None, 0, []
         phi_pair = _TABLE.phi_pair_at
         num, den = 0, 1
         running: list[tuple[int, int]] = []
@@ -183,8 +182,8 @@ class RadialStep:
             last = k
         running.reverse()
         if not num:
-            return _ZERO, None, -2 - last, running
-        # the remainder is 0 on the sphere of rho, and c0 less than FT below
+            return Fraction(0), None, -2 - last, running
+        # FT - c0 1_{B(rho)} is 0 on the sphere of rho and FT above it
         return (Fraction(num, den), _TABLE.fraction_at(-3 - last), -3 - last,
                 [(0, 1), *running])
 
