@@ -447,9 +447,9 @@ def _share(p: int, e: int) -> Fraction:
 
 def _primes_ascending() -> Iterator[int]:
     for rank in itertools.count():
-        pk = _TABLE.at(rank)
-        if pk.k == 1:
-            yield pk.p
+        p, k = _TABLE.base_exp_at(rank)
+        if k == 1:
+            yield p
 
 
 def distance(x: AdelePoint, y: AdelePoint) -> Fraction:
