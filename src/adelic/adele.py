@@ -59,7 +59,7 @@ _PLAN_CACHE_SIZE = 512
 # components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PAdicComponent:
     """One truncated Q_p coordinate.
 
@@ -68,6 +68,7 @@ class PAdicComponent:
     valuation v: value = p^v * unit, exact when known_to is None, else
     correct modulo p^known_to.
     unit is prime to p when valuation is set, and 0 when it is None.
+    Slotted, since a stored path keeps every component of every point.
     """
 
     p: int
@@ -105,6 +106,19 @@ class PAdicComponent:
         return Fraction(self.p) ** self.valuation * self.unit
 
 
+def _trusted_component(
+    p: int, valuation: Optional[int], unit: int, known_to: Optional[int]
+) -> PAdicComponent:
+    """PAdicComponent without the unit check, for a unit prime to p by
+    construction (or 0 with no valuation)."""
+    c = object.__new__(PAdicComponent)
+    object.__setattr__(c, "p", p)
+    object.__setattr__(c, "valuation", valuation)
+    object.__setattr__(c, "unit", unit)
+    object.__setattr__(c, "known_to", known_to)
+    return c
+
+
 def _strip_valuation(m: int, p: int) -> tuple[int, int]:
     v = 0
     while m % p == 0:
@@ -114,7 +128,7 @@ def _strip_valuation(m: int, p: int) -> tuple[int, int]:
 
 
 def component_zero(p: int) -> PAdicComponent:
-    return PAdicComponent(p, None, 0, None)
+    return _trusted_component(p, None, 0, None)
 
 
 def component_from_residue(
@@ -124,9 +138,9 @@ def component_from_residue(
     known_to = value_exponent + prec
     residue %= p ** prec
     if residue == 0:
-        return PAdicComponent(p, None, 0, known_to)
+        return _trusted_component(p, None, 0, known_to)
     unit, v = _strip_valuation(residue, p)
-    return PAdicComponent(p, value_exponent + v, unit, known_to)
+    return _trusted_component(p, value_exponent + v, unit, known_to)
 
 
 def component_from_rational(
@@ -141,7 +155,7 @@ def component_from_rational(
     den, vd = _strip_valuation(x.denominator, p)
     v = vn - vd
     if den == 1 and 0 < num < p ** depth:
-        return PAdicComponent(p, v, num, None)
+        return _trusted_component(p, v, num, None)
     unit = num * pow(den, -1, p ** depth) % p ** depth
     return component_from_residue(p, v, unit, depth)
 
@@ -152,45 +166,38 @@ def _combine_components(
     """a + sign*b with exactness tracking; raises on total cancellation."""
     p = a.p
     assert p == b.p
-    if a.is_zero:
+    va, ka, vb, kb = a.valuation, a.known_to, b.valuation, b.known_to
+    if va is None and ka is None:  # a is exactly zero
         return _negate_component(b, depth) if sign < 0 else b
-    if b.is_zero:
+    if vb is None and kb is None:
         return a
-    if a.exact and b.exact:
+    if ka is None and kb is None:
         val = a.value_fraction() + sign * b.value_fraction()
         return component_from_rational(p, val, depth)
-    # modular path: each side known modulo p^prec_i
-    prec_a = a.known_to if a.known_to is not None else _abs_exp(a) + depth
-    prec_b = b.known_to if b.known_to is not None else _abs_exp(b) + depth
-    prec = min(prec_a, prec_b)
-    base = min(_abs_exp(a), _abs_exp(b), prec)
+    # modular path: each side lies in p^e Z_p (e its valuation, or its
+    # precision when it is zero to that precision) and is known modulo
+    # p^prec
+    ea = ka if va is None else va
+    eb = kb if vb is None else vb
+    prec = min(
+        ea + depth if ka is None else ka, eb + depth if kb is None else kb
+    )
+    base = min(ea, eb, prec)
     width = prec - base
     if width <= 0:
         # both sides already vanish modulo p^prec: nothing cancelled, the
         # sum is simply still unknown past that precision
-        return PAdicComponent(p, None, 0, prec)
-    total = (_shifted_residue(a, base) + sign * _shifted_residue(b, base)) % (
-        p ** width
-    )
+        return _trusted_component(p, None, 0, prec)
+    total = (
+        (0 if va is None else a.unit * p ** (va - base))
+        + sign * (0 if vb is None else b.unit * p ** (vb - base))
+    ) % p ** width
     if total == 0:
         raise IndeterminateCancellation(
             f"cancellation beyond stored depth at p={p}"
         )
-    return component_from_residue(p, base, total, width)
-
-
-def _abs_exp(c: PAdicComponent) -> int:
-    """Exponent e with value in p^e Z_p (valuation when known)."""
-    if c.valuation is not None:
-        return c.valuation
-    return c.known_to  # zero to stored precision
-
-
-def _shifted_residue(c: PAdicComponent, base: int) -> int:
-    """Residue r with value = p^base * r (mod the caller's modulus)."""
-    if c.valuation is None:
-        return 0
-    return c.unit * c.p ** (c.valuation - base)
+    unit, v = _strip_valuation(total, p)
+    return _trusted_component(p, base + v, unit, prec)
 
 
 def _negate_component(c: PAdicComponent, depth: int) -> PAdicComponent:
@@ -376,6 +383,17 @@ class AdelePoint:
         return f"AdelePoint({format_point(self)!r})"
 
 
+def _trusted_point(
+    explicit: dict[int, PAdicComponent], tail, depth: int
+) -> AdelePoint:
+    """AdelePoint that takes explicit as given: keys already ascending."""
+    x = object.__new__(AdelePoint)
+    x.explicit = explicit
+    x.tail = tail
+    x.depth = depth
+    return x
+
+
 def add(x: AdelePoint, y: AdelePoint) -> AdelePoint:
     """Componentwise sum; raises IndeterminateCancellation when any
     component cancels past its stored precision."""
@@ -388,12 +406,17 @@ def sub(x: AdelePoint, y: AdelePoint) -> AdelePoint:
 
 def _combine_points(x: AdelePoint, y: AdelePoint, sign: int) -> AdelePoint:
     depth = min(x.depth, y.depth)
+    xs, ys = x.explicit, y.explicit
     out = {}
-    for p in sorted(set(x.explicit) | set(y.explicit)):
+    for p in sorted(xs.keys() | ys.keys()):
+        a = xs.get(p)
+        b = ys.get(p)
         out[p] = _combine_components(
-            x.component(p), y.component(p), sign, depth
+            a if a is not None else x.tail.component(p, x.depth),
+            b if b is not None else y.tail.component(p, y.depth),
+            sign, depth,
         )
-    return AdelePoint(out, _combine_tails(x.tail, y.tail, sign), depth)
+    return _trusted_point(out, _combine_tails(x.tail, y.tail, sign), depth)
 
 
 def negate(x: AdelePoint) -> AdelePoint:
@@ -485,13 +508,30 @@ class Region:
         if self.kind not in ("ball", "sphere"):
             raise ValueError(f"unknown region kind {self.kind!r}")
 
+    @functools.cached_property
+    def _plan(self) -> tuple[tuple[tuple[int, int], ...], Optional[int]]:
+        """_radius_plan of the radius; a ball has no defining prime."""
+        pairs, sphere_prime = _radius_plan(self.radius)
+        return pairs, sphere_prime if self.kind == "sphere" else None
+
 
 def ball(radius: RationalLike, center: AdelePoint | None = None) -> Region:
+    if center is None:
+        return _region_about_zero("ball", radius)
     return Region("ball", radius, center)
 
 
 def sphere(radius: RationalLike, center: AdelePoint | None = None) -> Region:
+    if center is None:
+        return _region_about_zero("sphere", radius)
     return Region("sphere", radius, center)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _region_about_zero(kind: str, radius: RationalLike) -> Region:
+    """Region about 0, validated once per radius; a failed check is not
+    cached, so it raises again on the next call."""
+    return Region(kind, radius)
 
 
 def haar_volume(region: Region) -> Fraction:
@@ -562,21 +602,21 @@ def sample_uniform(
     """
     if rng is None:
         rng = derive_rng(seed if seed is not None else 0, "sample")
-    pairs, sphere_prime = _radius_plan(region.radius)
-    if region.kind == "ball":
-        sphere_prime = None
+    pairs, sphere_prime = region._plan
     comps: dict[int, PAdicComponent] = {}
     for q, a in pairs:
         if q == sphere_prime:
             lead = rng.randrange(1, q)
             rest = rng.randrange(q ** (depth - 1))
-            comps[q] = component_from_residue(q, -a, lead + q * rest, depth)
+            # the leading digit is nonzero, so the unit is prime to q
+            comps[q] = _trusted_component(q, -a, lead + q * rest, depth - a)
         elif a != 0 and (prime_cutoff is None or q <= prime_cutoff):
             comps[q] = component_from_residue(
                 q, -a, rng.randrange(q ** depth), depth
             )
+    # the plan's pairs ascend in q, so comps is already in key order
     tail = RandomTail(rng.getrandbits(63), depth)
-    point = AdelePoint(comps, tail, depth)
+    point = _trusted_point(comps, tail, depth)
     if region.center is not None:
         point = add(point, region.center)
     return point
@@ -612,6 +652,11 @@ def parse_point(text: str, depth: int = DEFAULT_DEPTH) -> AdelePoint:
     comps: dict[int, PAdicComponent] = {}
     for part in text.split(";"):
         fields = part.split(":")
+        if not 2 <= len(fields) <= 3 or len(fields) == 2 and fields[1] != "z":
+            raise ValueError(
+                f"component {part!r} is not of the form p:v:digits, p:z "
+                "or p:z:K"
+            )
         p = int(fields[0])
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -162,6 +162,8 @@ class PrimePower:
 
 def as_fraction(x: RationalLike) -> Fraction:
     """Exact positive rational from any accepted radius-like input."""
+    if type(x) is Fraction and x.numerator > 0:
+        return x
     if isinstance(x, PrimePower):
         return x.value
     frac = Fraction(x)  # Fraction(float) is the exact binary value

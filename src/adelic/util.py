@@ -1,7 +1,6 @@
 """Small shared helpers: reproducible RNG streams and float guards."""
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 
@@ -16,8 +15,11 @@ def derive_seed(*keys: int | str) -> int:
     """Map a structured key to a 64-bit seed, stable across runs and platforms.
 
     sha256 of the repr-joined keys. Used for per-path and per-prime child
-    streams so that materialization order never affects results.
+    streams so that materialization order never affects results. hashlib
+    is imported here, so commands that never sample do not load it.
     """
+    import hashlib
+
     material = "|".join(repr(k) for k in keys).encode()
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 

@@ -18,6 +18,7 @@ from adelic.adele import (
     AdelePoint,
     PAdicComponent,
     RandomTail,
+    Region,
     ZeroTail,
     add,
     ball,
@@ -561,3 +562,119 @@ class TestIntegerComponents:
     def test_primes_ascending(self):
         primes = list(itertools.islice(ad._primes_ascending(), 200))
         assert primes == primes_upto(1223)
+
+
+# sha256 of the criterion-5 draw loop (1000 sums at each split: both
+# radii, the sum's norm and its format_point, "tail" and "cancel" for
+# redrawn pairs) and of sample_path(t=0.1, alpha=2, dt=0.1, seed=7) at
+# 200 steps, frozen from the sampler that built every component and point
+# through the checked public constructors
+FROZEN_SEMIGROUP_STREAM_SHA = (
+    "1ddd3ece2a4040bae511e5d05124bda8b81f809c2962ffd975510c33a78ac17e"
+)
+FROZEN_PATH_200_SHA = (
+    "aed305ac3dd7055523a952ccdfe9b16b8e4c36d3a64c6219e461cceb14d28bb9"
+)
+
+
+def semigroup_stream(per_split):
+    """(r1, r2, sum) triples of the criterion-5 loop; None for a redraw."""
+    window = (F(1, 128), F(128))
+    for t, s in ((0.5, 0.5), (0.2, 0.8)):
+        law_t = radius_distribution(KernelParams(t=t, alpha=2.0), *window)
+        law_s = radius_distribution(KernelParams(t=s, alpha=2.0), *window)
+        rng = derive_rng(16, "semigroup", f"{t}+{s}")
+        draws = 0
+        while draws < per_split:
+            r1, r2 = law_t.sample(rng), law_s.sample(rng)
+            if r1 is None or r2 is None:
+                yield "tail", None
+                continue
+            x1 = sample_uniform(sphere(r1), depth=10, rng=rng, prime_cutoff=131)
+            x2 = sample_uniform(sphere(r2), depth=10, rng=rng, prime_cutoff=131)
+            try:
+                total = add(x1, x2)
+                rad = norm(total)
+            except IndeterminateCancellation:
+                yield "cancel", (x1, x2)
+                continue
+            yield f"{r1}|{r2}|{rad}|{format_point(total)}", (x1, x2, total)
+            draws += 1
+
+
+def assert_canonical(x):
+    assert list(x.explicit) == sorted(x.explicit)
+    for p, c in x.explicit.items():
+        assert c.p == p
+        if c.valuation is None:
+            assert c.unit == 0
+        else:
+            assert c.unit % p != 0, (p, c)
+
+
+class TestTrustedPath:
+    """Sampler and sums build components and points unchecked; these pin
+    that they still meet the invariants the public constructors check."""
+
+    def test_seeded_semigroup_stream_unchanged(self):
+        h = hashlib.sha256()
+        for line, _ in semigroup_stream(1000):
+            h.update(f"{line}\n".encode())
+        assert h.hexdigest() == FROZEN_SEMIGROUP_STREAM_SHA
+
+    def test_seeded_path_unchanged(self):
+        path = sample_path(KernelParams(t=0.1, alpha=2), 200, 0.1, seed=7)
+        assert sha(path.to_csv()) == FROZEN_PATH_200_SHA
+
+    @pytest.mark.parametrize("make,radius", [
+        (sphere, 6), (sphere, F(1, 6)), (sphere, -2), (ball, 0),
+    ])
+    def test_invalid_radius_raises_every_time(self, make, radius):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                make(radius)
+
+    def test_region_about_zero_validated_once(self):
+        for r in (F(1, 49), F(8), 9, 0.5):
+            assert sphere(r) == Region("sphere", r)
+            assert ball(r) == Region("ball", r)
+            assert sphere(r) is sphere(r)
+            assert sphere(r).radius == ball(r).radius == F(r)
+        center = sample_uniform(ball(2), seed=1)
+        assert sphere(9, center) is not sphere(9, center)
+        assert sphere(9, center) == Region("sphere", F(9), center)
+
+    def test_public_region_draws_alike(self):
+        ad._radius_plan.cache_clear()
+        for reg, kw, text in FROZEN_DRAWS:
+            fresh = Region(reg.kind, reg.radius)
+            assert format_point(sample_uniform(fresh, **kw)) == text
+
+    def test_sampled_and_summed_points_are_canonical(self):
+        points = 0
+        for _, pts in semigroup_stream(2500):
+            for x in pts or ():
+                assert_canonical(x)
+                points += 1
+        assert points >= 10**4
+        rng = derive_rng(16, "trusted-balls")
+        for r in (F(1, 8), F(1, 3), F(2), F(9), F(31)):
+            for _ in range(40):
+                x = sample_uniform(ball(r), depth=6, rng=rng)
+                y = sample_uniform(sphere(F(1, 3)), depth=6, rng=rng)
+                for z in (x, y):
+                    assert_canonical(z)
+                try:
+                    assert_canonical(sub(x, y))
+                    assert_canonical(add(negate(x), y))
+                except IndeterminateCancellation:
+                    pass
+
+    def test_public_component_still_checked(self):
+        with pytest.raises(ValueError, match="leading digit"):
+            PAdicComponent(2, 0, 4, None)
+        with pytest.raises(ValueError, match="leading digit"):
+            AdelePoint({2: PAdicComponent(2, 1, 6, 3)})
+        unsorted = AdelePoint({5: component_from_rational(5, F(5)),
+                               2: component_from_rational(2, F(1, 2))})
+        assert list(unsorted.explicit) == [2, 5]

@@ -115,6 +115,21 @@ class TestExitCodes:
         proc = run_cli(["norm", "2:z:12"], tmp_path)
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("args", [
+        ["norm", "2"],
+        ["norm", "2:-1"],
+        ["transition", "--t", "1", "--alpha", "2", "--eps", "1/2",
+         "--center", "2:-1"],
+        ["transition", "--t", "1", "--alpha", "2", "--eps", "1/2",
+         "--x", "2:-1"],
+    ])
+    def test_point_with_too_few_fields(self, tmp_path, args):
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"invalid parameters: component ")
+        assert proc.stdout == b""
+
     def test_unknown_verify_suite(self, tmp_path):
         assert run_cli(["verify", "nope"], tmp_path).returncode == 2
 

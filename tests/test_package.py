@@ -81,6 +81,27 @@ def test_light_commands_leave_the_analytic_layers_unloaded(args, loaded):
     }
 
 
+@pytest.mark.parametrize("args", [
+    ["phi", "10"],
+    ["norm", "2:-1:1"],
+    ["kernel", "eval", "--radius", "2", "--t", "1", "--alpha", "2"],
+])
+def test_commands_that_never_sample_leave_hashlib_unloaded(tmp_path, args):
+    # hashlib feeds only the seeded sampling streams
+    out = _fresh(
+        "import sys\n"
+        "preloaded = 'hashlib' in sys.modules\n"
+        "import adelic.cli\n"
+        f"assert adelic.cli.main({args!r}) == 0\n"
+        "print(preloaded, 'hashlib' in sys.modules)\n",
+        cwd=tmp_path,
+    )
+    preloaded, loaded = out.splitlines()[-1].split()
+    if preloaded == "True":
+        pytest.skip("the interpreter loads hashlib at start-up")
+    assert loaded == "False"
+
+
 def test_verify_volumes_loads_only_its_checks_layers():
     out = _fresh(
         "import sys, adelic.cli\n"

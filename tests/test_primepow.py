@@ -290,6 +290,14 @@ class TestPrimePowerType:
         with pytest.raises(ValueError):
             PrimePower.from_value(1)
 
+    def test_as_fraction_passes_a_positive_fraction_through(self):
+        half = F(1, 2)
+        assert pp.as_fraction(half) is half
+        assert pp.as_fraction(0.5) == pp.as_fraction(PrimePower(2, -1)) == half
+        for bad in (F(0), F(-1, 2), 0, -2, -0.5):
+            with pytest.raises(ValueError, match="positive rational"):
+                pp.as_fraction(bad)
+
     def test_is_prime(self):
         assert pp.is_prime(2) and pp.is_prime(97) and pp.is_prime(2**31 - 1)
         assert not pp.is_prime(1) and not pp.is_prime(561)
