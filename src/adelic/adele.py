@@ -29,17 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Literal, Optional
 
 from .errors import IndeterminateCancellation
-from .primepow import (
-    _TABLE,
-    RationalLike,
-    _as_prime_power,
-    as_fraction,
-    bracket_log,
-    is_prime,
-    iter_int_prime_powers,
-    phi,
-    prev_pp,
-)
+from .primepow import _TABLE, RationalLike, as_fraction, is_prime
 from .util import derive_rng
 
 DEFAULT_DEPTH = 16
@@ -49,10 +39,16 @@ DEFAULT_DEPTH = 16
 # below p^(-depth) per prime.
 _NORM_SCAN_CAP = 300
 
-# Radii whose sampling plans are kept. A plan holds one pair per prime up
-# to max(r, 1/r); the plans of all 396 prime powers in 1/1024..1024 take
-# about 2 MB together.
+# Regions about 0 kept with their sampling plans. A plan holds one pair
+# per prime up to max(r, 1/r); the plans of all 396 prime powers in
+# 1/1024..1024 take about 2 MB together.
 _PLAN_CACHE_SIZE = 512
+
+# A parsed component p:v:... or p:z:K whose power p^|v| (p^|K|) would hold
+# more bits than this is refused before the power is built. The CLI prints
+# integers of up to 4300 decimal digits (about 14,300 bits), so every norm
+# it can print still parses.
+_POWER_BITS_CAP = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -346,19 +342,6 @@ class AdelePoint:
     def zero(cls, depth: int = DEFAULT_DEPTH) -> "AdelePoint":
         return cls({}, ZERO_TAIL, depth)
 
-    @classmethod
-    def from_components(
-        cls, values: dict[int, Fraction | int], depth: int = DEFAULT_DEPTH
-    ) -> "AdelePoint":
-        """Point with the given exact rational p-components, zero elsewhere."""
-        comps = {}
-        for p, val in values.items():
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            c = component_from_rational(p, Fraction(val), depth)
-            comps[p] = c
-        return cls(comps, ZERO_TAIL, depth)
-
     def component(self, p: int) -> PAdicComponent:
         c = self.explicit.get(p)
         if c is not None:
@@ -420,11 +403,7 @@ def _combine_points(x: AdelePoint, y: AdelePoint, sign: int) -> AdelePoint:
 
 
 def negate(x: AdelePoint) -> AdelePoint:
-    comps = {
-        p: _negate_component(c, x.depth) for p, c in x.explicit.items()
-    }
-    tail = ZERO_TAIL if isinstance(x.tail, ZeroTail) else NegTail(x.tail)
-    return AdelePoint(comps, tail, x.depth)
+    return sub(AdelePoint.zero(x.depth), x)
 
 
 def norm(x: AdelePoint) -> Fraction:
@@ -502,8 +481,7 @@ class Region:
 
     def __post_init__(self):
         radius = as_fraction(self.radius)
-        if _as_prime_power(radius) is None:
-            raise ValueError(f"{radius} is not a prime power")
+        _TABLE.rank_of(radius)  # radii must be prime powers
         object.__setattr__(self, "radius", radius)
         if self.kind not in ("ball", "sphere"):
             raise ValueError(f"unknown region kind {self.kind!r}")
@@ -536,10 +514,12 @@ def _region_about_zero(kind: str, radius: RationalLike) -> Region:
 
 def haar_volume(region: Region) -> Fraction:
     """Exact Haar measure: phi(r) for balls, phi(r) - phi(prev_pp(r)) for
-    spheres; independent of center by translation invariance."""
+    spheres, read at r's rank k and k - 1; independent of center by
+    translation invariance."""
+    k = _TABLE.rank_floor(region.radius)
     if region.kind == "ball":
-        return phi(region.radius)
-    return phi(region.radius) - phi(prev_pp(region.radius).value)
+        return _TABLE.phi_at(k)
+    return _TABLE.phi_at(k) - _TABLE.phi_at(k - 1)
 
 
 def ball_exponents(radius: RationalLike) -> dict[int, int]:
@@ -549,33 +529,30 @@ def ball_exponents(radius: RationalLike) -> dict[int, int]:
     return {p: a for p, a in pairs if a}
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _radius_plan(
     r: Fraction,
 ) -> tuple[tuple[tuple[int, int], ...], Optional[int]]:
     """Sampling plan of radius r: (p, [[log_p r]]) in ascending p, and the
-    sphere's defining prime p of r = p^k (None when r is not a prime power).
+    sphere's defining prime (None when r is not a prime power), both read
+    from the table rows with k = rank_floor(r). For r >= 1, [[log_p r]]
+    counts the powers p^j <= r, the rows 0..k of base p; for r < 1 it is
+    minus the count of the powers p^j < 1/r, the rows 0..-2-k of base p
+    (none for k = -1). r is a prime power iff it is the value of rank k,
+    whose base is then the defining prime.
 
     The pairs are the nonzero ball exponents plus the defining prime, whose
     exponent is 0 when r = 1/p; that zero is the only one in the plan.
     """
-    if r >= 2:
-        bound = int(r)
-    else:
-        inv = 1 / r
-        bound = int(inv) if inv.denominator > 1 else int(inv) - 1
+    k = _TABLE.rank_floor(r)
+    rows, sign = (k + 1, 1) if k >= 0 else (-1 - k, -1)
     alphas: dict[int, int] = {}
-    for value, base, k in iter_int_prime_powers(max(bound, 1)):
-        if k != 1:
-            continue
-        a = bracket_log(base, r)
-        if a != 0:
-            alphas[base] = a
+    for j in range(rows):
+        p = _TABLE.base_at(j)
+        alphas[p] = alphas.get(p, 0) + sign
     sphere_prime = None
-    pk = _as_prime_power(r)
-    if pk is not None:
-        sphere_prime = pk[0]
-        alphas.setdefault(sphere_prime, bracket_log(sphere_prime, r))
+    if _TABLE.fraction_at(k) == r:
+        sphere_prime = _TABLE.base_at(k)
+        alphas.setdefault(sphere_prime, 0)
     return tuple(sorted(alphas.items())), sphere_prime
 
 
@@ -662,11 +639,12 @@ def parse_point(text: str, depth: int = DEFAULT_DEPTH) -> AdelePoint:
             raise ValueError(f"{p} is not prime")
         if fields[1] == "z":
             if len(fields) > 2 and fields[2]:
-                comps[p] = PAdicComponent(p, None, 0, int(fields[2]))
+                known_to = _checked_exponent(p, int(fields[2]), part)
+                comps[p] = PAdicComponent(p, None, 0, known_to)
             else:
                 comps[p] = component_zero(p)
             continue
-        v = int(fields[1])
+        v = _checked_exponent(p, int(fields[1]), part)
         digits = tuple(int(d) for d in fields[2].split(",")) if fields[2] else ()
         if not digits:
             raise ValueError(f"component {part!r} has no digits")
@@ -677,3 +655,14 @@ def parse_point(text: str, depth: int = DEFAULT_DEPTH) -> AdelePoint:
             unit = unit * p + d
         comps[p] = PAdicComponent(p, v, unit, None)
     return AdelePoint(comps, ZERO_TAIL, depth)
+
+
+def _checked_exponent(p: int, e: int, part: str) -> int:
+    """e, refused when p^|e|, which holds at least |e| (bits(p) - 1)
+    bits, would pass _POWER_BITS_CAP."""
+    if abs(e) * (p.bit_length() - 1) > _POWER_BITS_CAP:
+        raise ValueError(
+            f"component {part!r}: the power {p}^{abs(e)} would hold more "
+            "than 2^16 bits"
+        )
+    return e

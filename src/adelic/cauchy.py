@@ -129,9 +129,6 @@ class EvaluableRadial:
             bound += b
         return total, bound
 
-    def is_exact(self) -> bool:
-        return not self.pieces
-
 
 RadialResult = Union[RadialStep, EvaluableRadial]
 
@@ -237,12 +234,6 @@ class ForcingGrid:
         if any(a >= b for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
 
-    def envelope(self) -> tuple[Optional[Fraction], Optional[Fraction]]:
-        radii = [r for s in self.steps for r in s.coeffs]
-        if not radii:
-            return None, None
-        return min(radii), max(radii)
-
     def at(self, tau: float) -> RadialStep:
         if tau < self.times[0] or tau > self.times[-1]:
             raise ValueError("requested time outside the forcing nodes")
@@ -264,22 +255,6 @@ def _weights(quadrature: str, m: int, t: float) -> list[float]:
     w = [h / 3 * (4 if i % 2 else 2) for i in range(m + 1)]
     w[0] = w[-1] = h / 3
     return w
-
-
-def _accumulate(
-    target_step: RadialStep,
-    pieces: dict,
-    contribution: RadialResult,
-    weight: Fraction,
-) -> RadialStep:
-    if isinstance(contribution, RadialStep):
-        return target_step + contribution * weight
-    out = target_step + contribution.step * weight
-    # pieces are keyed by their shape: the piece itself at scale 1
-    for piece in contribution.pieces:
-        shape = replace(piece, scale=1.0)
-        pieces[shape] = pieces.get(shape, 0.0) + float(weight) * piece.scale
-    return out
 
 
 class _RuleSum:
@@ -395,13 +370,9 @@ def solve_nonhomogeneous(
     # count on both grids
     steps += -steps % (4 if quadrature == "Simpson" else 2)
 
-    hom = solve_homogeneous(u0, t, symbol, tol)
     if t == 0:
-        base = hom if isinstance(hom, EvaluableRadial) else EvaluableRadial(
-            step=hom, tol=tol
-        )
-        return base
-
+        return EvaluableRadial(step=u0, tol=tol)
+    hom = solve_homogeneous(u0, t, symbol, tol)
     fine_step, fine_pieces, coarse_step, coarse_pieces = _duhamel(
         f, t, symbol, quadrature, steps
     )
@@ -413,7 +384,13 @@ def solve_nonhomogeneous(
         gap = scale - coarse_pieces.get(shape, 0.0)
         est += replace(shape, scale=gap).l2_cap()
 
-    total_step = _accumulate(fine_step, fine_pieces, hom, Fraction(1))
+    if isinstance(hom, RadialStep):
+        total_step = fine_step + hom
+    else:
+        total_step = fine_step + hom.step
+        for piece in hom.pieces:
+            shape = replace(piece, scale=1.0)
+            fine_pieces[shape] = fine_pieces.get(shape, 0.0) + piece.scale
     assembled = tuple(
         replace(shape, scale=s) for shape, s in fine_pieces.items() if s != 0.0
     )

@@ -97,16 +97,23 @@ def _start_rank(t: float, alpha: float) -> int:
     return _TABLE.rank_floor(Fraction(base)) + 1 if base > 2 else 0
 
 
-def _upper_start(t: float, alpha: float, tol: float) -> int:
-    """Rank of an integer prime power M so the sum above M is below tol,
-    certified by the e^{1.04 q} envelope and a geometric ratio argument."""
+def _upper_start(t: float, alpha: float, tol: float, w: float) -> int:
+    """Rank of an integer prime power M so the sum above M of q^w phi(q)
+    e^{-t q^alpha} (w >= 0) is below tol: under the e^{1.04 q} envelope of
+    phi, the ln-terms 1.04 q + w ln q - t q^alpha drop by at least 1.04
+    per unit step past n = M + 1 once their slope there reaches 2 * 1.04,
+    so a geometric series of ratio e^{-1.04} bounds the sum."""
     _check_peak(t, alpha)
     k = _start_rank(t, alpha)
     while True:
-        nxt = _TABLE.float_at(k) + 1.0
-        ln_tail = _CHEB * nxt - t * nxt ** alpha - math.log(_LOG_GEO)
-        if ln_tail < math.log(tol):
-            return k
+        n = _TABLE.float_at(k) + 1.0
+        if t * alpha * n ** (alpha - 1.0) - w / n >= 2 * _CHEB:
+            ln_tail = (
+                _CHEB * n + w * math.log(n) - t * n ** alpha
+                - math.log(_LOG_GEO)
+            )
+            if ln_tail < math.log(tol):
+                return k
         k += 1
 
 
@@ -116,7 +123,7 @@ def _top_rank(radius, t: float, alpha: float, rel_tol: float) -> int:
     if radius:
         # prev_pp(1/r), with 1/x as r -> -1-r on ranks
         return -2 - _radius_rank(radius)
-    return _upper_start(t, alpha, rel_tol * 0.25)
+    return _upper_start(t, alpha, rel_tol * 0.25, 0.0)
 
 
 def _check_reach(top: int, t: float, alpha: float, rel_tol: float):
@@ -391,21 +398,7 @@ def moment_integral(params: KernelParams, beta_weight: float,
     if beta_weight < 0:
         raise ValueError("weight must be nonnegative")
     t, alpha, w = params.t, params.alpha, float(beta_weight)
-
-    # upper start: beyond M the ln-terms 1.04 q + w ln q - t q^alpha drop
-    # by at least 1.04 per unit step, giving a geometric tail
-    _check_peak(t, alpha)
-    k = _start_rank(t, alpha)
-    while True:
-        n = _TABLE.float_at(k) + 1.0
-        if t * alpha * n ** (alpha - 1.0) - w / n >= 2 * _CHEB:
-            ln_tail = (
-                _CHEB * n + w * math.log(n) - t * n ** alpha
-                - math.log(_LOG_GEO)
-            )
-            if ln_tail < math.log(tol * 0.5):
-                break
-        k += 1
+    k = _upper_start(t, alpha, tol * 0.5, w)
     terms = []
     while True:
         q = _TABLE.float_at(k)

@@ -106,6 +106,12 @@ def _increment_law(
     return radius_distribution(step_params, r_min, r_max)
 
 
+# Largest digit depth of a stored component. Every increment draws a
+# depth-digit unit per constrained prime and every sum works modulo p^depth,
+# so the cost of a step grows with the depth; the default is 12.
+_DEPTH_CAP = 1024
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Path truncation: radius window, stored-prime cutoff, digit depth."""
@@ -128,6 +134,11 @@ class Truncation:
             )
         if self.depth < 4:
             raise ValueError("depth < 4 leaves too little digit precision")
+        if self.depth > _DEPTH_CAP:
+            raise ValueError(
+                f"depth {self.depth} exceeds the cap of {_DEPTH_CAP} digits "
+                "per stored component"
+            )
 
 
 @dataclass(frozen=True)
@@ -260,14 +271,17 @@ def transition_prob_ball(
     return _ball_mass_at(k, params)
 
 
+# the least expected count of a pooled bin in radius_law_chisquare
+_MIN_EXPECTED = 5.0
+
+
 def radius_law_chisquare(
     observed: dict[Optional[Fraction], int],
     dist: RadiusDistribution,
-    min_expected: float = 5.0,
 ) -> tuple[float, float, int]:
     """Goodness-of-fit of observed radius counts (None key = tail/other)
-    against the analytic law. Adjacent low-expectation radii are pooled so
-    every bin has expected count >= min_expected. Returns (stat, p, dof)."""
+    against the analytic law. Adjacent low-expectation radii are pooled
+    until each bin expects _MIN_EXPECTED counts. Returns (stat, p, dof)."""
     from scipy.stats import chi2
 
     n = sum(observed.values())
@@ -279,12 +293,12 @@ def radius_law_chisquare(
     for r, m in dist.entries:
         cur_keys.append(r)
         cur_exp += n * m
-        if cur_exp >= min_expected:
+        if cur_exp >= _MIN_EXPECTED:
             bins.append((cur_keys, cur_exp))
             cur_keys, cur_exp = [], 0.0
     # leftovers and everything outside the window share the tail bin
     tail_exp = cur_exp + n * dist.tail_mass
-    if bins and tail_exp < min_expected:
+    if bins and tail_exp < _MIN_EXPECTED:
         keys, exp = bins.pop()
         bins.append((keys + cur_keys + [None], exp + tail_exp))
     else:

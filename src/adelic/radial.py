@@ -115,13 +115,6 @@ class RadialStep:
     def is_zero(self) -> bool:
         return not self._by_rank
 
-    def support_radius(self) -> Fraction | None:
-        """Largest radius of the supporting ball; None for the zero map."""
-        return _TABLE.fraction_at(max(self._by_rank)) if self._by_rank else None
-
-    def min_radius(self) -> Fraction | None:
-        return _TABLE.fraction_at(min(self._by_rank)) if self._by_rank else None
-
     def value(self, s: RationalLike) -> Fraction:
         """Value at any point of norm s (s = 0 gives the value at zero):
         the sum of the coefficients from the first rank whose radius is
@@ -203,10 +196,6 @@ class RadialStep:
             out.append(value)
         out.reverse()
         return k0, out
-
-    def is_mean_zero(self) -> bool:
-        """True when the integral vanishes (transform vanishes at 0)."""
-        return self.integral() == 0
 
     def has_zero_inner_value(self) -> bool:
         """True when the function vanishes on a ball around 0."""
@@ -388,13 +377,16 @@ def integrate_radial(
     return math.fsum(float(t) for t in terms)
 
 
+# ft_ball_eval gives up after this many series terms
+_FT_MAX_TERMS = 100000
+
+
 def ft_ball_eval(
     profile: Callable[[Fraction], float],
     rho: RationalLike,
     s: RationalLike,
     profile_at_zero: float,
     tol: float = 1e-12,
-    max_terms: int = 100000,
 ) -> tuple[float, float]:
     """Transform of profile(||xi||) * 1_{B(rho)}(xi) evaluated at norm s.
 
@@ -419,7 +411,7 @@ def ft_ball_eval(
     f_up = f_at(k + 1)
     phi_q = float(_TABLE.phi_at(k))
     bound = math.inf
-    for _ in range(max_terms):
+    for _ in range(_FT_MAX_TERMS):
         f_q = f_at(k)
         phi_prev = float(_TABLE.phi_at(k - 1))
         terms.append(phi_q * (f_q - f_up))

@@ -37,6 +37,7 @@ from adelic.adele import (
 )
 from adelic.heatkernel import KernelParams
 from adelic.markov import radius_distribution, sample_path
+from adelic.primepow import _TABLE
 from adelic.util import derive_rng
 
 # ---- frozen expected values ----
@@ -89,8 +90,10 @@ def alpha_oracle(r, prime_bound=200):
 
 
 def pt(values, depth=16):
-    return AdelePoint.from_components(
-        {p: F(v) for p, v in values.items()}, depth
+    return AdelePoint(
+        {p: component_from_rational(p, F(v), depth)
+         for p, v in values.items()},
+        depth=depth,
     )
 
 
@@ -308,6 +311,28 @@ class TestBallExponents:
 
             assert p == prime_power_pairs(r)[0]
 
+    def test_rank_plan_matches_the_definition(self):
+        # every prime power p^j in 1/2048..2048 with its defining prime,
+        # then radii that are no prime power
+        bound = 2048
+        defining = {}
+        for p in primes_upto(bound):
+            q = p
+            while q <= bound:
+                defining[F(q)] = defining[F(1, q)] = p
+                q *= p
+        assert len(defining) == 2 * 340
+        others = [F(1), F(3, 2), F(10), F(1, 10), F(7, 3), F(100),
+                  F(1, 100), F(5, 7)]
+        for r in [*defining, *others]:
+            want = alpha_oracle(r, bound)
+            assert ball_exponents(r) == want, r
+            pairs, sphere_prime = ad._radius_plan(r)
+            assert sphere_prime == defining.get(r), r
+            # the plan holds the nonzero exponents plus the defining prime
+            extra = {} if sphere_prime is None else {sphere_prime: 0}
+            assert pairs == tuple(sorted({**extra, **want}.items())), r
+
 
 class TestSampler:
     def test_sphere_norm_exact(self):
@@ -393,11 +418,17 @@ FROZEN_DRAWS = [
 
 class TestSamplingPlanCache:
     def test_draws_same_cold_and_warm(self):
-        ad._radius_plan.cache_clear()
-        cold = [format_point(sample_uniform(reg, **kw))
-                for reg, kw, _ in FROZEN_DRAWS]
-        warm = [format_point(sample_uniform(reg, **kw))
-                for reg, kw, _ in FROZEN_DRAWS]
+        make = {"ball": ball, "sphere": sphere}
+
+        def draws():
+            return [
+                format_point(sample_uniform(make[reg.kind](reg.radius), **kw))
+                for reg, kw, _ in FROZEN_DRAWS
+            ]
+
+        ad._region_about_zero.cache_clear()
+        cold = draws()
+        warm = draws()
         assert cold == warm == [text for _, _, text in FROZEN_DRAWS]
 
     def test_returned_exponents_are_a_copy(self):
@@ -410,11 +441,11 @@ class TestSamplingPlanCache:
         assert format_point(sample_uniform(sphere(9), seed=21)) == before
 
     def test_bounded(self):
-        size = ad._radius_plan.cache_info().maxsize
-        # radii in (1, 2) have no constrained prime: cheap distinct keys
-        for n in range(size + 10):
-            assert ball_exponents(1 + F(1, n + 2)) == {}
-        info = ad._radius_plan.cache_info()
+        size = ad._region_about_zero.cache_info().maxsize
+        # a region keeps its plan, built on the first draw only
+        for k in range(size + 10):
+            ball(_TABLE.fraction_at(k))
+        info = ad._region_about_zero.cache_info()
         assert info.currsize <= size == ad._PLAN_CACHE_SIZE
 
 
@@ -645,7 +676,7 @@ class TestTrustedPath:
         assert sphere(9, center) == Region("sphere", F(9), center)
 
     def test_public_region_draws_alike(self):
-        ad._radius_plan.cache_clear()
+        ad._region_about_zero.cache_clear()
         for reg, kw, text in FROZEN_DRAWS:
             fresh = Region(reg.kind, reg.radius)
             assert format_point(sample_uniform(fresh, **kw)) == text

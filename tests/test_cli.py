@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output conventions, exit codes, determinism,
 config-file merging, and the metadata sidecar."""
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from adelic.checks import _PACKAGE_ROOT, run_cli
+from adelic.checks import _PACKAGE_ROOT, _battery, run_cli
 from adelic.radial import RadialStep
 
 
@@ -128,6 +129,50 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.startswith(b"invalid parameters: component ")
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("args", [
+        ["norm", "3:-10000000:1"],
+        ["norm", "3:-100000000:1"],
+        ["norm", "2:z:100000000"],
+        ["norm", "2:-1:1", "5:100000000:1"],
+        ["transition", "--t", "1", "--alpha", "2", "--eps", "1/2",
+         "--x", "3:-100000000:1"],
+    ])
+    def test_hostile_valuation_refused_before_the_power(self, tmp_path,
+                                                        args):
+        start = time.perf_counter()
+        proc = run_cli(args, tmp_path, timeout=20)
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"invalid parameters: component ")
+        assert b"more than 2^16 bits" in proc.stderr
+        assert proc.stderr.count(b"\n") == 1
+        assert proc.stdout == b""
+
+    def test_every_printable_norm_parses(self, tmp_path):
+        # 2^14000 has 4215 decimal digits, within the print limit
+        proc = run_cli(["norm", "2:-14000:1"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout == b"%d\n" % 2 ** 14000
+        proc = run_cli(["norm", "2:-15000:1"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"range error: result too large")
+
+    @pytest.mark.parametrize("depth", ["100000", "1000000"])
+    def test_hostile_depth_refused(self, tmp_path, depth):
+        start = time.perf_counter()
+        proc = run_cli(
+            ["simulate", "--t-step", "0.1", "--steps", "3", "--alpha", "2",
+             "--depth", depth],
+            tmp_path, timeout=20,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"invalid parameters: depth %s exceeds the cap of 1024 digits "
+            b"per stored component\n" % depth.encode()
+        )
         assert proc.stdout == b""
 
     def test_unknown_verify_suite(self, tmp_path):
@@ -284,7 +329,49 @@ class TestExitCodes:
         assert not (tmp_path / "long.csv").exists()
 
 
+# sha256 of stdout plus output files of the determinism battery's commands
+# whose output is exact or seeded (adelic.checks._battery), frozen before
+# the radius plans were read from the table's ranks. The float-printing
+# commands are left out: their last digits depend on libm and numpy.
+FROZEN_BATTERY = {
+    "phi 10":
+        "557ce7034bcd6cc9aeb72c26f5061242dfc94b89daa44f13a9efa9c683948bc0",
+    "phi 1/4":
+        "fe461f5bac3c62638a6ca177a19075d65731db94d0e1b93d24af60ab2d9fbb3a",
+    "ppow next 8":
+        "2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a",
+    "ppow prev 1/4":
+        "035b4d8c6f956e453f0e654c827e93a5d2a738f9591cd254e9dd4bd00f87c669",
+    "ppow range 1 12":
+        "516d86886cf971674a2435a79f243f2bf4e5276caa9a53bc3994a05e709f9ada",
+    "norm 2:-1:1":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "volume ball 4":
+        "a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164",
+    "volume sphere 1/2":
+        "de7e55cd172f2065828bdd6c2015c5e92fdd6271ab1bd0f30a5e15104e64678d",
+    "ft --input step.json":
+        "f16e90c71429f4496439bcc3e57bc63a05b067b3934921863584d28a615598f9",
+    "simulate --t-step 0.1 --steps 1000 --alpha 2 --seed 7 --output path.csv":
+        "18e8cabadc84af21dc4d6da8302c2b32a5234a73c8f821276289a5ce15da5580",
+}
+
+
 class TestDeterminism:
+    def test_exact_battery_outputs_frozen(self, tmp_path):
+        got = {}
+        for args, files in _battery(str(tmp_path)):
+            name = " ".join(args)
+            if name not in FROZEN_BATTERY:
+                continue
+            proc = run_cli(args, tmp_path)
+            assert proc.returncode == 0, name
+            digest = hashlib.sha256(proc.stdout)
+            for f in files:
+                digest.update((tmp_path / f).read_bytes())
+            got[name] = digest.hexdigest()
+        assert got == FROZEN_BATTERY
+
     def test_simulate_byte_identical(self, tmp_path):
         args = ["simulate", "--t-step", "0.1", "--steps", "60", "--alpha",
                 "2", "--seed", "7", "--output", "path.csv"]
