@@ -293,29 +293,13 @@ class SumTail:
         return hash(("SumTail", self.a, self.b, self.sign))
 
 
-class NegTail:
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def component(self, p: int, depth: int) -> PAdicComponent:
-        return _negate_component(self.a.component(p, depth), depth)
-
-    def __eq__(self, other):
-        return isinstance(other, NegTail) and self.a == other.a
-
-    def __hash__(self):
-        return hash(("NegTail", self.a))
-
-
 def _combine_tails(ta, tb, sign: int):
-    if isinstance(ta, ZeroTail) and isinstance(tb, ZeroTail):
-        return ZERO_TAIL
+    # -tb is SumTail(ZERO_TAIL, tb, -1): adding to the zero component
+    # negates (_combine_components)
     if isinstance(tb, ZeroTail):
         return ta
-    if isinstance(ta, ZeroTail):
-        return NegTail(tb) if sign < 0 else tb
+    if isinstance(ta, ZeroTail) and sign > 0:
+        return tb
     return SumTail(ta, tb, sign)
 
 

@@ -1,35 +1,30 @@
 """Spectral solvers for parabolic problems driven by radial multipliers.
 
-The operator with exponent gamma acts on radial steps through the Fourier
-side: transform, multiply by r^gamma, transform back. On inputs whose
-transform vanishes near zero (zero total integral, compact frequency
-support) everything stays a finite ball combination and the computation is
-exact rational arithmetic. Otherwise the frequency function has an inner
-ball where the multiplied symbol takes infinitely many values; that piece
-is split off and evaluated on demand with certified series truncation.
+Every solve applies a radial symbol on the Fourier side: the operator
+r^gamma, the flow e^{-t r^alpha} and the Duhamel integral's weighted sum
+of flows all go through one routine. A walk up the ranks of a step (a
+running sum of exact integer pairs c_k phi(k)) splits the transform's
+inner ball off as a lazy piece, where the symbol takes infinitely many
+values (evaluated on demand with certified series truncation), and adds
+weight * symbol(q) * value on each frequency sphere q that carries a
+value into a per-rank sum of integer pairs (numerator, denominator) over
+least common denominators, the float weights entering through their
+exact as_integer_ratio. Each sum becomes Fractions once and is
+transformed back once; inputs whose transform vanishes near zero stay
+exact steps.
 
-Homogeneous evolution is the multiplier e^{-t r^alpha}. For integer times
-the per-sphere factor is computed once as an exact rational e^{-lambda}
-and raised to the t-th power, so composing evolutions over integer times
-is exact arithmetic (the floating-point error enters once, in the base).
-Such a power is refused past _DECAY_BITS_CAP bits, before it is built.
-Fractional times use a fresh exponential per call and compose only to
-machine precision.
+For integer times the decay factor is an exact rational e^{-lambda}
+raised to the t-th power, so evolutions over integer times compose
+exactly (the floating-point error enters once, in the base). Such a power
+is refused past _DECAY_BITS_CAP bits, before it is built, on a sphere
+that carries a value. Fractional times use a fresh exponential per call
+and compose only to machine precision.
 
-The non-homogeneous solution is the homogeneous flow plus a Duhamel
-integral, discretized by composite Trapezoid/Simpson quadrature in the
-forcing time. The flow is diagonal on the Fourier side, so the integral is
-summed there: each node tau < t transforms f(tau), splits off its inner
-ball as a lazy piece and reads the remainder's value on each frequency
-sphere q, all in one walk up the ranks of f(tau) (a running sum of exact
-integer pairs c_k phi(k)), and adds weight * e^{-(t-tau) q^alpha} * value
-into one per-rank sum per quadrature rule; each rule's sum is transformed
-back once (the node tau = t adds f(t) itself). The homogeneous flow uses
-the same walk for its transform, split and sphere values. A per-rank sum
-is accumulated as an integer pair (numerator, denominator) over least
-common denominators, the float weights entering through their exact
-as_integer_ratio, and becomes one Fraction at the end. The
-arithmetic is exact and linear, so the sums are the same rationals as
+The non-homogeneous solution is the flow of u0 plus the Duhamel integral,
+by composite Trapezoid/Simpson quadrature in the forcing time: each node
+tau < t adds the flow of f(tau) for t - tau into one sum per rule (the
+node tau = t adds f(t) itself), and the flow of u0 joins the fine sum.
+The arithmetic is exact and linear, so the sums are the same rationals as
 evolving every node and summing the results. The reported error bound is
 the whole step-halving difference |fine - coarse| (L2), plus the kernel
 tolerance. It is not divided by 2^order - 1 as a Richardson estimate would
@@ -41,7 +36,7 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -133,30 +128,80 @@ class EvaluableRadial:
 RadialResult = Union[RadialStep, EvaluableRadial]
 
 
-def _multiply(
-    f: RadialStep,
-    mult: Callable[[Fraction], Fraction],
-    tol: float,
+class _SpectralSum:
+    """A sum of radial multipliers applied to steps, kept on the Fourier
+    side: weighted, multiplied sphere values by frequency rank, each an
+    exact [numerator, denominator] pair of ints, the inner pieces' scales
+    by shape (rho, kind, exponent, time), and a step added as it is (the
+    Duhamel node tau = t)."""
+
+    __slots__ = ("spheres", "pieces", "step")
+
+    def __init__(self):
+        self.spheres: dict[int, list[int]] = {}
+        self.pieces: dict = {}
+        self.step = RadialStep.zero()
+
+    def add(self, k: int, num: int, den: int) -> None:
+        """Add num/den (den > 0) to the sum on the sphere of rank k, over
+        the least common denominator; nothing is reduced until the end."""
+        pair = self.spheres.get(k)
+        if pair is None:
+            self.spheres[k] = [num, den]
+            return
+        lcd = math.lcm(pair[1], den)
+        pair[0] = pair[0] * (lcd // pair[1]) + num * (lcd // den)
+        pair[1] = lcd
+
+    def total_step(self) -> RadialStep:
+        if not self.spheres:
+            return self.step
+        k0 = min(self.spheres)
+        values = [
+            Fraction(*self.spheres.get(k, (0, 1)))
+            for k in range(k0, max(self.spheres) + 1)
+        ]
+        return RadialStep._from_sphere_ranks(k0, values, 0).ft() + self.step
+
+    def result(self, tol: float) -> RadialResult:
+        """The exact step, with the inner pieces when there are any."""
+        pieces = tuple(InnerPiece(s, *sh) for sh, s in self.pieces.items())
+        step = self.total_step()
+        return EvaluableRadial(step, pieces, tol) if pieces else step
+
+
+def _add_multiplied(
+    sums: list[tuple[_SpectralSum, float]],
+    g: RadialStep,
     kind: str,
     exponent: float,
-    time: float = 0.0,
-) -> RadialResult:
-    """Transform f, multiply by the radial symbol mult and transform back.
-    Exact step when the transform has zero inner value; otherwise the
-    inner ball is split off into a lazily evaluated piece of the given
-    kind."""
-    c0, rho, k0, values = f._ft_sphere_pairs()
-    values = [
-        Fraction(mult(_TABLE.fraction_at(k))) * Fraction(num, den)
-        for k, (num, den) in enumerate(values, k0)
-    ]
-    exact = RadialStep._from_sphere_ranks(k0, values, 0).ft()
-    if not c0:
-        return exact
-    piece = InnerPiece(
-        scale=float(c0), rho=rho, kind=kind, exponent=exponent, time=time
-    )
-    return EvaluableRadial(step=exact, pieces=(piece,), tol=tol)
+    time: float,
+    powers: dict[int, float],
+) -> None:
+    """Add weight * the symbol applied to g into each (sum, weight): the
+    symbol is q^exponent ("power") or e^{-time q^exponent} ("heat"), and
+    powers memoizes q^exponent by rank. The inner ball's weight * c0 goes
+    to the piece of its shape."""
+    c0, rho, k0, values = g._ft_sphere_pairs()
+    if c0:
+        shape = (rho, kind, exponent, time)
+        for acc, weight in sums:
+            s = weight * float(c0)
+            prev = acc.pieces.get(shape)
+            acc.pieces[shape] = s if prev is None else prev + s
+    heat = kind == "heat"
+    ratios = [(acc, *weight.as_integer_ratio()) for acc, weight in sums]
+    for k, (vn, vd) in enumerate(values, k0):
+        if not vn:
+            continue
+        lam = powers.get(k)
+        if lam is None:
+            lam = powers[k] = _TABLE.float_at(k) ** exponent
+        f = _decay_factor(time, lam) if heat else Fraction(lam)
+        num = f.numerator * vn
+        den = f.denominator * vd
+        for acc, wn, wd in ratios:
+            acc.add(k, wn * num, wd * den)
 
 
 def apply_operator(
@@ -167,8 +212,9 @@ def apply_operator(
     evaluated piece."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    mult = lambda q: Fraction(float(q) ** gamma)
-    return _multiply(f, mult, tol, "power", gamma)
+    acc = _SpectralSum()
+    _add_multiplied([(acc, 1.0)], f, "power", gamma, 0.0, {})
+    return acc.result(tol)
 
 
 # An exact integer-time decay factor e^{-lambda}^t holding more bits than
@@ -213,9 +259,9 @@ def solve_homogeneous(
     _require_time(t)
     if t == 0:
         return u0
-    alpha = symbol.alpha
-    mult = lambda q: _decay_factor(t, float(q) ** alpha)
-    return _multiply(u0, mult, tol, "heat", alpha, t)
+    acc = _SpectralSum()
+    _add_multiplied([(acc, 1.0)], u0, "heat", symbol.alpha, t, {})
+    return acc.result(tol)
 
 
 @dataclass(frozen=True)
@@ -257,54 +303,19 @@ def _weights(quadrature: str, m: int, t: float) -> list[float]:
     return w
 
 
-class _RuleSum:
-    """One quadrature rule's share of the Duhamel sum: weighted sphere
-    values of the evolved forcing by frequency rank, each an exact
-    [numerator, denominator] pair of ints, the inner pieces by shape, and
-    the tau = t node's step."""
-
-    __slots__ = ("spheres", "pieces", "step")
-
-    def __init__(self):
-        self.spheres: dict[int, list[int]] = {}
-        self.pieces: dict = {}
-        self.step = RadialStep.zero()
-
-    def add(self, k: int, num: int, den: int) -> None:
-        """Add num/den (den > 0) to the sum on the sphere of rank k, over
-        the least common denominator; nothing is reduced until the end."""
-        pair = self.spheres.get(k)
-        if pair is None:
-            self.spheres[k] = [num, den]
-            return
-        lcd = math.lcm(pair[1], den)
-        pair[0] = pair[0] * (lcd // pair[1]) + num * (lcd // den)
-        pair[1] = lcd
-
-    def total_step(self) -> RadialStep:
-        if not self.spheres:
-            return self.step
-        k0 = min(self.spheres)
-        values = [
-            Fraction(*self.spheres.get(k, (0, 1)))
-            for k in range(k0, max(self.spheres) + 1)
-        ]
-        return RadialStep._from_sphere_ranks(k0, values, 0).ft() + self.step
-
-
 def _duhamel(
     f: ForcingGrid, t: float, symbol: SymbolSpec, quadrature: str, m: int,
-) -> tuple[RadialStep, dict, RadialStep, dict]:
+    powers: dict[int, float],
+) -> tuple[_SpectralSum, _SpectralSum]:
     """Quadrature sums of the Duhamel integral with m (fine) and m/2
-    (coarse) steps. A node tau < t contributes e^{-(t-tau) r^alpha} times
-    the transform of f(tau), which is diagonal on the frequency spheres,
-    so each rule sums weighted sphere values by rank and is transformed
-    back once. Coarse node j is fine node 2j -- t*(2j)/m equals t*j/(m/2)
-    exactly in binary floating point -- so each node's multiplier is
-    evaluated once for both rules."""
+    (coarse) steps. A node tau < t adds the weighted flow of f(tau) for
+    time t - tau, which is diagonal on the frequency spheres, so each rule
+    sums weighted sphere values by rank and is transformed back once.
+    Coarse node j is fine node 2j -- t*(2j)/m equals t*j/(m/2) exactly in
+    binary floating point -- so each node's multiplier is evaluated once
+    for both rules. powers memoizes q^alpha by rank."""
     alpha = symbol.alpha
-    powers: dict[int, float] = {}  # q^alpha by rank, for this solve
-    fine, coarse = _RuleSum(), _RuleSum()
+    fine, coarse = _SpectralSum(), _SpectralSum()
     coarse_w = _weights(quadrature, m // 2, t)
     for i, w in enumerate(_weights(quadrature, m, t)):
         rules = [(fine, w)]
@@ -319,29 +330,8 @@ def _duhamel(
             for rule, weight in rules:
                 rule.step = rule.step + g * Fraction(weight)
             continue
-        c0, rho, k0, values = g._ft_sphere_pairs()
-        if c0:
-            # pieces are keyed by their shape: the piece itself at scale 1
-            shape = InnerPiece(
-                scale=1.0, rho=rho, kind="heat", exponent=alpha, time=dt
-            )
-            for rule, weight in rules:
-                rule.pieces[shape] = (
-                    rule.pieces.get(shape, 0.0) + weight * float(c0)
-                )
-        ratios = [(rule, *weight.as_integer_ratio()) for rule, weight in rules]
-        for k, (vn, vd) in enumerate(values, k0):
-            if not vn:
-                continue
-            lam = powers.get(k)
-            if lam is None:
-                lam = powers[k] = _TABLE.float_at(k) ** alpha
-            decay = _decay_factor(dt, lam)
-            num = decay.numerator * vn
-            den = decay.denominator * vd
-            for rule, wn, wd in ratios:
-                rule.add(k, wn * num, wd * den)
-    return fine.total_step(), fine.pieces, coarse.total_step(), coarse.pieces
+        _add_multiplied(rules, g, "heat", alpha, dt, powers)
+    return fine, coarse
 
 
 def solve_nonhomogeneous(
@@ -372,31 +362,25 @@ def solve_nonhomogeneous(
 
     if t == 0:
         return EvaluableRadial(step=u0, tol=tol)
-    hom = solve_homogeneous(u0, t, symbol, tol)
-    fine_step, fine_pieces, coarse_step, coarse_pieces = _duhamel(
-        f, t, symbol, quadrature, steps
-    )
+    powers: dict[int, float] = {}  # q^alpha by rank, for this solve
+    fine, coarse = _duhamel(f, t, symbol, quadrature, steps, powers)
     # the whole fine - coarse difference, undivided (module docstring)
-    est = math.sqrt(float((fine_step - coarse_step).l2_norm_sq()))
-    # every coarse node is a fine node, so fine_pieces holds every shape;
+    step = fine.total_step()
+    est = math.sqrt(float((step - coarse.total_step()).l2_norm_sq()))
+    # every coarse node is a fine node, so fine.pieces holds every shape;
     # its insertion order fixes the float summation order across processes
-    for shape, scale in fine_pieces.items():
-        gap = scale - coarse_pieces.get(shape, 0.0)
-        est += replace(shape, scale=gap).l2_cap()
+    for shape, scale in fine.pieces.items():
+        gap = scale - coarse.pieces.get(shape, 0.0)
+        est += InnerPiece(gap, *shape).l2_cap()
 
-    if isinstance(hom, RadialStep):
-        total_step = fine_step + hom
-    else:
-        total_step = fine_step + hom.step
-        for piece in hom.pieces:
-            shape = replace(piece, scale=1.0)
-            fine_pieces[shape] = fine_pieces.get(shape, 0.0) + piece.scale
+    if not u0.is_zero():
+        _add_multiplied([(fine, 1.0)], u0, "heat", symbol.alpha, t, powers)
+        step = fine.total_step()
     assembled = tuple(
-        replace(shape, scale=s) for shape, s in fine_pieces.items() if s != 0.0
+        InnerPiece(s, *shape) for shape, s in fine.pieces.items() if s != 0.0
     )
     return EvaluableRadial(
-        step=total_step, pieces=assembled, tol=tol,
-        error_bound=est + tol,
+        step=step, pieces=assembled, tol=tol, error_bound=est + tol,
     )
 
 

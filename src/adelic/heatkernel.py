@@ -243,13 +243,20 @@ def z_finite(radius: RationalLike, params: KernelParams,
     """Kernel value at any point of the given norm, within tol (relative
     for the dominant part, with the certified series remainders added on
     both ends). Always nonnegative: the series has positive terms."""
+    return _scaled_z(radius, params, tol, 0.0)
+
+
+def _scaled_z(radius: RationalLike, params: KernelParams, tol: float,
+              ln_scale: float) -> float:
+    """e^ln_scale * Z(radius, t), within tol as z_finite: each ln-term is
+    shifted by ln_scale before it is exponentiated, so a scale past the
+    double range times a tiny kernel value stays finite."""
     require_positive(tol=tol)
     params.require_positive_time()
     t, alpha, rel_tol = params.t, params.alpha, min(tol, 1e-13)
     top = _top_rank(radius, t, alpha, rel_tol)
-    terms = _ln_terms(top, t, alpha, rel_tol)
-    peak = max(terms)
-    if peak > 709.0:
+    terms = [ln_scale + l for l in _ln_terms(top, t, alpha, rel_tol)]
+    if max(terms) > 709.0:
         raise OverflowError(
             "kernel value exceeds the double range; use ln_z_finite"
         )

@@ -37,9 +37,9 @@ from .heatkernel import (
     KernelParams,
     _ball_mass_at,
     _radius_rank,
+    _scaled_z,
     sphere_masses,
     tail_mass_bound,
-    z_finite,
 )
 from .primepow import _TABLE, RationalLike, as_fraction
 from .util import derive_rng
@@ -267,7 +267,9 @@ def transition_prob_ball(
     if params.t == 0:
         return 1.0 if d <= radius else 0.0
     if d > radius:
-        return float(_TABLE.phi_at(k)) * z_finite(d, params)
+        # phi(eps) Z(d, t), summed in logarithms: phi(eps) alone can pass
+        # the double range, or be too large to build exactly
+        return _scaled_z(d, params, 1e-12, _TABLE.log_phi_at(k))
     return _ball_mass_at(k, params)
 
 

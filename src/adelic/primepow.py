@@ -49,6 +49,14 @@ RationalLike = Union["PrimePower", Fraction, int, float]
 # fly without caching so a single huge query cannot pin gigabytes.
 _EXACT_CACHE_LIMIT = 1 << 14
 
+# An exact phi holding more bits than this (log phi / ln 2; phi(100000)
+# holds about 144,000) is refused with ValueError before its product is
+# walked. The refusal band starts near 181,000 and reaches every radius
+# past it and below its reciprocal: the phi command, Haar volumes and
+# radial steps (transforms, integrals) there, and InnerPiece.value at
+# norms whose reciprocal lies past it.
+_PHI_BITS_CAP = 1 << 18
+
 # The table is never sieved past this bound (building it peaks near 0.4 GB);
 # z_finite(0, t=1, alpha=1.04) needs exactly this much. Beyond: ValueError.
 _SIEVE_CAP = 1 << 26
@@ -495,10 +503,16 @@ class _PowerTable:
 
     def _exact_phi(self, i: int) -> int:
         """The product of the bases of rows 0..i (row i must exist)."""
-        values, bases, _, _ = self._snapshot
+        values, bases, _, logphi = self._snapshot
         with self._exact_lock:
             if i < len(self._exact):
                 return self._exact[i]
+            bits = logphi[i] / math.log(2)
+            if bits > _PHI_BITS_CAP:
+                raise ValueError(
+                    f"phi of {values[i]} (or of its reciprocal) would hold "
+                    f"about {bits:.0f} bits, past the cap of 2^18 bits"
+                )
             acc = self._exact[-1] if self._exact else 1
             for j in range(len(self._exact), i + 1):
                 acc *= bases[j]

@@ -465,6 +465,13 @@ class TestTailAlgebra:
         assert isinstance(add(x, y).tail, ZeroTail)
         assert isinstance(negate(x).tail, ZeroTail)
 
+    def test_negated_tail_negates_each_component(self):
+        x = sample_uniform(ball(8), seed=3)
+        n = negate(x)
+        for p in (11, 101, 997):
+            want = ad._negate_component(x.tail.component(p, x.depth), x.depth)
+            assert n.component(p) == want
+
     def test_random_tail_equality(self):
         assert RandomTail(5) == RandomTail(5)
         assert RandomTail(5) != RandomTail(6)

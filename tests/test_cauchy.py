@@ -246,6 +246,31 @@ def seeded_duhamel_case(i):
     return (got.step._by_rank, got.pieces, got.error_bound, got.tol)
 
 
+# the running sums of c_k phi(k) are 2, 0, 0, 60, 60, 60, 420: the
+# transform is zero on interior frequency spheres, with a nonzero integral
+HOLED = RadialStep({F(2): 1, F(3): F(-1, 3), F(5): 1, F(9): F(1, 7)})
+
+
+def seeded_spectral_case(i):
+    """Exact outcome of one seeded apply_operator (even i) or
+    solve_homogeneous (odd i): (ranked step, pieces[, tol, error_bound]).
+    Most inputs have a nonzero integral (inner pieces); every fifth adds
+    HOLED, and the times include integers (exact powers)."""
+    rng = random.Random(2000 + i)
+    u = seeded_step(rng, rng.random() < 0.3)
+    if i % 5 == 4:
+        u = HOLED * F(rng.randint(1, 5)) + u * F(i % 2)
+    if i % 2:
+        t = rng.choice([0.25, 0.7, 1.0, 2.0, 3.0, 1.3])
+        sym = cy.SymbolSpec(rng.choice([1.5, 2.0, 3.0]))
+        got = cy.solve_homogeneous(u, t, sym)
+    else:
+        got = cy.apply_operator(u, rng.choice([0.5, 1.5, 2.0, 3.0]))
+    if isinstance(got, RadialStep):
+        return (got._by_rank, ())
+    return (got.step._by_rank, got.pieces, got.tol, got.error_bound)
+
+
 class TestDuhamel:
     def test_zero_forcing_matches_homogeneous(self):
         w = eigenfunction(F(2))
@@ -643,11 +668,56 @@ class TestOnePassDuhamel:
                 return _method(self, *args)
 
             monkeypatch.setattr(RadialStep, name, counted)
-        fine, _, coarse, _ = cy._duhamel(
-            mixed_forcing(1.0), 1.0, SYM, "Simpson", 16
+        fine, coarse = cy._duhamel(
+            mixed_forcing(1.0), 1.0, SYM, "Simpson", 16, {}
         )
+        fine, coarse = fine.total_step(), coarse.total_step()
         assert counts == {"ft": 2, "split_inner": 0, "_rank_values": 0}
         assert not fine.is_zero() and not coarse.is_zero()
+
+
+class TestOneSpectralPath:
+    # sha256 of repr() of the 60 outcomes of seeded_spectral_case, computed
+    # when apply_operator and solve_homogeneous built one Fraction per
+    # sphere on a path of their own
+    FROZEN_SHA256 = (
+        "042ed45168db8ac842ba66da57099bca3cbbfc48797cf2c8a2a8dc656e8a9b5b"
+    )
+
+    def test_results_frozen_from_fraction_path(self):
+        outcomes = [seeded_spectral_case(i) for i in range(60)]
+        assert sum(bool(o[1]) for o in outcomes) == 44
+        assert all(o[0] for o in outcomes)
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == self.FROZEN_SHA256
+
+    @pytest.mark.parametrize("t", [0.7, 2.0])
+    def test_one_decay_factor_per_sphere_with_a_value(self, t, monkeypatch):
+        calls = []
+        decay = cy._decay_factor
+
+        def counted(t, lam):
+            calls.append((t, lam))
+            return decay(t, lam)
+
+        monkeypatch.setattr(cy, "_decay_factor", counted)
+        u = HOLED + eigenfunction(F(1, 4))
+        cy.solve_homogeneous(u, t, SYM)
+        _, _, rest = u.ft().split_inner()
+        spheres = rest.sphere_values()
+        assert any(not v for _, v in spheres[1:-1])
+        assert calls == [(t, float(r) ** ALPHA) for r, v in spheres if v]
+
+    def test_zero_spheres_past_the_cap_not_refused(self):
+        # FT(1_B(1/31)) is 0 on the sphere of 27 (e^-729 is subnormal: a
+        # power past the cap) and nonzero only on that of 29 (e^-841 is 0)
+        u = RadialStep.ball_indicator(F(1, 31))
+        got = cy.solve_homogeneous(u, 1e4, SYM)
+        assert got.step.is_zero()
+        assert got.pieces == (cy.InnerPiece(
+            scale=float(u.integral()), rho=F(27), kind="heat", exponent=ALPHA,
+            time=1e4,
+        ),)
 
 
 class TestIntegerTimeCap:

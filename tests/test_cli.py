@@ -221,6 +221,42 @@ class TestExitCodes:
         assert b"cap of 2^20 bits" in proc.stderr
         assert proc.stdout == b""
 
+    @pytest.mark.parametrize("eps,want", [
+        # phi(1021) Z(1024) = 1/2 (e^-(1/1031)^2 - e^-(1/1024)^2) and more
+        ("1021", 6.4547782012812285e-09),
+        ("1/9999991", 0.0),
+    ])
+    def test_transition_outside_a_ball_of_huge_volume(self, tmp_path, eps,
+                                                      want):
+        # phi(1021) alone overflows a double, and phi(1/9999991) is too
+        # large to build exactly
+        start = time.perf_counter()
+        proc = run_cli(
+            ["transition", "--t", "1", "--alpha", "2", "--eps", eps,
+             "--x", "2:-10:1", "--center", "0"],
+            tmp_path, timeout=20,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        value = float(proc.stdout.split()[0])
+        assert math.isclose(value, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("args", [
+        ["phi", "9999991"],
+        ["volume", "ball", "10000019"],
+        ["volume", "ball", "1/9999991"],
+    ])
+    def test_exact_phi_past_the_bit_cap(self, tmp_path, args):
+        start = time.perf_counter()
+        proc = run_cli(args, tmp_path, timeout=20)
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"invalid parameters: phi of ")
+        assert b"past the cap of 2^18 bits" in proc.stderr
+        assert proc.stderr.count(b"\n") == 1
+        assert proc.stdout == b""
+
     @pytest.mark.parametrize("args", [
         ["solve", "homogeneous", "--t", "1000", "--alpha", "2"],
         ["phi", "100000"],
