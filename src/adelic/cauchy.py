@@ -80,10 +80,11 @@ class InnerPiece:
     time: float = 0.0
 
     def _profile(self) -> Callable[[Fraction], float]:
+        exponent, time = self.exponent, self.time
         if self.kind == "power":
-            return lambda q: float(q) ** self.exponent
+            return lambda q: float(q) ** exponent
         if self.kind == "heat":
-            return lambda q: math.exp(-self.time * float(q) ** self.exponent)
+            return lambda q: math.exp(-time * float(q) ** exponent)
         raise ValueError(f"unknown piece kind {self.kind!r}")
 
     def _at_zero(self) -> float:
@@ -171,36 +172,37 @@ class _SpectralSum:
 
 
 def _add_multiplied(
-    sums: list[tuple[_SpectralSum, float]],
+    sums: list[tuple[_SpectralSum, float, int, int]],
     g: RadialStep,
     kind: str,
     exponent: float,
     time: float,
     powers: dict[int, float],
 ) -> None:
-    """Add weight * the symbol applied to g into each (sum, weight): the
-    symbol is q^exponent ("power") or e^{-time q^exponent} ("heat"), and
-    powers memoizes q^exponent by rank. The inner ball's weight * c0 goes
-    to the piece of its shape."""
+    """Add weight * the symbol applied to g into each (sum, weight, wn,
+    wd), wn/wd being the weight's as_integer_ratio: the symbol is
+    q^exponent ("power") or e^{-time q^exponent} ("heat"), and powers
+    memoizes q^exponent by rank. The inner ball's weight * c0 goes to the
+    piece of its shape."""
     c0, rho, k0, values = g._ft_sphere_pairs()
     if c0:
         shape = (rho, kind, exponent, time)
-        for acc, weight in sums:
-            s = weight * float(c0)
+        c0 = float(c0)
+        for acc, weight, _, _ in sums:
+            s = weight * c0
             prev = acc.pieces.get(shape)
             acc.pieces[shape] = s if prev is None else prev + s
     heat = kind == "heat"
-    ratios = [(acc, *weight.as_integer_ratio()) for acc, weight in sums]
     for k, (vn, vd) in enumerate(values, k0):
         if not vn:
             continue
         lam = powers.get(k)
         if lam is None:
             lam = powers[k] = _TABLE.float_at(k) ** exponent
-        f = _decay_factor(time, lam) if heat else Fraction(lam)
-        num = f.numerator * vn
-        den = f.denominator * vd
-        for acc, wn, wd in ratios:
+        fn, fd = _decay_factor(time, lam) if heat else lam.as_integer_ratio()
+        num = fn * vn
+        den = fd * vd
+        for acc, _, wn, wd in sums:
             acc.add(k, wn * num, wd * den)
 
 
@@ -213,7 +215,7 @@ def apply_operator(
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     acc = _SpectralSum()
-    _add_multiplied([(acc, 1.0)], f, "power", gamma, 0.0, {})
+    _add_multiplied([(acc, 1.0, 1, 1)], f, "power", gamma, 0.0, {})
     return acc.result(tol)
 
 
@@ -223,23 +225,24 @@ def apply_operator(
 _DECAY_BITS_CAP = 1 << 20
 
 
-def _decay_factor(t: float, lam: float) -> Fraction:
-    # integer times: exact power of a single rational base, so factors
-    # compose exactly; fractional times: one fresh exponential
+def _decay_factor(t: float, lam: float) -> tuple[int, int]:
+    """e^{-t lam} as the integer pair (numerator, denominator) in lowest
+    terms: for integer times the exact power of the single rational base
+    e^{-lam}, so factors compose exactly; for fractional times one fresh
+    exponential."""
     if t == int(t):
-        base = Fraction(math.exp(-lam))
+        num, den = math.exp(-lam).as_integer_ratio()
         n = int(t)
         # bits per factor, at most: the numerator's unless it is 0 or 1,
         # and log2 of the power-of-two denominator
-        num, den = base.numerator, base.denominator
         size = (num.bit_length() if num > 1 else 0) + den.bit_length() - 1
         if n * size > _DECAY_BITS_CAP:
             raise ValueError(
                 f"the exact decay factor at integer time {n} would hold up "
                 f"to {n * size} bits, past the cap of 2^20 bits"
             )
-        return base ** n
-    return Fraction(math.exp(-t * lam))
+        return num ** n, den ** n
+    return math.exp(-t * lam).as_integer_ratio()
 
 
 def _require_time(t: float) -> None:
@@ -260,7 +263,7 @@ def solve_homogeneous(
     if t == 0:
         return u0
     acc = _SpectralSum()
-    _add_multiplied([(acc, 1.0)], u0, "heat", symbol.alpha, t, {})
+    _add_multiplied([(acc, 1.0, 1, 1)], u0, "heat", symbol.alpha, t, {})
     return acc.result(tol)
 
 
@@ -318,16 +321,17 @@ def _duhamel(
     fine, coarse = _SpectralSum(), _SpectralSum()
     coarse_w = _weights(quadrature, m // 2, t)
     for i, w in enumerate(_weights(quadrature, m, t)):
-        rules = [(fine, w)]
+        rules = [(fine, w, *w.as_integer_ratio())]
         if i % 2 == 0:
-            rules.append((coarse, coarse_w[i // 2]))
+            cw = coarse_w[i // 2]
+            rules.append((coarse, cw, *cw.as_integer_ratio()))
         # t * m / m can miss t by an ulp either way: the last node is t
         tau = t if i == m else t * i / m
         g = f.at(tau)
         dt = t - tau
         _require_time(dt)
         if dt == 0:
-            for rule, weight in rules:
+            for rule, weight, _, _ in rules:
                 rule.step = rule.step + g * Fraction(weight)
             continue
         _add_multiplied(rules, g, "heat", alpha, dt, powers)
@@ -374,7 +378,8 @@ def solve_nonhomogeneous(
         est += InnerPiece(gap, *shape).l2_cap()
 
     if not u0.is_zero():
-        _add_multiplied([(fine, 1.0)], u0, "heat", symbol.alpha, t, powers)
+        _add_multiplied([(fine, 1.0, 1, 1)], u0, "heat", symbol.alpha, t,
+                        powers)
         step = fine.total_step()
     assembled = tuple(
         InnerPiece(s, *shape) for shape, s in fine.pieces.items() if s != 0.0

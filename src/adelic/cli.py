@@ -311,8 +311,10 @@ def _cmd_norm(args):
 
 def _cmd_volume(args):
     from .adele import ball, haar_volume, sphere
+    from .primepow import _refuse_phi_past_cap
 
     radius = _fraction(args.radius)
+    _refuse_phi_past_cap(radius)  # before the region sieves to the radius
     region = ball(radius) if args.kind == "ball" else sphere(radius)
     value = haar_volume(region)
     cfg = RunConfig(

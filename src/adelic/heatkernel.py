@@ -181,39 +181,49 @@ def _ln_z(top: int, t: float, alpha: float, rel_tol: float,
     of rank k, the difference taken stably. The walk stops once the bound
     ln phi(prev q) + ln(1 - e^{-t q^alpha}) on the sum below rank k falls
     under the running sum times rel_tol / 2. Each rank's q^alpha is
-    computed once: it is the next q's power of the rank below."""
+    computed once: it is the next q's power of the rank below, and each
+    row's log p is the table's."""
     _check_reach(top, t, alpha, rel_tol)
-    log, expm1, inf = math.log, math.expm1, math.inf
+    log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
+    ninf = -math.inf
     table = _TABLE
     table._index(top)
     table._index(top + 1)
-    values, bases, _, logphi = table._snapshot
+    values, _, _, logphi = table._snapshot
     ln_half_tol = math.log(rel_tol * 0.5)
     k = top
     i = k if k >= 0 else -1 - k
-    lp = logphi[i] if k >= 0 else log(bases[i]) - logphi[i]
+    logp = table._row_logs(i)[0]
+    lp = logphi[i] if k >= 0 else logp[i] - logphi[i]
     a = (float(values[i]) if k >= 0 else 1 / values[i]) ** alpha
     b = (float(values[k + 1]) if k >= -1 else 1 / values[-2 - k]) ** alpha
-    acc = -inf
+    acc = ninf
     while True:
         gap = -expm1(-t * (b - a))
-        term = lp + (-t * a + log(gap)) if gap > 0.0 else -inf
+        term = lp + (-t * a + log(gap)) if gap > 0.0 else ninf
         if terms is not None:
             terms.append(term)
-        if acc == -inf:
+        if acc == ninf:
             acc = term
-        elif term != -inf:
-            hi, lo = (acc, term) if acc >= term else (term, acc)
-            acc = hi + math.log1p(math.exp(lo - hi))
+        elif term != ninf:
+            if acc >= term:
+                acc += log1p(exp(term - acc))
+            else:
+                acc = term + log1p(exp(acc - term))
         gap = -expm1(-t * a)
         if gap <= 0.0:
             return acc
         k -= 1
-        i = k if k >= 0 else -1 - k
-        if i >= len(values):  # a walk down the reciprocals
-            table._index(k)
-            values, bases, _, logphi = table._snapshot
-        lp = logphi[i] if k >= 0 else log(bases[i]) - logphi[i]
+        if k >= 0:
+            i = k
+            lp = logphi[i]
+        else:
+            i = -1 - k
+            if i >= len(logp):  # a walk down the reciprocals
+                table._index(k)
+                values, _, _, logphi = table._snapshot
+                logp = table._row_logs(i)[0]
+            lp = logp[i] - logphi[i]
         if lp + log(gap) < acc + ln_half_tol:
             return acc
         b = a
@@ -282,7 +292,7 @@ class SphereMasses:
     def radii(self) -> tuple[Fraction, ...]:
         k_lo = self.k_lo
         return tuple(
-            _TABLE.fraction_at(k) for k in range(k_lo, k_lo + len(self.masses))
+            map(_TABLE.fraction_at, range(k_lo, k_lo + len(self.masses)))
         )
 
     def total(self) -> float:
@@ -306,34 +316,38 @@ def sphere_masses(
     # single series term q = 1/r (rank -1-k for r of rank k), since
     # prev_pp(1/prev_pp(r)) = 1/r. r and q share table row i, and the
     # next q is 1/prev_pp(r), whose power is the following step's q^alpha.
-    # ln vol(S_r) = ln(phi(r) - phi(prev r)) = ln phi(r) + ln(1 - 1/p).
+    # ln vol(S_r) = ln(phi(r) - phi(prev r)) = ln phi(r) + ln(1 - 1/p),
+    # with log p and log1p(-1/p) read from the table's row logs.
     log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
-    _TABLE._index(max(k_hi, -k_lo))
-    values, bases, _, logphi = _TABLE._snapshot
+    top = max(k_hi, -k_lo)
+    _TABLE._index(top)
+    values, _, _, logphi = _TABLE._snapshot
+    logp, log1m = _TABLE._row_logs(top)
+    ninf = -math.inf
     ln_masses = []
     acc = ln_z_hi
     a = (1 / values[k_hi] if k_hi >= 0 else float(values[-1 - k_hi])) ** alpha
     for k in range(k_hi, k_lo - 1, -1):
         if k >= 0:
-            base = bases[k]
             lp_r = logphi[k]
-            lp_q = log(base) - lp_r
-            nxt = 1 / values[k - 1] if k else float(values[0])
+            lp_q = logp[k] - lp_r
+            ln_masses.append(lp_r + log1m[k] + acc)
+            b = (1 / values[k - 1] if k else float(values[0])) ** alpha
         else:
-            base = bases[-1 - k]
-            lp_q = logphi[-1 - k]
-            lp_r = log(base) - lp_q
-            nxt = float(values[-k])
-        ln_masses.append(lp_r + log1p(-1.0 / base) + acc)
-        b = nxt ** alpha
+            i = -1 - k
+            lp_q = logphi[i]
+            lp_r = logp[i] - lp_q
+            ln_masses.append(lp_r + log1m[i] + acc)
+            b = float(values[-k]) ** alpha
         gap = -expm1(-t * (b - a))
         if gap > 0.0:
             term = lp_q + (-t * a + log(gap))
-            if acc == -math.inf:
+            if acc == ninf:
                 acc = term
+            elif acc >= term:
+                acc += log1p(exp(term - acc))
             else:
-                hi, lo = (acc, term) if acc >= term else (term, acc)
-                acc = hi + log1p(exp(lo - hi))
+                acc = term + log1p(exp(acc - term))
         a = b
     ln_z_below = acc  # ln Z(prev_pp(lo), t)
     low_tail = math.exp(_TABLE.log_phi_at(k_lo - 1) + ln_z_below) + math.exp(
@@ -436,8 +450,12 @@ def tail_mass_bound(epsilon: RationalLike, params: KernelParams) -> float:
     t, alpha = params.t, params.alpha
     cutoff = max(Fraction(64), 4 * (eps if eps >= 1 else Fraction(1)))
     hi = _TABLE.rank_floor(cutoff)
+    # float_at by rank, read from one snapshot: rank_floor and rank_of have
+    # sieved the rows of hi and lo, and so those of every rank between
+    values = _TABLE._snapshot[0]
     body = math.fsum(
-        _TABLE.float_at(k) ** -alpha for k in range(lo + 1, hi + 1)
+        (float(values[k]) if k >= 0 else 1 / values[-1 - k]) ** -alpha
+        for k in range(lo + 1, hi + 1)
     )
     integral_tail = float(cutoff) ** (1.0 - alpha) / (alpha - 1.0)
     return 2.0 * t * (body + integral_tail)

@@ -15,6 +15,15 @@ Every table query goes through one integer index, the rank: 2 -> 0,
 are r +/- 1 and x -> 1/x is r -> -1-r. next_pp and prev_pp need no rank:
 past the table they sieve a short window next to the query.
 
+The table does each rank's work once and keeps it within fixed bounds:
+the Fraction value and phi of every rank whose row value is at most 2^14
+(two memos of at most 2 * 1,961 entries), the exact phi of those rows, a
+checkpoint of exact phi every 256 rows up to the 2^18-bit cap (about 1 MB
+in all), and log p and log1p(-1/p) of each row's base in two float arrays
+that grow only to the rows a walk reads. An exact phi past the cap is
+refused before it is built, and phi(x) refuses such an x before the table
+is sieved to it.
+
 phi is the multiplicative bracket product
 
     phi(x) = prod_p p^[[log_p x]],    [[t]] = floor(t) shifted by +1 for t < 0,
@@ -45,9 +54,14 @@ from typing import Iterable, Union
 RationalLike = Union["PrimePower", Fraction, int, float]
 
 # Exact cumulative phi values are cached only up to this table value bound
-# (values <= _EXACT_CACHE_LIMIT); larger exact queries are computed on the
-# fly without caching so a single huge query cannot pin gigabytes.
+# (values <= _EXACT_CACHE_LIMIT), and so are the table's per-rank memos of
+# Fraction values and of phi; larger exact queries start from a checkpoint.
 _EXACT_CACHE_LIMIT = 1 << 14
+
+# Past the cache, an exact phi is the product of the bases of rows 0..i
+# below _PHI_STRIDE * c, kept as checkpoint c up to the bit cap (about
+# 1 MB in all), times at most _PHI_STRIDE - 1 more bases.
+_PHI_STRIDE = 256
 
 # An exact phi holding more bits than this (log phi / ln 2; phi(100000)
 # holds about 144,000) is refused with ValueError before its product is
@@ -347,6 +361,10 @@ class _PowerTable:
         self._snapshot: tuple = ((), (), (), ())  # values, bases, exps, logphi
         self._limit = 1
         self._exact: list[int] = []  # cumulative exact phi, prefix of values
+        self._checkpoints: list[int] = [1]  # phi below rows 0, 256, 512, ...
+        self._logs: tuple = ((), ())  # log p, log1p(-1/p) by row
+        self._fractions: dict[int, Fraction] = {}  # fraction_at by rank
+        self._phis: dict[int, Fraction] = {}  # phi_at by rank
         self.extend_to(512)
 
     def extend_to(self, limit: int) -> tuple:
@@ -457,10 +475,16 @@ class _PowerTable:
         return bases[i], exps[i] if rank >= 0 else -exps[i]
 
     def fraction_at(self, rank: int) -> Fraction:
-        """The exact value of the given rank."""
-        i = self._index(rank)
-        m = self._snapshot[0][i]
-        return Fraction(m) if rank >= 0 else Fraction(1, m)
+        """The exact value of the given rank, memoized for values and
+        reciprocals of values up to _EXACT_CACHE_LIMIT."""
+        frac = self._fractions.get(rank)
+        if frac is None:
+            i = self._index(rank)
+            m = self._snapshot[0][i]
+            frac = Fraction(m) if rank >= 0 else Fraction(1, m)
+            if m <= _EXACT_CACHE_LIMIT:
+                self._fractions[rank] = frac
+        return frac
 
     def float_at(self, rank: int) -> float:
         """float of the value of the given rank; 1 / m is int true division,
@@ -477,20 +501,31 @@ class _PowerTable:
     def phi_at(self, rank: int) -> Fraction:
         """phi of the value of the given rank, exactly: the product of the
         bases of ranks 0..i for rank i >= 0, and base(m)/phi(m) for the
-        reciprocal of m."""
-        i = self._index(rank)
-        if rank >= 0:
-            return Fraction(self._exact_phi(i))
-        return Fraction(self._snapshot[1][i], self._exact_phi(i))
+        reciprocal of m. Memoized as fraction_at is."""
+        frac = self._phis.get(rank)
+        if frac is None:
+            frac = Fraction(*self.phi_pair_at(rank))
+            if self._snapshot[0][self._index(rank)] <= _EXACT_CACHE_LIMIT:
+                self._phis[rank] = frac
+        return frac
 
     def phi_pair_at(self, rank: int) -> tuple[int, int]:
         """phi_at as an integer pair (numerator, denominator), not reduced:
         (phi(m), 1) for rank i >= 0 and (base(m), phi(m)) for the
         reciprocal of m."""
-        i = self._index(rank)
+        i = rank if rank >= 0 else -1 - rank
+        exact = self._exact
+        # a row of the exact cache is a row of the snapshot
+        phi = exact[i] if i < len(exact) else self._exact_phi(self._index(rank))
         if rank >= 0:
-            return self._exact_phi(i), 1
-        return self._snapshot[1][i], self._exact_phi(i)
+            return phi, 1
+        return self._snapshot[1][i], phi
+
+    def phi_float_at(self, rank: int) -> float:
+        """float(phi_at(rank)): the integer quotient of phi_pair_at, which
+        int true division rounds correctly, as Fraction.__float__ does."""
+        num, den = self.phi_pair_at(rank)
+        return num / den
 
     def log_phi_at(self, rank: int) -> float:
         """log phi of the value of the given rank (log(base) - log phi(m)
@@ -502,23 +537,58 @@ class _PowerTable:
         return math.log(bases[i]) - logphi[i]
 
     def _exact_phi(self, i: int) -> int:
-        """The product of the bases of rows 0..i (row i must exist)."""
+        """The product of the bases of rows 0..i (row i must exist). A
+        cached row is read without the lock; past the cache the product
+        starts from the checkpoint at or below row i."""
+        exact = self._exact
+        if i < len(exact):
+            return exact[i]
         values, bases, _, logphi = self._snapshot
+        bits = logphi[i] / math.log(2)
+        if bits > _PHI_BITS_CAP:
+            raise ValueError(
+                f"phi of {values[i]} (or of its reciprocal) would hold "
+                f"about {bits:.0f} bits, past the cap of 2^18 bits"
+            )
         with self._exact_lock:
-            if i < len(self._exact):
-                return self._exact[i]
-            bits = logphi[i] / math.log(2)
-            if bits > _PHI_BITS_CAP:
-                raise ValueError(
-                    f"phi of {values[i]} (or of its reciprocal) would hold "
-                    f"about {bits:.0f} bits, past the cap of 2^18 bits"
+            if values[i] <= _EXACT_CACHE_LIMIT:
+                acc = exact[-1] if exact else 1
+                for j in range(len(exact), i + 1):
+                    acc *= bases[j]
+                    exact.append(acc)
+                return exact[i]
+            # checkpoint c holds the rows below c * stride, all at most i,
+            # so no checkpoint passes the bit cap
+            stride, checks = _PHI_STRIDE, self._checkpoints
+            c = (i + 1) // stride
+            while len(checks) <= c:
+                n = len(checks)
+                checks.append(
+                    checks[-1] * math.prod(bases[(n - 1) * stride:n * stride])
                 )
-            acc = self._exact[-1] if self._exact else 1
-            for j in range(len(self._exact), i + 1):
-                acc *= bases[j]
-                if values[j] <= _EXACT_CACHE_LIMIT:
-                    self._exact.append(acc)
-            return acc
+            return checks[c] * math.prod(bases[c * stride:i + 1])
+
+    def _row_logs(self, i: int) -> tuple:
+        """(log p, log1p(-1/p)) for the base p of each row 0..i at least
+        (row i must exist), as two array('d'): the same floats as
+        math.log(p) and math.log1p(-1.0 / p), computed once per row, only
+        for rows read and at most doubling the rows held."""
+        logs = self._logs
+        if i < len(logs[0]):
+            return logs
+        from array import array  # loaded only by the series walks
+
+        with self._exact_lock:
+            logp, log1m = self._logs
+            bases = self._snapshot[1]
+            start = len(logp)
+            stop = min(len(bases), max(i + 1, 2 * start))
+            if start < stop:
+                logp, log1m = array("d", logp), array("d", log1m)
+                logp.extend(map(math.log, bases[start:stop]))
+                log1m.extend(math.log1p(-1.0 / p) for p in bases[start:stop])
+                self._logs = (logp, log1m)
+            return self._logs
 
 
 _TABLE = _PowerTable()
@@ -564,7 +634,32 @@ def phi(x: RationalLike) -> Fraction:
     largest prime power n <= x, phi == 1 on [1/2, 2), and
     phi(1/m) = base(m)/phi(m) for integer prime powers m.
     """
-    return _TABLE.phi_at(_TABLE.rank_floor(as_fraction(x)))
+    frac = as_fraction(x)
+    _refuse_phi_past_cap(frac)
+    return _TABLE.phi_at(_TABLE.rank_floor(frac))
+
+
+def _refuse_phi_past_cap(x: Fraction) -> None:
+    """Refuse an exact phi(x) past _PHI_BITS_CAP before the table is
+    sieved to x. For x >= 2, log phi(x) = psi(n) with n = floor(x); for
+    x < 1/2, phi(x) = p / phi(m) for the least prime power m >= n =
+    ceil(1/x), and psi(m) >= psi(n). psi >= theta > n (1 - 1/(2 ln n))
+    for n >= 563 (Rosser-Schoenfeld 1962), so a lower bound past the cap
+    by a margin far above the float error of the table's log phi is
+    refused by _exact_phi too. Past _SIEVE_CAP the sieve refuses, and a
+    radius that is no positive rational is refused later."""
+    num, den = x.numerator, x.denominator
+    if num <= 0:
+        return
+    n = num // den if num >= 2 * den else -(-den // num)
+    if not 563 <= n <= _SIEVE_CAP:
+        return
+    bits = n * (1.0 - 0.5 / math.log(n)) / math.log(2)
+    if bits > _PHI_BITS_CAP * (1.0 + 1e-9):
+        raise ValueError(
+            f"phi of {x} would hold at least {bits:.0f} bits, past the cap "
+            "of 2^18 bits"
+        )
 
 
 def log_phi(x: RationalLike) -> float:

@@ -159,7 +159,7 @@ class RadialStep:
         by_rank = self._by_rank
         if not by_rank:
             return Fraction(0), None, 0, []
-        phi_pair = _TABLE.phi_pair_at
+        phi_pair, lcm = _TABLE.phi_pair_at, math.lcm
         num, den = 0, 1
         running: list[tuple[int, int]] = []
         last = next(iter(by_rank))
@@ -167,8 +167,9 @@ class RadialStep:
             if k - last > 1:
                 running += [(num, den)] * (k - last - 1)
             a, b = phi_pair(k)
-            n, d = c.numerator * a, c.denominator * b
-            lcd = math.lcm(den, d)
+            n, d = c.as_integer_ratio()
+            n, d = n * a, d * b
+            lcd = lcm(den, d)
             num = num * (lcd // den) + n * (lcd // d)
             den = lcd
             running.append((num, den))
@@ -218,7 +219,13 @@ class RadialStep:
         return total
 
     def l2_norm_sq(self) -> Fraction:
-        return self.inner_product(self)
+        """inner_product(self), one term per rank by symmetry:
+        sum c_k phi(k) (c_k + 2 * the coefficients above rank k)."""
+        total = above = Fraction(0)
+        for k, c in reversed(self._by_rank.items()):
+            total += c * _TABLE.phi_at(k) * (c + 2 * above)
+            above += c
+        return total
 
     def ft(self) -> "RadialStep":
         """Exact Fourier transform (an involution on radial steps)."""
@@ -407,13 +414,14 @@ def ft_ball_eval(
             return 0.0
         return float(profile(_TABLE.fraction_at(rank)))
 
+    phi_float = _TABLE.phi_float_at
     terms = []
     f_up = f_at(k + 1)
-    phi_q = float(_TABLE.phi_at(k))
+    phi_q = phi_float(k)
     bound = math.inf
     for _ in range(_FT_MAX_TERMS):
         f_q = f_at(k)
-        phi_prev = float(_TABLE.phi_at(k - 1))
+        phi_prev = phi_float(k - 1)
         terms.append(phi_q * (f_q - f_up))
         # remainder below q telescopes: |sum| <= phi(prev q) |g(q) - g(0+)|
         bound = phi_prev * abs(f_q - profile_at_zero)

@@ -1,0 +1,84 @@
+"""A frozen digest of the deterministic stack at seeded (t, alpha) points.
+
+Each point runs what one op of the benchmark's `analytic` workload runs:
+the normalization integral, the kernel at five radii, the radius law on
+1/128..128, two ball transition probabilities, the heat flow of a ball
+indicator read at three norms with its bound, the flow of an
+eigenfunction and a Simpson Duhamel solve whose exact solution is
+sin(t) times that eigenfunction. The digest is the sha256 of the repr of
+all outcomes, so any change of a float's bits or of a rational fails it.
+"""
+import hashlib
+import math
+import random
+from fractions import Fraction as F
+
+from adelic import (
+    AdelePoint,
+    ForcingGrid,
+    KernelParams,
+    RadialStep,
+    SymbolSpec,
+    normalization,
+    parse_point,
+    radius_distribution,
+    solve_homogeneous,
+    solve_nonhomogeneous,
+    transition_prob_ball,
+    z_finite,
+)
+
+ALPHAS = (1.5, 2.0, 3.0)
+T_RANGE = (0.05, 5.0)
+POINTS_PER_ALPHA = 8
+Z_RADII = (F(1, 4), F(1, 2), F(2), F(3), F(8))
+LAW_WINDOW = (F(1, 128), F(128))
+HOM_NORMS = (F(1, 2), F(2), F(4))
+DUHAMEL_STEPS = 32
+
+# taken when the loops built a Fraction per term and read every per-row
+# log with math.log and math.log1p
+FROZEN_SHA256 = (
+    "87f014a3a6f29deea077bd201cd01d703c8681b78e1c4eb30b424b477cfedee8"
+)
+
+
+def seeded_points():
+    """(t, alpha): t log-uniform on T_RANGE, 8 per alpha."""
+    rng = random.Random(20261019)
+    lo, hi = (math.log(x) for x in T_RANGE)
+    return [(math.exp(rng.uniform(lo, hi)), alpha)
+            for alpha in ALPHAS for _ in range(POINTS_PER_ALPHA)]
+
+
+def outcome(t, alpha):
+    w = RadialStep.sphere_indicator(F(2)).ft()  # eigenvalue 2^alpha
+    u0 = RadialStep.ball_indicator(F(1, 2))  # its transform is no step
+    lam = 2.0 ** alpha
+    times = tuple(t * i / DUHAMEL_STEPS for i in range(DUHAMEL_STEPS + 1))
+    forcing = ForcingGrid(times=times, steps=tuple(
+        w * F(math.cos(tau) + lam * math.sin(tau)) for tau in times))
+    params = KernelParams(t=t, alpha=alpha)
+    symbol = SymbolSpec(alpha=alpha)
+    zero = AdelePoint.zero()
+    hom = solve_homogeneous(u0, t, symbol)
+    return (
+        normalization(params),
+        [z_finite(r, params) for r in Z_RADII],
+        radius_distribution(params, *LAW_WINDOW),
+        transition_prob_ball(params, zero, parse_point("2:-2:1"), F(1, 2)),
+        transition_prob_ball(params, zero, zero, F(2)),
+        [hom.value_with_bound(s) for s in HOM_NORMS],
+        solve_homogeneous(w, t, symbol),
+        solve_nonhomogeneous(RadialStep.zero(), forcing, t, symbol,
+                             quadrature="Simpson", steps=DUHAMEL_STEPS),
+    )
+
+
+def test_analytic_outcomes_frozen():
+    outcomes = [outcome(t, alpha) for t, alpha in seeded_points()]
+    assert len(outcomes) == 24
+    for (norm, *_), (t, alpha) in zip(outcomes, seeded_points()):
+        assert abs(norm - 1.0) <= 1e-6, (t, alpha)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == FROZEN_SHA256

@@ -242,6 +242,21 @@ class TestTailBound:
         got = hk.tail_mass_bound(eps, p)
         assert ref <= got <= ref * 1.05
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_snapshot_sum_is_the_accessor_sum(self, alpha):
+        # the body read by rank from one snapshot, against float_at per rank
+        p = hk.KernelParams(t=0.3, alpha=alpha)
+        for eps in (F(1, 128), F(1, 3), F(1, 2), F(1), F(2), F(7), F(128),
+                    F(1024)):
+            lo = hk._radius_rank(eps)
+            cutoff = max(F(64), 4 * max(eps, F(1)))
+            hi = pp._TABLE.rank_floor(cutoff)
+            body = math.fsum(pp._TABLE.float_at(k) ** -alpha
+                             for k in range(lo + 1, hi + 1))
+            want = 2.0 * p.t * (
+                body + float(cutoff) ** (1.0 - alpha) / (alpha - 1.0))
+            assert hk.tail_mass_bound(eps, p) == want, eps
+
     def test_linear_in_time(self):
         a = hk.tail_mass_bound(F(2), hk.KernelParams(t=0.2, alpha=2.0))
         b = hk.tail_mass_bound(F(2), hk.KernelParams(t=0.1, alpha=2.0))

@@ -8,6 +8,7 @@ import bisect
 import hashlib
 import math
 import random
+import sys
 import threading
 import time
 from fractions import Fraction as F
@@ -325,6 +326,52 @@ class TestConcurrentExtension:
             t.join()
         assert not errors
 
+    def test_parallel_memo_checkpoint_and_log_reads(self, monkeypatch):
+        # readers of the rank memos, the exact cache, the checkpoints and
+        # the row logs on a fresh table, which they grow while they read
+        ref = pp._PowerTable()
+        values, bases, _, _ = ref.extend_to(120_000)
+        rng = random.Random(7)
+        ranks = rng.sample(range(-len(values), len(values)), 300)
+        want = {}
+        acc = 1
+        for i, p in enumerate(bases):
+            acc *= p
+            for k in (i, -1 - i):
+                if k in ranks:
+                    want[k] = (F(values[i]) if k >= 0 else F(1, values[i]),
+                               F(acc) if k >= 0 else F(p, acc))
+        table = pp._PowerTable()
+        monkeypatch.setattr(pp, "_TABLE", table)
+        errors = []
+
+        def worker(seed):
+            order = random.Random(seed).sample(ranks, len(ranks))
+            try:
+                for k in order:
+                    i = k if k >= 0 else -1 - k
+                    assert table.fraction_at(k) == want[k][0]
+                    assert table.phi_at(k) == want[k][1]
+                    logp, log1m = table._row_logs(i)
+                    assert logp[i] == math.log(bases[i])
+                    assert log1m[i] == math.log1p(-1.0 / bases[i])
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+
 
 def trial_division_prime_power(n):
     """(p, a) with p^a = n by trial division, or None."""
@@ -597,3 +644,197 @@ class TestRankOf:
     def test_rejects_non_prime_powers(self, x):
         with pytest.raises(ValueError, match=f"^{x} is not a prime power$"):
             pp._TABLE.rank_of(x)
+
+
+def assert_same_float(phi_float_at, phi_at, k):
+    """phi_float_at(k) is float(phi_at(k)): the same float, or the same
+    OverflowError past the double range."""
+    try:
+        want = float(phi_at(k))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            phi_float_at(k)
+        return
+    assert phi_float_at(k) == want
+
+
+class TestRankMemos:
+    """The table's per-rank memos and row logs return what the unmemoized
+    reads return, and a long walk leaves each at its bound."""
+
+    def test_memos_match_fresh_reads(self, monkeypatch):
+        table = pp._PowerTable()
+        monkeypatch.setattr(pp, "_TABLE", table)
+        values, bases, _, _ = table.extend_to(2 * pp._EXACT_CACHE_LIMIT)
+        exact = 1
+        for i in range(2500):  # past the memos' rows too
+            exact *= bases[i]
+            for k, value, phi_k in ((i, F(values[i]), F(exact)),
+                                    (-1 - i, F(1, values[i]),
+                                     F(bases[i], exact))):
+                for _ in range(2):  # a miss, then a hit
+                    assert table.fraction_at(k) == value
+                    assert table.phi_at(k) == phi_k
+                    assert_same_float(table.phi_float_at, table.phi_at, k)
+
+    def test_phi_float_past_the_cache(self):
+        for x in (F(700), F(720), F(1, 700), F(1, 720), F(40000),
+                  F(1, 40000)):
+            k = pp._TABLE.rank_floor(x)
+            assert_same_float(pp._TABLE.phi_float_at, pp._TABLE.phi_at, k)
+
+    def test_row_logs_are_the_same_floats(self):
+        table = pp._PowerTable()
+        bases = table.extend_to(20000)[1]
+        logp, log1m = table._row_logs(len(bases) - 1)
+        assert len(logp) == len(log1m) == len(bases)
+        for i, p in enumerate(bases):
+            assert logp[i] == math.log(p)
+            assert log1m[i] == math.log1p(-1.0 / p)
+
+    def test_cached_row_read_without_the_lock(self, monkeypatch):
+        class Refuse:
+            def __enter__(self):
+                raise AssertionError("lock taken")
+
+            def __exit__(self, *exc):
+                return False
+
+        table = pp._PowerTable()
+        monkeypatch.setattr(pp, "_TABLE", table)
+        want = phi(F(5000))
+        monkeypatch.setattr(table, "_exact_lock", Refuse())
+        assert phi(F(5000)) == want
+        assert table._exact_phi(pp._TABLE.rank_floor(F(4999))) \
+            == want.numerator
+
+    def test_walk_of_1e5_ranks_leaves_each_memo_at_its_bound(
+            self, monkeypatch):
+        table = pp._PowerTable()
+        monkeypatch.setattr(pp, "_TABLE", table)
+        n = 50_000  # ranks -n..n-1
+        for k in range(-n, n):
+            table.fraction_at(k)
+        values = table._snapshot[0]
+        rows = bisect.bisect_right(values, pp._EXACT_CACHE_LIMIT)
+        assert len(table._fractions) == 2 * rows
+        # phi at every rank of the cache's rows and at every 97th rank
+        # past them; past the bit cap each is refused
+        refused = 0
+        for k in [*range(-rows, rows), *range(rows, n, 97),
+                  *range(-rows - 1, -n, -97)]:
+            try:
+                table.phi_at(k)
+            except ValueError:
+                refused += 1
+        assert refused > 0
+        assert len(table._phis) == 2 * rows
+        assert len(table._exact) == rows
+        # checkpoints stop below the last row under the cap
+        logphi = table._snapshot[3]
+        last = bisect.bisect_right(logphi, pp._PHI_BITS_CAP * math.log(2))
+        assert len(table._checkpoints) <= last // pp._PHI_STRIDE + 1
+        assert max(c.bit_length() for c in table._checkpoints) \
+            <= pp._PHI_BITS_CAP + 1
+        logp, log1m = table._row_logs(n - 1)
+        assert n <= len(logp) == len(log1m) <= len(values)
+
+
+class TestExactPhiCheckpoints:
+    def test_equal_to_the_serial_product(self, monkeypatch):
+        table = pp._PowerTable()
+        monkeypatch.setattr(pp, "_TABLE", table)
+        values, bases, _, logphi = table.extend_to(200_000)
+        last = bisect.bisect_right(logphi, pp._PHI_BITS_CAP * math.log(2))
+        stride = pp._PHI_STRIDE
+        rng = random.Random(19)
+        rows = {stride * c + d for c in range(1, last // stride)
+                for d in (-1, 0, 1)}
+        rows.update(rng.sample(range(last), 60))
+        rows.add(last - 1)
+        acc = 1
+        for i, p in enumerate(bases[:last]):
+            acc *= p
+            if i in rows:
+                assert table._exact_phi(i) == acc, i
+                assert table.phi_at(-1 - i) == F(p, acc)
+        with pytest.raises(ValueError, match=r"cap of 2\^18 bits"):
+            table._exact_phi(last)
+
+    def test_a_call_multiplies_at_most_a_stride(self, monkeypatch):
+        k = pp._TABLE.rank_floor(F(10**5))
+        pp._TABLE.phi_at(k + 1000)  # checkpoints to past the rank
+        lengths = []
+        prod = math.prod
+
+        def counted(items):
+            items = list(items)
+            lengths.append(len(items))
+            return prod(items)
+
+        monkeypatch.setattr(math, "prod", counted)
+        for rank in (k, k + 1, -1 - k, k + 255):
+            lengths.clear()
+            pp._TABLE._exact_phi(rank if rank >= 0 else -1 - rank)
+            assert lengths and max(lengths) < pp._PHI_STRIDE
+        monkeypatch.setattr(math, "prod", prod)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            pp._TABLE.phi_at(k + 7)
+            pp._TABLE.phi_at(-8 - k)
+            times.append(time.perf_counter() - start)
+        assert sorted(times)[2] < 0.01  # a serial walk took about 60 ms
+
+
+class TestPhiRefusedBeforeSieving:
+    @pytest.mark.parametrize("x", [F(9999991), F(10000019), F(1, 9999991),
+                                   F(2 * 10**6 + 1, 3), F(1, 190000)])
+    def test_refused_on_a_fresh_table(self, monkeypatch, x):
+        table = pp._PowerTable()
+        monkeypatch.setattr(pp, "_TABLE", table)
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match=r"^phi of .* past the cap of 2\^18 bits$"):
+            phi(x)
+        assert time.perf_counter() - start < 0.1
+        assert table._limit == 512
+
+    def test_volume_refused_on_a_fresh_table(self, monkeypatch, capsys):
+        from adelic import cli
+
+        table = pp._PowerTable()
+        monkeypatch.setattr(pp, "_TABLE", table)
+        for radius in ("10000019", "1/9999991"):
+            assert cli.main(["volume", "sphere", radius]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid parameters: phi of ")
+            assert "past the cap of 2^18 bits" in err
+        assert table._limit == 512
+
+    def test_no_admitted_radius_is_refused(self):
+        # the bound grows with n: find the least n it refuses
+        def refused(n):
+            try:
+                pp._refuse_phi_past_cap(F(n))
+            except ValueError:
+                return True
+            return False
+
+        lo, hi = 563, pp._SIEVE_CAP
+        assert not refused(lo) and refused(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+        assert not refused(F(1, lo))
+        assert not refused(F(lo) + F(1, 2))
+        assert refused(F(1, hi))
+        # the table refuses phi at hi and at 1/hi on its own: their rows'
+        # log phi is past the cap
+        cap_ln = pp._PHI_BITS_CAP * math.log(2)
+        for x in (F(hi), F(1, hi)):
+            i = pp._TABLE._index(pp._TABLE.rank_floor(x))
+            assert pp._TABLE._snapshot[3][i] > cap_ln
+            with pytest.raises(ValueError, match="cap"):
+                pp._TABLE._exact_phi(i)
+        assert hi < 190_000

@@ -407,6 +407,14 @@ class TestOnePassTransform:
             f._ft_sphere_pairs()
 
 
+class TestNormBySymmetry:
+    def test_l2_norm_sq_is_the_inner_product(self):
+        rng = random.Random(1919)
+        for _ in range(200):
+            f = gapped_step(rng)
+            assert f.l2_norm_sq() == f.inner_product(f)
+
+
 class TestValueByRank:
     @staticmethod
     def coefficient_sum(f, s):
@@ -465,19 +473,19 @@ class TestTableReads:
                 k -= 1
 
         calls = []
-        phi_at = table.phi_at
+        phi_float_at = table.phi_float_at
 
         def counted(rank):
             calls.append(rank)
-            return phi_at(rank)
+            return phi_float_at(rank)
 
         for rho, s in ((F(8), 0), (F(5), F(1, 3)), (F(1, 2), F(2)),
                        (F(27), F(1, 7))):
             profile = lambda q: math.exp(-0.7 * float(q) ** 1.5)
             value, bound, n = reference(profile, rho, s, 1.0, 1e-12)
-            monkeypatch.setattr(table, "phi_at", counted)
+            monkeypatch.setattr(table, "phi_float_at", counted)
             calls.clear()
             assert ft_ball_eval(profile, rho, s, 1.0, tol=1e-12) == (
                 value, bound)
-            monkeypatch.setattr(table, "phi_at", phi_at)
+            monkeypatch.setattr(table, "phi_float_at", phi_float_at)
             assert len(calls) == n + 1
