@@ -183,11 +183,12 @@ def _add_multiplied(
     wd), wn/wd being the weight's as_integer_ratio: the symbol is
     q^exponent ("power") or e^{-time q^exponent} ("heat"), and powers
     memoizes q^exponent by rank. The inner ball's weight * c0 goes to the
-    piece of its shape."""
-    c0, rho, k0, values = g._ft_sphere_pairs()
-    if c0:
+    piece of its shape; c0 is the quotient of its integer pair, which int
+    true division rounds correctly, as float(Fraction) does."""
+    (cn, cd), rho, k0, values = g._ft_sphere_pairs()
+    if cn:
         shape = (rho, kind, exponent, time)
-        c0 = float(c0)
+        c0 = cn / cd
         for acc, weight, _, _ in sums:
             s = weight * c0
             prev = acc.pieces.get(shape)

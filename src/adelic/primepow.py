@@ -13,7 +13,7 @@ predecessor in this order; they satisfy the duality
 Every table query goes through one integer index, the rank: 2 -> 0,
 3 -> 1, 4 -> 2, ..., 1/2 -> -1, 1/3 -> -2, .... Successor and predecessor
 are r +/- 1 and x -> 1/x is r -> -1-r. next_pp and prev_pp need no rank:
-past the table they sieve a short window next to the query.
+past the table they test the integers next to the query in turn.
 
 The table does each rank's work once and keeps it within fixed bounds:
 the Fraction value and phi of every rank whose row value is at most 2^14
@@ -48,7 +48,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
 from typing import Iterable, Union
 
 RationalLike = Union["PrimePower", Fraction, int, float]
@@ -281,45 +281,29 @@ def bracket_log(p: int, x: RationalLike) -> int:
 
 
 def _prime_powers_upto(n: int) -> tuple[tuple, tuple, tuple]:
-    """(values, bases, exps) of every integer prime power in [2, n],
-    ascending by value: the window [2, n], struck by the primes of the
-    same sieve to sqrt(n)."""
+    """(values, bases, exps) of every integer prime power in [2, n]
+    (n >= 2), ascending by value.
+
+    The sieve covers the odd numbers only (odd[j] stands for 3 + 2j).
+    Each odd prime p <= sqrt(n), from the same sieve to sqrt(n), strikes
+    its odd multiples from p^2 on, so p itself survives. Only those
+    primes have a power p^k with k >= 2 in range; those few powers are
+    merged into the prime list and their rows found by bisection.
+    """
     root = math.isqrt(n)
     values, _, exps = _prime_powers_upto(root) if root >= 2 else ((), (), ())
-    return _prime_powers_between(
-        2, n, [v for v, k in zip(values, exps) if k == 1]
-    )
-
-
-def _prime_powers_between(lo: int, hi: int,
-                          primes) -> tuple[tuple, tuple, tuple]:
-    """(values, bases, exps) of every integer prime power in [lo, hi]
-    (lo >= 2), ascending by value. primes must hold every prime up to
-    sqrt(hi), ascending; larger ones are ignored.
-
-    The sieve covers the window's odd numbers only (odd[j] stands for
-    first + 2j). Each odd prime p <= sqrt(hi) strikes its odd multiples
-    from max(p^2, lo) on, so p itself survives. Only those primes have a
-    power p^k with k >= 2 in range; those few powers are merged into the
-    prime list and their rows found by bisection.
-    """
-    roots = primes[: bisect.bisect_right(primes, math.isqrt(hi))]
-    first = lo | 1
-    size = max((hi - first) // 2 + 1, 0)
+    roots = [v for v, k in zip(values, exps) if k == 1]
+    size = (n - 1) // 2  # the odd numbers 3, 5, ... up to n
     odd = bytearray([1]) * size
     for p in roots[1:]:  # roots[0] is 2
-        m = max(p * p, -(-lo // p) * p)
-        start = (m + (m + 1) % 2 * p - first) >> 1  # the first odd multiple
-        if start < size:
-            odd[start::p] = bytes((size - 1 - start) // p + 1)
-    found = [2] if lo == 2 else []
-    found.extend(compress(range(first, hi + 1, 2), odd))
+        start = (p * p - 3) >> 1
+        odd[start::p] = bytes((size - 1 - start) // p + 1)
+    found = [2, *compress(range(3, n + 1, 2), odd)]
     higher = []
-    for k in range(2, hi.bit_length()):
-        # the primes p with lo <= p^k <= hi
-        a = bisect.bisect_right(roots, _iroot(lo - 1, k))
-        b = bisect.bisect_right(roots, _iroot(hi, k))
-        higher.extend((p ** k, p, k) for p in roots[a:b])
+    for k in range(2, n.bit_length()):
+        # the primes p with p^k <= n
+        b = bisect.bisect_right(roots, _iroot(n, k))
+        higher.extend((p ** k, p, k) for p in roots[:b])
     higher.sort()
     values = found + [q for q, _, _ in higher]
     values.sort()  # two sorted runs: one linear merge
@@ -331,6 +315,22 @@ def _prime_powers_between(lo: int, hi: int,
         bases[i] = p
         exps[i] = k
     return tuple(values), tuple(bases), tuple(exps)
+
+
+def _first_prime_power(candidates: Iterable[int]) -> tuple[int, int]:
+    """(p, k) of the first candidate n = p^k that _root_prime_power
+    accepts; the candidates run on until one is. A candidate at or past
+    _MR_EXACT_BELOW is refused with ValueError before any root test: no
+    primality verdict there is exact."""
+    for n in candidates:
+        if n >= _MR_EXACT_BELOW:
+            raise ValueError(
+                "prime-power order queries reach only values below "
+                f"{_MR_EXACT_BELOW}, where primality is exact"
+            )
+        pk = _root_prime_power(n)
+        if pk is not None:
+            return pk
 
 
 class _PowerTable:
@@ -350,9 +350,9 @@ class _PowerTable:
     Sieve bounds are capped at _SIEVE_CAP; a larger request raises
     ValueError before allocating.
 
-    above/below need no rank: past the table they sieve a short window,
-    which needs the table only to its square root, so they answer up to
-    about _SIEVE_CAP^2.
+    above/below need no rank: past the table they scan the integers next
+    to the query with _root_prime_power, so they neither sieve nor extend
+    the table and answer up to _MR_EXACT_BELOW.
     """
 
     def __init__(self):
@@ -387,45 +387,23 @@ class _PowerTable:
             return self._snapshot
 
     def above(self, m: int) -> tuple[int, int]:
-        """(p, k) of the least integer prime power > m.
-
-        Past the table this sieves the windows (m, m + w] for w = 64, 128,
-        ... until one holds a prime power (Nagura bounds w by m/5), and
-        extends the table only to the window's square root."""
+        """(p, k) of the least integer prime power > m: past the table the
+        first of m + 1, m + 2, ... that _root_prime_power accepts."""
         values, bases, exps, _ = self._snapshot
         if m < values[-1]:
             i = bisect.bisect_right(values, m)
             return bases[i], exps[i]
-        width = 64
-        while True:
-            _, wbases, wexps = self._window(m + 1, m + width)
-            if wbases:
-                return wbases[0], wexps[0]
-            width *= 2
+        return _first_prime_power(count(m + 1))
 
     def below(self, c: int) -> tuple[int, int]:
-        """(p, k) of the greatest integer prime power < c, for c >= 3;
-        past the table (so c > 512) by the windows [c - w, c) as in
-        above."""
+        """(p, k) of the greatest integer prime power < c, for c >= 3:
+        past the table (so c > 512) the first of c - 1, c - 2, ... that
+        _root_prime_power accepts."""
         if c - 1 <= self._limit:
             values, bases, exps, _ = self._snapshot
             i = bisect.bisect_left(values, c) - 1
             return bases[i], exps[i]
-        width = 64
-        while True:
-            _, wbases, wexps = self._window(c - width, c - 1)
-            if wbases:
-                return wbases[-1], wexps[-1]
-            width *= 2
-
-    def _window(self, lo: int, hi: int) -> tuple:
-        """The integer prime powers in [lo, hi], sieved by the table's
-        primes up to sqrt(hi)."""
-        root = math.isqrt(hi)
-        values, bases, exps, _ = self.extend_to(root)
-        i = bisect.bisect_right(values, root)
-        primes = [p for p, k in zip(bases[:i], exps[:i]) if k == 1]
-        return _prime_powers_between(lo, hi, primes)
+        return _first_prime_power(count(c - 1, -1))
 
     def rank_floor(self, x: Fraction) -> int:
         """Rank of the largest prime power <= x (-1 on [1/2, 2)). The table

@@ -145,11 +145,12 @@ class RadialStep:
 
     def _ft_sphere_pairs(
         self,
-    ) -> tuple[Fraction, Fraction | None, int, list[tuple[int, int]]]:
+    ) -> tuple[tuple[int, int], Fraction | None, int,
+               list[tuple[int, int]]]:
         """ft().split_inner() followed by the remainder's _rank_values(),
-        from one walk up the ranks: (c0, rho, k0, values), values[i] being
-        the remainder's value on the sphere of rank k0 + i as an integer
-        pair (numerator, denominator > 0), not reduced.
+        from one walk up the ranks: (c0, rho, k0, values), c0 and each
+        values[i] (the remainder's value on the sphere of rank k0 + i)
+        being an integer pair (numerator, denominator > 0), not reduced.
 
         FT maps rank k to -2-k with weight phi(k), so the running sum of
         c_k phi(k) through rank k is the transform's value on the sphere
@@ -158,7 +159,7 @@ class RadialStep:
         """
         by_rank = self._by_rank
         if not by_rank:
-            return Fraction(0), None, 0, []
+            return (0, 1), None, 0, []
         phi_pair, lcm = _TABLE.phi_pair_at, math.lcm
         num, den = 0, 1
         running: list[tuple[int, int]] = []
@@ -176,9 +177,9 @@ class RadialStep:
             last = k
         running.reverse()
         if not num:
-            return Fraction(0), None, -2 - last, running
+            return (0, den), None, -2 - last, running
         # FT - c0 1_{B(rho)} is 0 on the sphere of rho and FT above it
-        return (Fraction(num, den), _TABLE.fraction_at(-3 - last), -3 - last,
+        return ((num, den), _TABLE.fraction_at(-3 - last), -3 - last,
                 [(0, 1), *running])
 
     def _rank_values(self) -> tuple[int, list[Fraction]]:

@@ -533,7 +533,7 @@ class TestTableBuild:
     def test_cold_successor_sieves_to_six_fifths(self, monkeypatch):
         monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
         assert next_pp(10**6) == PrimePower(1_000_003, 1)
-        assert pp._TABLE._limit <= 1_200_001
+        assert pp._TABLE._limit == 512
 
     def test_successor_needs_no_doubled_sieve(self, monkeypatch):
         # a sieve to twice the query (4802) would pass this cap
@@ -578,8 +578,9 @@ def reference_order():
 
 
 class TestWindowedOrderQueries:
-    """Order queries past the table sieve a window next to the query; a
-    fresh table (rows up to 512) sends most of these queries there."""
+    """Order queries past the table test the integers next to the query
+    in turn, without sieving; a fresh table (rows up to 512) sends most
+    of these queries there."""
 
     def test_every_integer_and_reciprocal_to_5000(self, monkeypatch,
                                                     reference_order):
@@ -601,18 +602,6 @@ class TestWindowedOrderQueries:
                 assert next_pp(x) == above(x), x
                 assert prev_pp(x) == below(x), x
 
-    def test_window_matches_the_table(self):
-        values, bases, exps = trial_division_table(5000)
-        primes = [v for v, k in zip(values, exps) if k == 1]
-        rng = random.Random(26)
-        for _ in range(300):
-            lo = rng.randint(2, 4900)
-            hi = lo + rng.randint(0, 100)
-            i = bisect.bisect_left(values, lo)
-            j = bisect.bisect_right(values, hi)
-            want = (values[i:j], bases[i:j], exps[i:j])
-            assert pp._prime_powers_between(lo, hi, primes) == want, (lo, hi)
-
     @pytest.mark.parametrize("query,want", [
         (lambda: next_pp(10**6), F(1_000_003)),
         (lambda: prev_pp(F(1, 10**6)), F(1, 1_000_003)),
@@ -621,7 +610,7 @@ class TestWindowedOrderQueries:
                                                 want):
         monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
         assert query() == want
-        assert pp._TABLE._limit <= 2048
+        assert pp._TABLE._limit == 512
 
     def test_successor_far_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
@@ -629,6 +618,50 @@ class TestWindowedOrderQueries:
         got = next_pp(10**12)
         assert time.perf_counter() - start < 1.0
         assert (got.p, got.k) == (10**12 + 39, 1)
+
+    @pytest.mark.parametrize("n,after,before", [
+        (10**15, 10**15 + 37, 10**15 - 11),
+        (10**18, 10**18 + 3, 10**18 - 11),
+        (10**21, 10**21 + 117, 10**21 - 101),
+    ])
+    def test_primes_next_to_huge_queries(self, monkeypatch, n, after,
+                                         before):
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        for query, want in ((lambda: next_pp(n), PrimePower(after, 1)),
+                            (lambda: prev_pp(n), PrimePower(before, 1)),
+                            (lambda: next_pp(F(1, n)), PrimePower(before, -1)),
+                            (lambda: prev_pp(F(1, n)), PrimePower(after, -1))):
+            start = time.perf_counter()
+            assert query() == want
+            assert time.perf_counter() - start < 1.0
+        assert pp._TABLE._limit == 512
+
+    @pytest.mark.parametrize("query,want", [
+        (lambda: next_pp(2**60 - 1), PrimePower(2, 60)),
+        (lambda: prev_pp(3**40 + 1), PrimePower(3, 40)),
+        (lambda: prev_pp(F(1, 2**60 - 1)), PrimePower(2, -60)),
+        (lambda: next_pp(F(1, 3**40 + 1)), PrimePower(3, -40)),
+    ], ids=["next-2^60", "prev-3^40", "prev-2^-60", "next-3^-40"])
+    def test_higher_power_answers(self, monkeypatch, query, want):
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        start = time.perf_counter()
+        got = query()
+        assert time.perf_counter() - start < 1.0
+        assert (got.p, got.k) == (want.p, want.k)
+        assert pp._TABLE._limit == 512
+
+    @pytest.mark.parametrize("query", [
+        lambda: next_pp(10**25),
+        lambda: prev_pp(10**4000),
+        lambda: next_pp(F(1, 10**4000)),
+    ], ids=["next-1e25", "prev-1e4000", "next-1e-4000"])
+    def test_refused_past_exact_primality(self, monkeypatch, query):
+        monkeypatch.setattr(pp, "_TABLE", pp._PowerTable())
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="primality is exact"):
+            query()
+        assert time.perf_counter() - start < 0.1
+        assert pp._TABLE._limit == 512
 
 
 class TestRankOf:
