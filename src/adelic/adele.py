@@ -22,6 +22,7 @@ volumes phi(r) and phi(r) - phi(prev_pp(r)).
 """
 from __future__ import annotations
 
+import _random
 import functools
 import itertools
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import Iterator, Literal, Optional
 
 from .errors import IndeterminateCancellation
 from .primepow import _TABLE, RationalLike, as_fraction, is_prime
-from .util import derive_rng
+from .util import derive_rng, derive_seed
 
 DEFAULT_DEPTH = 16
 
@@ -102,16 +103,23 @@ class PAdicComponent:
         return Fraction(self.p) ** self.valuation * self.unit
 
 
+# the slot descriptors' setters, which write past the frozen __setattr__
+_set_p, _set_valuation, _set_unit, _set_known_to = (
+    PAdicComponent.__dict__[name].__set__
+    for name in ("p", "valuation", "unit", "known_to")
+)
+
+
 def _trusted_component(
     p: int, valuation: Optional[int], unit: int, known_to: Optional[int]
 ) -> PAdicComponent:
     """PAdicComponent without the unit check, for a unit prime to p by
     construction (or 0 with no valuation)."""
     c = object.__new__(PAdicComponent)
-    object.__setattr__(c, "p", p)
-    object.__setattr__(c, "valuation", valuation)
-    object.__setattr__(c, "unit", unit)
-    object.__setattr__(c, "known_to", known_to)
+    _set_p(c, p)
+    _set_valuation(c, valuation)
+    _set_unit(c, unit)
+    _set_known_to(c, known_to)
     return c
 
 
@@ -236,6 +244,17 @@ class ZeroTail:
 ZERO_TAIL = ZeroTail()
 
 
+def _below(getrandbits, n: int) -> int:
+    """Uniform integer in [0, n) for n >= 1: the draw randrange(n) makes on
+    the random.Random whose getrandbits this is, by the same rejection
+    loop on n.bit_length() bits (Random._randbelow_with_getrandbits)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class RandomTail:
     """Implicit components are uniform in Z_p, materialized on demand.
 
@@ -251,8 +270,10 @@ class RandomTail:
         self.depth = depth
 
     def component(self, p: int, depth: int) -> PAdicComponent:
-        rng = derive_rng(self.seed, "tail", p)
-        t = rng.randrange(p ** self.depth)
+        # random.Random(derive_seed(seed, "tail", p)).randrange(p^depth),
+        # drawn from the C generator under the same seed
+        bits = _random.Random(derive_seed(self.seed, "tail", p)).getrandbits
+        t = _below(bits, p ** self.depth)
         return component_from_residue(p, 0, t, self.depth)
 
     def __eq__(self, other):
@@ -564,19 +585,22 @@ def sample_uniform(
     if rng is None:
         rng = derive_rng(seed if seed is not None else 0, "sample")
     pairs, sphere_prime = region._plan
+    # rng.randrange(n) is _below(bits, n) and randrange(1, q) is
+    # 1 + _below(bits, q - 1), draw for draw
+    bits = rng.getrandbits
     comps: dict[int, PAdicComponent] = {}
     for q, a in pairs:
         if q == sphere_prime:
-            lead = rng.randrange(1, q)
-            rest = rng.randrange(q ** (depth - 1))
+            lead = 1 + _below(bits, q - 1)
+            rest = _below(bits, q ** (depth - 1))
             # the leading digit is nonzero, so the unit is prime to q
             comps[q] = _trusted_component(q, -a, lead + q * rest, depth - a)
         elif a != 0 and (prime_cutoff is None or q <= prime_cutoff):
             comps[q] = component_from_residue(
-                q, -a, rng.randrange(q ** depth), depth
+                q, -a, _below(bits, q ** depth), depth
             )
     # the plan's pairs ascend in q, so comps is already in key order
-    tail = RandomTail(rng.getrandbits(63), depth)
+    tail = RandomTail(bits(63), depth)
     point = _trusted_point(comps, tail, depth)
     if region.center is not None:
         point = add(point, region.center)

@@ -392,11 +392,10 @@ def check_markov_conditions() -> CheckResult:
     origin = AdelePoint.zero()
     times = (0.1, 0.01, 0.001)
     for eps in (Fraction(1, 4), Fraction(1), Fraction(2), Fraction(8)):
-        cap = tail_mass_bound(eps, KernelParams(t=1.0, alpha=alpha))
         for t in times:
             params = KernelParams(t=t, alpha=alpha)
             escape = 1.0 - transition_prob_ball(params, origin, origin, eps)
-            if escape > cap * t * (1 + 1e-12):
+            if escape > tail_mass_bound(eps, params) * (1 + 1e-12):
                 failures.append(f"M-bound fails at eps={eps}, t={t}")
     lower = (3.0**alpha - 2.0**alpha) / 3.0 - 1e-3
     for t in times:

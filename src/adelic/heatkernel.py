@@ -441,10 +441,10 @@ def moment_integral(params: KernelParams, beta_weight: float,
 
 
 def tail_mass_bound(epsilon: RationalLike, params: KernelParams) -> float:
-    """Certified upper bound 2t * sum_{prime powers q > eps} q^{-alpha}
-    for the kernel mass outside the closed ball of radius eps. The prime
-    power sum is taken exactly to a cutoff and majorized beyond it by the
-    integer integral test."""
+    """Certified upper bound min(2t * sum_{prime powers q > eps}
+    q^{-alpha}, 1) for the kernel mass outside the closed ball of radius
+    eps: a mass is at most 1. The prime power sum is taken exactly to a
+    cutoff and majorized beyond it by the integer integral test."""
     lo = _radius_rank(epsilon)
     eps = as_fraction(epsilon)
     t, alpha = params.t, params.alpha
@@ -458,7 +458,7 @@ def tail_mass_bound(epsilon: RationalLike, params: KernelParams) -> float:
         for k in range(lo + 1, hi + 1)
     )
     integral_tail = float(cutoff) ** (1.0 - alpha) / (alpha - 1.0)
-    return 2.0 * t * (body + integral_tail)
+    return min(2.0 * t * (body + integral_tail), 1.0)
 
 
 # --------------------------------------------------------------------------

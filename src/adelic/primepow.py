@@ -219,11 +219,24 @@ def _as_prime_power(x: Fraction) -> tuple[int, int] | None:
 def _root_prime_power(n: int) -> tuple[int, int] | None:
     """(p, a) with p^a = n, p prime, a >= 1; None if n is no prime power.
 
-    Tries the exact integer a-th root of n for every a. A composite verdict
-    of is_prime is always right; a prime verdict at or above
-    _MR_EXACT_BELOW would be a guess, so that raises ValueError.
+    First divides by the witness primes: when one of them, q, divides n,
+    n is a prime power exactly when stripping q leaves 1. Otherwise every
+    prime factor of n passes 41, so n = r^a needs 43^a <= n, and only
+    those a have their exact integer root tried. A composite verdict of
+    is_prime is always right; a prime verdict at or above _MR_EXACT_BELOW
+    would be a guess, so that raises ValueError.
     """
-    for a in range(1, n.bit_length()):
+    if n < 2:
+        return None
+    for q in _MR_WITNESSES:
+        if n % q == 0:
+            a = 0
+            while n % q == 0:
+                n //= q
+                a += 1
+            return (q, a) if n == 1 else None
+    a, least = 1, 43
+    while least <= n:
         r = _iroot(n, a)
         if r ** a == n and is_prime(r):
             if r >= _MR_EXACT_BELOW:
@@ -232,6 +245,7 @@ def _root_prime_power(n: int) -> tuple[int, int] | None:
                     f"is exact only below {_MR_EXACT_BELOW}"
                 )
             return r, a
+        a, least = a + 1, least * 43
     return None
 
 

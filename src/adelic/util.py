@@ -20,7 +20,7 @@ def derive_seed(*keys: int | str) -> int:
     """
     import hashlib
 
-    material = "|".join(repr(k) for k in keys).encode()
+    material = "|".join(map(repr, keys)).encode()
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 

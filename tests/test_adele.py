@@ -8,6 +8,7 @@ conditional probabilities they must realize.
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -38,7 +39,7 @@ from adelic.adele import (
 from adelic.heatkernel import KernelParams
 from adelic.markov import radius_distribution, sample_path
 from adelic.primepow import _TABLE
-from adelic.util import derive_rng
+from adelic.util import derive_rng, derive_seed
 
 # ---- frozen expected values ----
 DIST_DISJOINT_HALVES = F(3)       # ||(1/2 at 2) - (1/3 at 3)|| = max(2, 3)
@@ -716,3 +717,50 @@ class TestTrustedPath:
         unsorted = AdelePoint({5: component_from_rational(5, F(5)),
                                2: component_from_rational(2, F(1, 2))})
         assert list(unsorted.explicit) == [2, 5]
+
+
+class TestStdlibDraws:
+    """The sampling leaves draw what the stdlib calls they replace would:
+    the references below are random.Random and PAdicComponent as such."""
+
+    def test_tail_read_is_the_stdlib_draw(self):
+        grid = random.Random(2024)
+        primes = primes_upto(8191)
+        cases = [(p, d) for p in (2, 3, 8191) for d in (4, 16, 1024)]
+        cases += [(grid.choice(primes), grid.choice((4, 5, 16, 64, 255, 1024)))
+                  for _ in range(150)]
+        for p, depth in cases:
+            seed = grid.getrandbits(63)
+            want = random.Random(derive_seed(seed, "tail", p)).randrange(
+                p ** depth)
+            got = RandomTail(seed, depth).component(p, depth)
+            assert got == component_from_residue(p, 0, want, depth), (
+                seed, p, depth)
+
+    def test_below_is_randrange(self):
+        sizes = [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 10**6]
+        sizes += [2 ** k + d for k in (31, 32, 33, 63, 64, 65, 200)
+                  for d in (-1, 0, 1)]
+        for seed in range(40):
+            ref, fast = random.Random(seed), random.Random(seed)
+            bits = fast.getrandbits
+            extra = random.Random(-seed - 1)
+            ns = sizes + [extra.randrange(1, 2 ** extra.randrange(1, 900))
+                          for _ in range(30)]
+            for n in ns:
+                assert ad._below(bits, n) == ref.randrange(n), (seed, n)
+                if n >= 2:
+                    assert 1 + ad._below(bits, n - 1) == ref.randrange(1, n)
+            # the two streams stayed in step: the same next word
+            assert fast.getrandbits(64) == ref.getrandbits(64)
+
+    def test_trusted_component_is_the_checked_one(self):
+        args = [(2, None, 0, None), (3, None, 0, 7), (5, -2, 3, None),
+                (7, 0, 1, 16), (8191, 4, 8190, 20), (2, -9, 2 ** 40 + 1, 3)]
+        for a in args:
+            fast, checked = ad._trusted_component(*a), PAdicComponent(*a)
+            assert type(fast) is PAdicComponent
+            assert fast == checked and hash(fast) == hash(checked), a
+            assert repr(fast) == repr(checked)
+            with pytest.raises(AttributeError):
+                fast.unit = 0

@@ -255,7 +255,25 @@ class TestTailBound:
                              for k in range(lo + 1, hi + 1))
             want = 2.0 * p.t * (
                 body + float(cutoff) ** (1.0 - alpha) / (alpha - 1.0))
-            assert hk.tail_mass_bound(eps, p) == want, eps
+            assert hk.tail_mass_bound(eps, p) == min(want, 1.0), eps
+
+    def test_capped_at_one(self):
+        # a mass is at most 1: the bound is min(2t * sum, 1), and the sum
+        # alone is kept wherever it stays below 1
+        p = hk.KernelParams(t=1.0, alpha=2.0)
+        assert hk.tail_mass_bound(F(1, 65536), p) == 1.0
+        assert hk.upper_tail_mass(F(1, 65536), p) <= 1.0
+        for alpha in (1.5, 2.0, 3.0):
+            for eps in (F(1, 128), F(1, 3)):
+                big = hk.tail_mass_bound(eps, hk.KernelParams(1.0, alpha))
+                tiny = hk.tail_mass_bound(eps, hk.KernelParams(1e-12, alpha))
+                assert big == 1.0 and tiny < 1.0, (alpha, eps)
+                lo = hk._radius_rank(eps)
+                hi = pp._TABLE.rank_floor(F(64))
+                body = math.fsum(pp._TABLE.float_at(k) ** -alpha
+                                 for k in range(lo + 1, hi + 1))
+                assert tiny == 2.0 * 1e-12 * (
+                    body + 64.0 ** (1.0 - alpha) / (alpha - 1.0))
 
     def test_linear_in_time(self):
         a = hk.tail_mass_bound(F(2), hk.KernelParams(t=0.2, alpha=2.0))

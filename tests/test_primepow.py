@@ -470,6 +470,35 @@ class TestHugePrimePowers:
             assert pp._as_prime_power(F(n)) == want, n
             assert pp._root_prime_power(n) == want, n
 
+    def test_root_test_matches_the_all_exponents_loop(self):
+        # the loop that tried the a-th root for every a below n's bit
+        # length, before the witness primes were divided out first
+        def reference(n):
+            for a in range(1, n.bit_length()):
+                r = pp._iroot(n, a)
+                if r ** a == n and pp.is_prime(r):
+                    return r, a
+            return None
+
+        rng = random.Random(21)
+        big = pp._MR_EXACT_BELOW
+        # n up to 5000 is checked against trial division above
+        ns = [rng.randrange(2, big) for _ in range(200)]
+        ns += [int(math.exp(rng.uniform(0.0, math.log(big))))
+               for _ in range(400)]
+        for _ in range(300):  # prime powers, witness multiples, near-powers
+            p = rng.randrange(2, 10**6)
+            while not pp.is_prime(p):
+                p += 1
+            k = rng.randrange(1, max(2, int(math.log(big, p))))
+            q = rng.choice(pp._MR_WITNESSES)
+            ns += [p ** k, p ** k + rng.choice((-1, 1)), q * p ** k,
+                   q ** rng.randrange(1, 40) * rng.choice((1, p))]
+        ns = [n for n in ns if 2 <= n < big]
+        assert len(ns) > 1500
+        for n in ns:
+            assert pp._root_prime_power(n) == reference(n), n
+
     def test_undecidable_primality_raises(self):
         m89 = 2**89 - 1  # a Mersenne prime above the exact Miller-Rabin range
         for x in (m89, m89**2, F(1, m89)):
