@@ -25,13 +25,12 @@ from __future__ import annotations
 import _random
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Optional
 
 from .errors import IndeterminateCancellation
 from .primepow import _TABLE, RationalLike, as_fraction, is_prime
-from .util import derive_rng, derive_seed
+from .util import derive_rng, derive_seed, record
 
 DEFAULT_DEPTH = 16
 
@@ -56,7 +55,7 @@ _POWER_BITS_CAP = 1 << 16
 # components
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PAdicComponent:
     """One truncated Q_p coordinate.
 
@@ -475,7 +474,7 @@ def distance(x: AdelePoint, y: AdelePoint) -> Fraction:
 # regions, volume, sampling
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Region:
     """Ball (closed, ||y - center|| <= radius) or sphere (= radius) of
     prime-power radius."""

@@ -36,7 +36,6 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -44,10 +43,10 @@ from .errors import ToleranceError
 from .heatkernel import KernelParams, z_real
 from .primepow import _TABLE, RationalLike, phi
 from .radial import RadialStep, ft_ball_eval
-from .util import require_finite
+from .util import record, require_finite
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SymbolSpec:
     """Multiplier exponents: r^alpha on the finite part, |xi|^beta on the
     real part when present."""
@@ -67,7 +66,7 @@ class SymbolSpec:
             raise ValueError("solvers require alpha > 1")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InnerPiece:
     """scale * inverse-transform of (profile * ball indicator), evaluated
     lazily; profile is monotone on (0, rho] so the series truncation bound
@@ -103,7 +102,7 @@ class InnerPiece:
         return abs(self.scale) * peak * math.sqrt(float(phi(self.rho)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EvaluableRadial:
     """Exact step part plus lazily evaluated inner pieces."""
 
@@ -268,7 +267,7 @@ def solve_homogeneous(
     return acc.result(tol)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ForcingGrid:
     """Forcing sampled at increasing time nodes starting at 0; between
     nodes the radial steps interpolate linearly coefficient-wise."""
@@ -394,7 +393,7 @@ def solve_nonhomogeneous(
 # real line factor and the product space
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RealGridFunction:
     """Samples on a uniform grid x0 + i*dx."""
 

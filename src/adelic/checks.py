@@ -13,12 +13,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import IndeterminateCancellation
+from .util import record
 
 if TYPE_CHECKING:
     import subprocess
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 _SEED = 20260825  # master seed for every stochastic check
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckResult:
     name: str
     passed: bool

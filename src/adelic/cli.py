@@ -17,16 +17,15 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .errors import IndeterminateCancellation, ToleranceError
+from .util import field, record
 
 if TYPE_CHECKING:
     from .cauchy import ForcingGrid, RealGridFunction
@@ -42,7 +41,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
+@record
 class RunConfig:
     """Resolved parameters of one CLI run; echoed into the sidecar."""
 
@@ -61,7 +60,7 @@ class RunConfig:
         }
 
 
-@dataclass
+@record
 class RunResult:
     stdout: str = ""
     files: dict = field(default_factory=dict)  # path -> text
@@ -82,6 +81,8 @@ def _jsonable(v):
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
+    import json
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -160,6 +161,8 @@ def _kernel_params(p) -> KernelParams:
 
 
 def _read_step(path: Optional[str], inline: Optional[str]) -> RadialStep:
+    import json
+
     from .radial import RadialStep
 
     if inline is not None:
@@ -179,6 +182,8 @@ def _read_step(path: Optional[str], inline: Optional[str]) -> RadialStep:
 
 
 def _read_forcing(path: str) -> ForcingGrid:
+    import json
+
     from .cauchy import ForcingGrid
     from .radial import RadialStep
 
@@ -232,6 +237,8 @@ def _read_real_grid(path: str) -> RealGridFunction:
 
 def _result_json(result) -> tuple[str, float]:
     """Serialize a solver result; returns (json text, error bound)."""
+    import json
+
     from .cauchy import EvaluableRadial
     from .radial import RadialStep
 
@@ -333,10 +340,10 @@ def _cmd_ft(args):
 
 def _cmd_kernel(args):
     from .heatkernel import (
+        _z_real_and_error,
         normalization,
         tail_mass_bound,
         upper_tail_mass,
-        z_adelic,
         z_finite,
     )
 
@@ -354,11 +361,17 @@ def _cmd_kernel(args):
     params = _kernel_params(p)
     cfg = RunConfig(f"kernel {args.action}", p, args.output, args.meta)
     if args.action == "eval":
+        quad_err = 0.0
         if p["x"] is not None:
-            value = z_adelic(p["x"], p["radius"], params, tol=p["tol"])
+            real, quad_err = _z_real_and_error(p["x"], params, p["tol"])
+            fin = z_finite(p["radius"], params, tol=p["tol"])
+            value = real * fin
         else:
             value = z_finite(p["radius"], params, tol=p["tol"])
         bound = abs(value) * p["tol"]
+        if quad_err:
+            # the real factor's quadrature error, which tol does not bound
+            bound += 2.0 * quad_err * fin
         return cfg, RunResult(
             stdout=f"{value:.17g} {bound:.3e}\n",
             error_bounds={"value": bound},
@@ -645,6 +658,8 @@ def _write_sidecar(cfg: RunConfig, result: RunResult, wall: float):
         path = cfg.output + ".meta.json"
     if path is None:
         return
+    import json
+
     meta = {
         "config": cfg.as_dict(),
         "error_bounds": result.error_bounds,

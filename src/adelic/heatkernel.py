@@ -31,20 +31,19 @@ steps integer ranks, reading values and log phi by rank from the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import ToleranceError
 from .primepow import _SIEVE_CAP, _TABLE, RationalLike, as_fraction
-from .util import clamp_nonnegative, require_finite, require_positive
+from .util import clamp_nonnegative, record, require_finite, require_positive
 
 _CHEB = 1.04  # effective bound: ln phi(x) <= 1.04 x for x >= 2
 _LOG_GEO = -math.expm1(-_CHEB)  # 1 - e^{-1.04}
 _RS_FLOOR = 2 ** 20  # theta(x) > x (1 - 1/(2 ln x)) is used for x >= this
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KernelParams:
     """Time/exponent bundle. t = 0 is admitted only as the degenerate
     identity element of the semigroup (transition probabilities become
@@ -277,7 +276,7 @@ def _scaled_z(radius: RationalLike, params: KernelParams, tol: float,
 # sphere masses and the normalization integral
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SphereMasses:
     """Masses m(r) = Z(r,t) vol(S_r) on a window of prime-power radii,
     ascending from the radius of rank k_lo, with the two exact tail sums
@@ -469,6 +468,15 @@ def z_real(x: float, params: KernelParams, tol: float = 1e-10) -> float:
     """Real stable kernel under the character e^{2 pi i x xi}:
     the inverse transform of e^{-t |xi|^beta}. Closed forms for beta in
     {1, 2}; adaptive cosine quadrature otherwise (reduced precision)."""
+    return _z_real_and_error(x, params, tol)[0]
+
+
+def _z_real_and_error(
+    x: float, params: KernelParams, tol: float
+) -> tuple[float, float]:
+    """(z_real, quad_err): quad_err is the quadrature's own error estimate
+    of the half-line integral, so the value is within 2 * quad_err; it is
+    0.0 for the closed forms and at x = 0."""
     require_positive(tol=tol)
     params.require_positive_time()
     if params.beta is None:
@@ -478,11 +486,11 @@ def z_real(x: float, params: KernelParams, tol: float = 1e-10) -> float:
     if beta == 2.0:
         return math.sqrt(math.pi / t) * math.exp(
             -math.pi ** 2 * x * x / t
-        )
+        ), 0.0
     if beta == 1.0:
-        return 2.0 * t / (t * t + 4.0 * math.pi ** 2 * x * x)
+        return 2.0 * t / (t * t + 4.0 * math.pi ** 2 * x * x), 0.0
     if x == 0.0:
-        return 2.0 * math.gamma(1.0 + 1.0 / beta) / t ** (1.0 / beta)
+        return 2.0 * math.gamma(1.0 + 1.0 / beta) / t ** (1.0 / beta), 0.0
     from scipy.integrate import quad
 
     val, err = quad(
@@ -497,7 +505,7 @@ def z_real(x: float, params: KernelParams, tol: float = 1e-10) -> float:
         raise ToleranceError(
             f"oscillatory quadrature error {err:.2e} above tolerance"
         )
-    return clamp_nonnegative(2.0 * val, scale=1.0 + abs(2.0 * val))
+    return clamp_nonnegative(2.0 * val, scale=1.0 + abs(2.0 * val)), err
 
 
 def z_adelic(

@@ -18,7 +18,6 @@ import csv
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -42,10 +41,10 @@ from .heatkernel import (
     tail_mass_bound,
 )
 from .primepow import _TABLE, RationalLike, as_fraction
-from .util import derive_rng
+from .util import derive_rng, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadiusDistribution:
     """Increment-radius law on a prime-power window plus combined tail."""
 
@@ -112,7 +111,7 @@ def _increment_law(
 _DEPTH_CAP = 1024
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Truncation:
     """Path truncation: radius window, stored-prime cutoff, digit depth."""
 
@@ -141,7 +140,7 @@ class Truncation:
             )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PathSample:
     """One simulated path. radii[i] is the norm of the i-th increment,
     known exactly from the draw; points are truncated representations."""

@@ -46,10 +46,11 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
 from typing import Iterable, Union
+
+from .util import record
 
 RationalLike = Union["PrimePower", Fraction, int, float]
 
@@ -107,7 +108,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimePower:
     """p^k with p prime and k a nonzero integer; ordered by value."""
 

@@ -25,7 +25,6 @@ and spheres between two radii are consecutive ranks.
 """
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -310,6 +309,8 @@ class RadialStep:
     # ---- serialization
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict())
 
     def to_dict(self) -> dict:
@@ -333,6 +334,8 @@ class RadialStep:
 
     @classmethod
     def from_json(cls, text: str) -> "RadialStep":
+        import json
+
         return cls.from_dict(json.loads(text))
 
 

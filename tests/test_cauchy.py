@@ -3,7 +3,6 @@ import hashlib
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -596,10 +595,13 @@ def node_by_node(grid, t, quadrature, m, alpha=ALPHA):
         evolved, piece = evolve_by_three_passes(grid.at(tau), t - tau, alpha)
         step = step + evolved * F(w)
         if piece is not None:
-            shape = replace(piece, scale=1.0)
+            shape = cy.InnerPiece(
+                1.0, piece.rho, piece.kind, piece.exponent, piece.time
+            )
             pieces[shape] = pieces.get(shape, 0.0) + w * piece.scale
     return step, tuple(
-        replace(shape, scale=s) for shape, s in pieces.items() if s != 0.0
+        cy.InnerPiece(s, shape.rho, shape.kind, shape.exponent, shape.time)
+        for shape, s in pieces.items() if s != 0.0
     )
 
 

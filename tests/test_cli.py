@@ -74,6 +74,35 @@ class TestFloatOutputs:
         assert abs(float(value) - 1.0) <= 1e-6
         assert float(achieved) <= 1e-6
 
+    @pytest.mark.parametrize("beta", ["1.9", "1.5", "1.3"])
+    def test_real_factor_bound_covers_the_quadrature_error(self, tmp_path,
+                                                           beta):
+        # for beta outside {1, 2} the real factor is a cosine quadrature
+        # whose error tol does not bound; mpmath.quadosc is the reference
+        # (below beta = 1 it is no oracle, so none is tested there)
+        mpmath = pytest.importorskip("mpmath")
+        from adelic.heatkernel import KernelParams, z_finite
+
+        proc = run_cli(
+            ["kernel", "eval", "--radius", "2", "--t", "1", "--alpha", "2",
+             "--beta", beta, "--x", "10", "--tol", "1e-12", "--meta",
+             "m.json"],
+            tmp_path,
+        )
+        assert proc.returncode == 0
+        value, printed = proc.stdout.split()
+        bound = json.loads((tmp_path / "m.json").read_text())[
+            "error_bounds"]["value"]
+        assert printed.decode() == f"{bound:.3e}"
+        b, omega = mpmath.mpf(beta), 2 * mpmath.pi * 10
+        with mpmath.workdps(15):
+            real = 2 * mpmath.quadosc(
+                lambda xi: mpmath.exp(-xi ** b) * mpmath.cos(omega * xi),
+                [0, mpmath.inf], omega=omega,
+            )
+        fin = z_finite(2, KernelParams(t=1.0, alpha=2.0), tol=1e-14)
+        assert abs(float(value) - float(real) * fin) <= bound
+
     def test_tail_mass_below_bound(self, tmp_path):
         proc = run_cli(
             ["kernel", "tail", "--epsilon", "2", "--t", "0.01",

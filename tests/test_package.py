@@ -102,6 +102,38 @@ def test_commands_that_never_sample_leave_hashlib_unloaded(tmp_path, args):
     assert loaded == "False"
 
 
+# commands whose cold run reads and writes no JSON
+NO_JSON = ("phi", "ppow", "norm", "volume", "kernel", "transition")
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_commands_leave_dataclasses_inspect_and_json_unloaded(tmp_path,
+                                                              index):
+    # the records are closures, not generated source, and json is imported
+    # by the functions that read or write it
+    args = _battery(str(tmp_path))[index][0]
+    out = _fresh(
+        "import sys\n"
+        "watched = ('dataclasses', 'inspect', 'json')\n"
+        "preloaded = [m for m in watched if m in sys.modules]\n"
+        "import adelic.cli\n"
+        f"assert adelic.cli.main({args!r}) == 0\n"
+        "print(preloaded)\n"
+        "print([m for m in (*watched, 'numpy') if m in sys.modules])\n",
+        cwd=tmp_path,
+    )
+    preloaded, loaded = map(set, map(eval, out.splitlines()[-2:]))
+    expected_absent = {"dataclasses", "inspect"}
+    if "numpy" in loaded:  # numpy imports inspect itself (solve adelic)
+        expected_absent.discard("inspect")
+    if args[0] in NO_JSON:
+        expected_absent.add("json")
+    if expected_absent & preloaded:
+        pytest.skip(f"the interpreter loads {expected_absent & preloaded} "
+                    "at start-up")
+    assert not expected_absent & loaded, " ".join(args)
+
+
 def test_verify_volumes_loads_only_its_checks_layers():
     out = _fresh(
         "import sys, adelic.cli\n"
