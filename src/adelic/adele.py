@@ -6,6 +6,10 @@ materialized uniform element of Z_p. A component is three integers: its
 valuation v, its unit u (prime to p) and its absolute precision known_to.
 The value p^v * u is known modulo p^known_to, or exactly when known_to is
 None (a tail of zero digits). Base-p digits appear only in the text form.
+A sampled point's implicit components form a RandomTail: the component at
+p is uniform in Z_p modulo p^depth, read from one SHAKE-256 output keyed
+by the tail's seed and p (RandomTail, _shake_below), while the explicit
+digits are drawn from the caller's random.Random stream.
 Arithmetic is exact modular arithmetic on units; when a sum cancels past
 the stored precision the valuation of the result is undecidable and
 IndeterminateCancellation is raised - never silent rounding.
@@ -22,15 +26,22 @@ volumes phi(r) and phi(r) - phi(prev_pp(r)).
 """
 from __future__ import annotations
 
-import _random
 import functools
 import itertools
 from fractions import Fraction
 from typing import Iterator, Literal, Optional
 
 from .errors import IndeterminateCancellation
-from .primepow import _TABLE, RationalLike, as_fraction, is_prime
-from .util import derive_rng, derive_seed, record
+from .primepow import (
+    _TABLE,
+    RationalLike,
+    _as_prime_power,
+    _refuse_past_sieve_cap,
+    _refuse_phi_past_cap,
+    as_fraction,
+    is_prime,
+)
+from .util import derive_rng, record
 
 DEFAULT_DEPTH = 16
 
@@ -254,12 +265,49 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+# Chunks of SHAKE-256 output a tail read fetches at first. A chunk is
+# accepted with probability n / 2^k > 1/2, so four leave at most 1/16 of
+# the reads (far fewer for most p^depth) to fetch a longer prefix.
+_TAIL_FETCH_CHUNKS = 4
+
+
+def _shake_below(key: bytes, n: int) -> int:
+    """Uniform integer in [0, n) for n >= 1, read from SHAKE-256(key).
+
+    With k = (n - 1).bit_length() and B = ceil(k / 8), the output is read
+    as consecutive B-byte big-endian chunks, each cut to its low k bits;
+    the answer is the first chunk below n (for n a power of two, the
+    first chunk). It depends on the key and n alone: a prefix of
+    _TAIL_FETCH_CHUNKS chunks is fetched first and, only when every chunk
+    of it is rejected, a prefix twice as long, of which just the new
+    chunks are read. hashlib is imported here, so commands that never
+    sample do not load it."""
+    import hashlib
+
+    k = (n - 1).bit_length()
+    size = (k + 7) >> 3
+    if not size:
+        return 0  # n == 1
+    mask = (1 << k) - 1
+    xof = hashlib.shake_256(key)
+    start, stop = 0, _TAIL_FETCH_CHUNKS * size
+    while True:
+        out = xof.digest(stop)
+        for i in range(start, stop, size):
+            r = int.from_bytes(out[i:i + size], "big") & mask
+            if r < n:
+                return r
+        start, stop = stop, 2 * stop
+
+
 class RandomTail:
     """Implicit components are uniform in Z_p, materialized on demand.
 
-    Digits for prime p come from a child stream keyed by (seed, p), so the
-    materialization order never matters and re-reads are consistent without
-    any stored state.
+    The component at prime p is the residue _shake_below(key, p^depth)
+    of the SHAKE-256 output of key = "seed|'tail'|p" (the reprs of seed,
+    "tail" and p joined by "|"), so the materialization order never
+    matters and re-reads are consistent without any stored state. One
+    read is one hash: no per-prime generator is seeded.
     """
 
     __slots__ = ("seed", "depth")
@@ -269,10 +317,8 @@ class RandomTail:
         self.depth = depth
 
     def component(self, p: int, depth: int) -> PAdicComponent:
-        # random.Random(derive_seed(seed, "tail", p)).randrange(p^depth),
-        # drawn from the C generator under the same seed
-        bits = _random.Random(derive_seed(self.seed, "tail", p)).getrandbits
-        t = _below(bits, p ** self.depth)
+        key = f"{self.seed!r}|'tail'|{p!r}".encode()
+        t = _shake_below(key, p ** self.depth)
         return component_from_residue(p, 0, t, self.depth)
 
     def __eq__(self, other):
@@ -485,7 +531,13 @@ class Region:
 
     def __post_init__(self):
         radius = as_fraction(self.radius)
-        _TABLE.rank_of(radius)  # radii must be prime powers
+        # radii must be prime powers, checked without sieving the table:
+        # the bound rank_floor would sieve to is refused past the cap
+        # first, so the root test sees at most 2^26
+        num, den = radius.numerator, radius.denominator
+        _refuse_past_sieve_cap(num // den if num >= den else -(-den // num))
+        if _as_prime_power(radius) is None:
+            raise ValueError(f"{radius} is not a prime power")
         object.__setattr__(self, "radius", radius)
         if self.kind not in ("ball", "sphere"):
             raise ValueError(f"unknown region kind {self.kind!r}")
@@ -519,7 +571,9 @@ def _region_about_zero(kind: str, radius: RationalLike) -> Region:
 def haar_volume(region: Region) -> Fraction:
     """Exact Haar measure: phi(r) for balls, phi(r) - phi(prev_pp(r)) for
     spheres, read at r's rank k and k - 1; independent of center by
-    translation invariance."""
+    translation invariance. An exact phi past its bit cap is refused
+    before the table is sieved to the radius."""
+    _refuse_phi_past_cap(region.radius)
     k = _TABLE.rank_floor(region.radius)
     if region.kind == "ball":
         return _TABLE.phi_at(k)

@@ -167,7 +167,7 @@ class _SpectralSum:
         """The exact step, with the inner pieces when there are any."""
         pieces = tuple(InnerPiece(s, *sh) for sh, s in self.pieces.items())
         step = self.total_step()
-        return EvaluableRadial(step, pieces, tol) if pieces else step
+        return EvaluableRadial(step, pieces, tol, 0.0) if pieces else step
 
 
 def _add_multiplied(
@@ -365,7 +365,7 @@ def solve_nonhomogeneous(
     steps += -steps % (4 if quadrature == "Simpson" else 2)
 
     if t == 0:
-        return EvaluableRadial(step=u0, tol=tol)
+        return EvaluableRadial(u0, (), tol, 0.0)
     powers: dict[int, float] = {}  # q^alpha by rank, for this solve
     fine, coarse = _duhamel(f, t, symbol, quadrature, steps, powers)
     # the whole fine - coarse difference, undivided (module docstring)
@@ -384,9 +384,7 @@ def solve_nonhomogeneous(
     assembled = tuple(
         InnerPiece(s, *shape) for shape, s in fine.pieces.items() if s != 0.0
     )
-    return EvaluableRadial(
-        step=step, pieces=assembled, tol=tol, error_bound=est + tol,
-    )
+    return EvaluableRadial(step, assembled, tol, est + tol)
 
 
 # --------------------------------------------------------------------------

@@ -87,9 +87,9 @@ def radius_distribution(
     if table.up_tail > tail_mass_bound(hi, params) * (1 + 1e-9) + 1e-15:
         raise ToleranceError("upper tail exceeds its certified bound")
     return RadiusDistribution(
-        entries=tuple(zip(table.radii, table.masses)),
-        tail_mass=table.low_tail + table.up_tail,
-        params=params,
+        tuple(zip(table.radii, table.masses)),
+        table.low_tail + table.up_tail,
+        params,
     )
 
 
@@ -200,7 +200,7 @@ def sample_path(
     if not dt > 0:
         raise ValueError("dt must be positive")
     trunc.validate()
-    step_params = KernelParams(t=dt, alpha=params.alpha, beta=params.beta)
+    step_params = KernelParams(dt, params.alpha, params.beta)
     dist = _increment_law(step_params, trunc.r_min, trunc.r_max)
     if dist.tail_mass > 1e-6:
         raise ToleranceError(

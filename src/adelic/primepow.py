@@ -348,6 +348,15 @@ def _first_prime_power(candidates: Iterable[int]) -> tuple[int, int]:
             return pk
 
 
+def _refuse_past_sieve_cap(limit: int) -> None:
+    """Refuse a sieve bound past _SIEVE_CAP, before anything is allocated."""
+    if limit > _SIEVE_CAP:
+        raise ValueError(
+            f"prime-power table cannot be sieved to {limit}: sieve "
+            f"bounds are capped at 2^26 = {_SIEVE_CAP}"
+        )
+
+
 class _PowerTable:
     """Sorted integer prime powers >= 2 with cumulative log-phi, indexed by
     rank.
@@ -386,11 +395,7 @@ class _PowerTable:
         limit = max(limit, 2)
         if self._limit >= limit:
             return self._snapshot
-        if limit > _SIEVE_CAP:
-            raise ValueError(
-                f"prime-power table cannot be sieved to {limit}: sieve "
-                f"bounds are capped at 2^26 = {_SIEVE_CAP}"
-            )
+        _refuse_past_sieve_cap(limit)
         with self._lock:
             if self._limit >= limit:
                 return self._snapshot

@@ -153,9 +153,12 @@ NEGATIVE_CLAMP_EPS = 10
 def derive_seed(*keys: int | str) -> int:
     """Map a structured key to a 64-bit seed, stable across runs and platforms.
 
-    sha256 of the repr-joined keys. Used for per-path and per-prime child
-    streams so that materialization order never affects results. hashlib
-    is imported here, so commands that never sample do not load it.
+    sha256 of the repr-joined keys. Seeds the child streams of derive_rng
+    (per path, per check), so that the order of draws across streams never
+    affects results. A random tail's digits do not come from here: they
+    are read from SHAKE-256 of the same repr-joined key (adele.RandomTail).
+    hashlib is imported here, so commands that never sample do not load
+    it.
     """
     import hashlib
 

@@ -9,11 +9,13 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from adelic import adele as ad
+from adelic import primepow as pp
 from adelic import IndeterminateCancellation, is_prime_power, phi, prev_pp
 from adelic.adele import (
     AdelePoint,
@@ -39,7 +41,7 @@ from adelic.adele import (
 from adelic.heatkernel import KernelParams
 from adelic.markov import radius_distribution, sample_path
 from adelic.primepow import _TABLE
-from adelic.util import derive_rng, derive_seed
+from adelic.util import derive_rng
 
 # ---- frozen expected values ----
 DIST_DISJOINT_HALVES = F(3)       # ||(1/2 at 2) - (1/3 at 3)|| = max(2, 3)
@@ -525,16 +527,19 @@ FROZEN_DRAW_SHA = {
     ("sphere", F(9)): "4b3377ec9f4c8396aebc6e82a8c50b86a4b99ea4af5f2991368ccc082797e391",
     ("sphere", F(27)): "4bbc06b2b792755b4b10f670c0954d87fbb4e13f562f08cdc2f0f4f73d6aa053",
 }
-# sha256 of sample_path(t=1, alpha=2, dt=0.25, seed=9).to_csv() by steps
+# sha256 of sample_path(t=1, alpha=2, dt=0.25, seed=9).to_csv() by steps,
+# frozen from the SHAKE-256 tail rule (TestTailRule); the radii and times
+# of these paths are frozen from before it (FROZEN_RADII_SHA)
 FROZEN_PATH_SHA = {
-    25: "ec15ed86658a87c0592bfbb98c7ff1ae743575120ecee61335b828cfbb08e8ad",
-    200: "5db91f0827fda6c639866fa0888e0a0747ad26c86dd9d66521b607e8d5cef525",
-    800: "9bd2028e6ae4d3ca9b832f57ebf86ec374254b131fe7429760c11b8019112969",
+    25: "08504f0c74545bd7c397158bbd4721d6c1e7934acf97e546eba8948f0bac0857",
+    200: "0e7eca73660669ea9269c76fe7f8165782844e5576852e9f75069a285e5417a1",
+    800: "3f5f22db9fbc730b0e53379bb2ee727902decde33f4d3a754e005f5117fb55a3",
 }
 # sha256 of 500 comma-joined norms of sums of two sphere draws, as in the
-# semigroup check ("cancel" where the sum was undecidable)
+# semigroup check ("cancel" where the sum was undecidable), frozen from
+# the SHAKE-256 tail rule
 FROZEN_SUM_NORMS_SHA = (
-    "99807eba1657945311017ded2f0bb8e10eba67f4e0182d661e859093cab5279a"
+    "d922d8b9bb44708ac2ea0adac9f086eee730b8233c21a1bc2702094426adc8bc"
 )
 
 
@@ -606,13 +611,14 @@ class TestIntegerComponents:
 # sha256 of the criterion-5 draw loop (1000 sums at each split: both
 # radii, the sum's norm and its format_point, "tail" and "cancel" for
 # redrawn pairs) and of sample_path(t=0.1, alpha=2, dt=0.1, seed=7) at
-# 200 steps, frozen from the sampler that built every component and point
-# through the checked public constructors
+# 200 steps, frozen from the SHAKE-256 tail rule; before it, the same
+# streams were checked against the sampler that built every component and
+# point through the checked public constructors
 FROZEN_SEMIGROUP_STREAM_SHA = (
-    "1ddd3ece2a4040bae511e5d05124bda8b81f809c2962ffd975510c33a78ac17e"
+    "e0f71d155436a2ff695a14af8c4f5b6b9e96b95dd6b494a2aa422e78732d9136"
 )
 FROZEN_PATH_200_SHA = (
-    "aed305ac3dd7055523a952ccdfe9b16b8e4c36d3a64c6219e461cceb14d28bb9"
+    "bc692caf0566d574253bb5e0b7214d310fc43ee3c636b8594e0487e956880b9b"
 )
 
 
@@ -709,6 +715,44 @@ class TestTrustedPath:
                 except IndeterminateCancellation:
                     pass
 
+    @pytest.fixture
+    def fresh_table(self, monkeypatch):
+        table = pp._PowerTable()
+        monkeypatch.setattr(pp, "_TABLE", table)
+        monkeypatch.setattr(ad, "_TABLE", table)
+        return table
+
+    @pytest.mark.parametrize("radius", [F(10000019), F(1, 9999991)])
+    def test_volume_past_the_phi_cap_refused_before_sieving(
+        self, fresh_table, radius
+    ):
+        start = time.perf_counter()
+        for kind in ("ball", "sphere", "ball"):
+            with pytest.raises(ValueError, match=(
+                f"^phi of {radius} would hold .* past the cap of 2\\^18 bits"
+            )):
+                haar_volume(Region(kind, radius))
+        assert time.perf_counter() - start < 0.1
+        assert fresh_table._limit == 512
+
+    @pytest.mark.parametrize("radius,message", [
+        (F(10000021), "10000021 is not a prime power"),
+        (F(1, 10000021), "1/10000021 is not a prime power"),
+        (F(10000021, 2), "10000021/2 is not a prime power"),
+        (F(2 ** 61 - 1), "cannot be sieved to 2305843009213693951: sieve "
+                         "bounds are capped at 2\\^26"),
+        (F(1, 10 ** 4000 + 1), "capped at 2\\^26"),
+    ])
+    def test_invalid_radius_refused_before_sieving(
+        self, fresh_table, radius, message
+    ):
+        start = time.perf_counter()
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                Region("sphere", radius)
+        assert time.perf_counter() - start < 0.1
+        assert fresh_table._limit == 512
+
     def test_public_component_still_checked(self):
         with pytest.raises(ValueError, match="leading digit"):
             PAdicComponent(2, 0, 4, None)
@@ -720,22 +764,9 @@ class TestTrustedPath:
 
 
 class TestStdlibDraws:
-    """The sampling leaves draw what the stdlib calls they replace would:
-    the references below are random.Random and PAdicComponent as such."""
-
-    def test_tail_read_is_the_stdlib_draw(self):
-        grid = random.Random(2024)
-        primes = primes_upto(8191)
-        cases = [(p, d) for p in (2, 3, 8191) for d in (4, 16, 1024)]
-        cases += [(grid.choice(primes), grid.choice((4, 5, 16, 64, 255, 1024)))
-                  for _ in range(150)]
-        for p, depth in cases:
-            seed = grid.getrandbits(63)
-            want = random.Random(derive_seed(seed, "tail", p)).randrange(
-                p ** depth)
-            got = RandomTail(seed, depth).component(p, depth)
-            assert got == component_from_residue(p, 0, want, depth), (
-                seed, p, depth)
+    """The sampler's digit draws are what the stdlib calls they replace
+    would draw: the references below are random.Random and PAdicComponent
+    as such."""
 
     def test_below_is_randrange(self):
         sizes = [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 10**6]
@@ -764,3 +795,179 @@ class TestStdlibDraws:
             assert repr(fast) == repr(checked)
             with pytest.raises(AttributeError):
                 fast.unit = 0
+
+
+def shake_tail_residue(seed, p, depth, chunks=64):
+    """The tail rule, read from hashlib.shake_256 itself: the first chunk
+    below n = p^depth of its output, cut into B-byte big-endian chunks
+    (k = bits(n - 1), B = ceil(k / 8)) of which the low k bits are kept.
+    Returns the residue and the index of its chunk; the output is fetched
+    `chunks` chunks at a time, from the start on each fetch."""
+    n = p ** depth
+    k = (n - 1).bit_length()
+    size = -(-k // 8)
+    key = "|".join(map(repr, (seed, "tail", p))).encode()
+    index = 0
+    while True:
+        out = hashlib.shake_256(key).digest((index + chunks) * size)
+        for j in range(index, index + chunks):
+            r = int.from_bytes(out[j * size:(j + 1) * size], "big") % 2 ** k
+            if r < n:
+                return r, j
+        index += chunks
+
+
+def tail_value(c):
+    """The residue of a materialized tail component (value exponent 0)."""
+    return 0 if c.valuation is None else c.p ** c.valuation * c.unit
+
+
+# (p, depth) with p^depth just above a power of two, so that nearly half
+# of all chunks are rejected
+FORCED_REJECTIONS = [(3, 1), (5, 1), (17, 1), (257, 1), (3, 2), (3, 12),
+                     (257, 3), (65537, 2)]
+
+
+class TestTailRule:
+    """RandomTail.component is the residue of the SHAKE-256 rule."""
+
+    def test_tail_read_is_the_shake_256_rule(self):
+        grid = random.Random(2024)
+        primes = primes_upto(8191)
+        cases = [(p, d) for p in (2, 3, 8191) for d in (4, 16, 1024)]
+        cases += [(grid.choice(primes), grid.choice((4, 5, 16, 64, 255, 1024)))
+                  for _ in range(150)]
+        cases += [case for case in FORCED_REJECTIONS for _ in range(150)]
+        deepest = 0
+        for p, depth in cases:
+            seed = grid.getrandbits(63)
+            want, index = shake_tail_residue(seed, p, depth, chunks=3)
+            if p == 2:
+                assert index == 0  # a power of two never rejects
+            deepest = max(deepest, index)
+            got = RandomTail(seed, depth).component(p, depth)
+            assert got == component_from_residue(p, 0, want, depth), (
+                seed, p, depth)
+        # some reads rejected every chunk of the first two fetches
+        assert deepest >= 2 * ad._TAIL_FETCH_CHUNKS
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 7])
+    def test_residue_does_not_depend_on_fetch_length(self, monkeypatch,
+                                                     chunks):
+        monkeypatch.setattr(ad, "_TAIL_FETCH_CHUNKS", chunks)
+        for p, depth in FORCED_REJECTIONS:
+            for seed in range(60):
+                got = RandomTail(seed, depth).component(p, depth)
+                want, _ = shake_tail_residue(seed, p, depth, chunks=64)
+                assert tail_value(got) == want, (chunks, seed, p, depth)
+
+    @pytest.mark.parametrize("p,depth", [(2, 4), (3, 4), (7, 3), (31, 2),
+                                         (257, 1), (3, 12), (8191, 1)])
+    def test_residues_are_uniform(self, p, depth):
+        # chi-square of the residue mod p and of the leading digit over
+        # fixed seeds; the rule's rejection must leave both uniform
+        from scipy.stats import chisquare
+
+        n = max(4000, 20 * p)
+        low, lead = [0] * p, [0] * p
+        for seed in range(n):
+            t = tail_value(RandomTail(seed, depth).component(p, depth))
+            low[t % p] += 1
+            lead[t // p ** (depth - 1)] += 1
+        for counts in (low, lead):
+            assert chisquare(counts).pvalue > 1e-3, counts
+
+
+# sha256 of the "time radius" lines of sample_path(t=1, alpha=2, dt=0.25,
+# seed=9) by steps, frozen from the MT19937 tail reads that preceded the
+# SHAKE-256 rule: the radii and times come from the path streams alone,
+# and no tail digit decided a resample (the battery's simulate is checked
+# in test_cli.py)
+FROZEN_RADII_SHA = {
+    25:
+        "6cd1e31571d1df70456d71e0e30ef58bb67b00c44e99d1b8fe249a6afb689e19",
+    200:
+        "ad8160e826abdb190689c3d41f50043601aa7ae4c410d19a33cd6165ca89ca24",
+    800:
+        "873e3aa3b0760411852f21c23ede1c68c90984fc9c56ea0edf021e7a27519c03",
+}
+# sha256 of the newline-joined "r1|r2" of the 2000 accepted draws of
+# semigroup_stream(1000), frozen from the same MT19937 tail reads
+FROZEN_SEMIGROUP_RADII_SHA = (
+    "4f4eda371c3f79eabe649694cd4e36a6b30e17bb412dc05b277eb23a400dd7c0"
+)
+
+
+def radius_time_sha(path):
+    return sha("\n".join(f"{t!r} {r}"
+                         for t, r in zip(path.times[1:], path.radii)))
+
+
+class TestSeededRadii:
+    """The tail rule changes tail-derived digits only: each path's radius
+    and time sequences, and the semigroup stream's radius pairs, hash as
+    before it."""
+
+    @pytest.mark.parametrize("steps", sorted(FROZEN_RADII_SHA))
+    def test_path_radii_unchanged(self, steps):
+        path = sample_path(KernelParams(1.0, 2.0), steps, 0.25, seed=9)
+        assert path.cancel_resamples == 0
+        assert radius_time_sha(path) == FROZEN_RADII_SHA[steps]
+
+    def test_semigroup_radius_pairs_unchanged(self):
+        pairs = [line.rsplit("|", 2)[0] for line, _ in semigroup_stream(1000)
+                 if line not in ("tail", "cancel")]
+        assert len(pairs) == 2000
+        assert sha("\n".join(pairs)) == FROZEN_SEMIGROUP_RADII_SHA
+
+
+# RandomTail.component calls, counted at the MT19937 tail reads that
+# preceded the SHAKE-256 rule. A path step and a sum read the tails of the
+# primes one summand holds explicitly and the other does not, which the
+# path streams alone decide. norm's scan over the implicit primes goes on
+# past a prime whose tail digits leave the maximum undecided, so its count
+# depends on the digits: 918 reads before the rule, 912 after it, and a
+# mean of 931 with standard deviation 16 over 30 re-keyed tail streams.
+TAIL_READS_PATH_800 = 1678
+TAIL_READS_SEMIGROUP_SUMS = 1599
+TAIL_READS_SEMIGROUP_NORMS = 918
+NORM_READS_SLACK = 80
+
+
+class TestTailReadCount:
+    """The number of tail reads, which perfbench reports per op as
+    adele.tail_materializations_per_op."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        count = [0]
+        read = RandomTail.component
+
+        def counted(tail, p, depth):
+            count[0] += 1
+            return read(tail, p, depth)
+
+        monkeypatch.setattr(RandomTail, "component", counted)
+        return count
+
+    def test_path_reads_frozen(self, reads):
+        sample_path(KernelParams(1.0, 2.0), 800, 0.25, seed=9)
+        assert reads[0] == TAIL_READS_PATH_800
+
+    def test_semigroup_reads_frozen(self, reads, monkeypatch):
+        in_norm = [0]
+        real_norm = norm
+
+        def counted_norm(x):
+            before = reads[0]
+            try:
+                return real_norm(x)
+            finally:
+                in_norm[0] += reads[0] - before
+
+        monkeypatch.setitem(globals(), "norm", counted_norm)
+        draws = sum(line not in ("tail", "cancel")
+                    for line, _ in semigroup_stream(1000))
+        assert draws == 2000
+        assert reads[0] - in_norm[0] == TAIL_READS_SEMIGROUP_SUMS
+        assert abs(in_norm[0] - TAIL_READS_SEMIGROUP_NORMS) <= NORM_READS_SLACK

@@ -396,8 +396,10 @@ class TestExitCodes:
 
 # sha256 of stdout plus output files of the determinism battery's commands
 # whose output is exact or seeded (adelic.checks._battery), frozen before
-# the radius plans were read from the table's ranks. The float-printing
-# commands are left out: their last digits depend on libm and numpy.
+# the radius plans were read from the table's ranks; `simulate` re-frozen
+# at the SHAKE-256 tail rule, which changes its points' tail-derived
+# digits only. The float-printing commands are left out: their last digits
+# depend on libm and numpy.
 FROZEN_BATTERY = {
     "phi 10":
         "557ce7034bcd6cc9aeb72c26f5061242dfc94b89daa44f13a9efa9c683948bc0",
@@ -418,7 +420,7 @@ FROZEN_BATTERY = {
     "ft --input step.json":
         "f16e90c71429f4496439bcc3e57bc63a05b067b3934921863584d28a615598f9",
     "simulate --t-step 0.1 --steps 1000 --alpha 2 --seed 7 --output path.csv":
-        "18e8cabadc84af21dc4d6da8302c2b32a5234a73c8f821276289a5ce15da5580",
+        "9628e0acf0a34134dc55c43b398398bc75c382d667ce86a23da7792eb61e873a",
 }
 
 
@@ -446,6 +448,19 @@ class TestDeterminism:
         assert (tmp_path / "path.csv").read_bytes() == first
         head = first.decode().splitlines()[0]
         assert head == "step,time,radius,point"
+
+    def test_battery_simulate_radii_unchanged(self, tmp_path):
+        # sha256 of its step, time and radius columns, frozen from the
+        # MT19937 tail reads that preceded the SHAKE-256 rule, which
+        # changes the point column only
+        args = ["simulate", "--t-step", "0.1", "--steps", "1000", "--alpha",
+                "2", "--seed", "7", "--output", "path.csv"]
+        assert run_cli(args, tmp_path).returncode == 0
+        rows = (tmp_path / "path.csv").read_text().splitlines()
+        columns = "\n".join(",".join(row.split(",")[:3]) for row in rows)
+        assert hashlib.sha256(columns.encode()).hexdigest() == (
+            "8c77683e1dfe03c1777d7e658a4611517f4bf4a94dac9a274f6e6e779a0399aa"
+        )
 
     def test_distinct_seeds_differ(self, tmp_path):
         args = ["simulate", "--t-step", "0.1", "--steps", "60",
