@@ -100,33 +100,6 @@ def _fraction(text) -> Fraction:
         raise UsageError(f"not a rational number: {text!r} ({exc})")
 
 
-def _resolve(args, spec) -> dict:
-    """Merge flag values over config-file values over defaults.
-
-    spec: list of (name, converter, default); default None means required.
-    """
-    config = _load_config(getattr(args, "config", None))
-    out = {}
-    for name, conv, default in spec:
-        flag = getattr(args, name.replace("-", "_"), None)
-        if flag is not None:
-            raw = flag
-        elif name in config:
-            raw = config[name]
-        else:
-            raw = default
-        if raw is None:
-            raise UsageError(f"missing required parameter --{name}")
-        if raw is not _UNSET:
-            out[name] = conv(raw) if conv else raw
-        else:
-            out[name] = None
-    return out
-
-
-_UNSET = object()  # optional parameter with no default value
-
-
 def _float(x) -> float:
     try:
         return float(x)
@@ -148,10 +121,101 @@ def _int(x) -> int:
         raise UsageError(f"not an integer: {x!r}")
 
 
-def _opt(conv):
-    def inner(x):
-        return None if x is None else conv(x)
-    return inner
+_UNSET = object()  # optional parameter with no default value
+_TRUNCATION = object()  # the field's default in markov.Truncation()
+
+# Named options of each command, in --help order: (name, converter, default,
+# help), and a dest where argparse's own would differ. They build the
+# parser, and _resolve gives a handler (and its sidecar) every option that
+# has a converter. A default of None makes the option required, and a dict
+# maps an action to its default: an action missing from it has no such
+# option. A None converter marks a file the handler reads itself.
+_ALPHA = ("alpha", _float, None, "finite symbol exponent")
+_OPTIONS = {
+    "ft": (
+        ("input", None, None, "radial step JSON file (default stdin)"),
+        ("json", None, None, "inline step JSON", "json_text"),
+    ),
+    "kernel": (
+        ("radius", _fraction, {"eval": None}, "finite norm to evaluate at"),
+        ("x", _float, {"eval": _UNSET},
+         "real coordinate (eval on the full adeles)"),
+        ("epsilon", _fraction, {"tail": None}, "ball radius for the tail"),
+        ("t", _float, None, "time"),
+        _ALPHA,
+        ("beta", _float, _UNSET, "real symbol exponent"),
+        ("tol", _tol, {"eval": 1e-10, "normalize": 1e-6, "tail": 1e-10},
+         "tolerance"),
+    ),
+    "simulate": (
+        ("t-step", _float, None, "time step of each increment"),
+        ("steps", _int, None, "number of increments"),
+        _ALPHA,
+        ("beta", _float, _UNSET, "real symbol exponent (adds a column)"),
+        ("seed", _int, 0, "master seed (default 0)"),
+        ("path-index", _int, 0, "path stream index (default 0)"),
+        ("r-min", _fraction, _TRUNCATION, "truncation window lower radius"),
+        ("r-max", _fraction, _TRUNCATION, "truncation window upper radius"),
+        ("prime-cutoff", _int, _TRUNCATION, "stored-prime cutoff"),
+        ("depth", _int, _TRUNCATION, "digits per stored component"),
+    ),
+    "transition": (
+        ("t", _float, None, "time"),
+        _ALPHA,
+        ("beta", _float, _UNSET, "unused on the finite factor"),
+        ("eps", _fraction, None, "ball radius"),
+        ("x", str, "0", "start point (default 0)"),
+        ("center", str, "0", "ball center (default 0)"),
+    ),
+    "solve": (
+        ("t", _float, None, "evolution time"),
+        _ALPHA,
+        ("beta", _float, _UNSET, "real symbol exponent"),
+        ("tol", _tol, {"homogeneous": 1e-10, "duhamel": 1e-10,
+                       "adelic": 1e-8}, "tolerance"),
+        ("input", None, None, "initial step JSON (homogeneous)"),
+        ("u0", None, None, "initial step JSON (duhamel)"),
+        ("forcing", None, None, "forcing grid JSON (duhamel)"),
+        ("quadrature", str, {"duhamel": "Simpson"}, "Trapezoid or Simpson"),
+        ("steps", _int, {"duhamel": 64}, "quadrature step count"),
+        ("real", None, None, "real grid CSV (adelic)"),
+        ("fin", None, None, "finite factor step JSON (adelic)"),
+        ("finite-output", None, None, "finite factor output path"),
+    ),
+}
+_COMMON = (
+    ("config", None, None, "JSON file with default parameters"),
+    ("output", None, None, "write primary output to this file"),
+    ("meta", None, None, "write the JSON metadata sidecar here"),
+)
+
+
+def _resolve(args) -> dict:
+    """The command's options: each flag over its config key (a null value
+    counts as absent) over its default."""
+    config = _load_config(args.config)
+    out = {}
+    for name, conv, default, *_ in _OPTIONS[args.command]:
+        if conv is None:
+            continue
+        dest = name.replace("-", "_")
+        if isinstance(default, dict):
+            if args.action not in default:
+                continue
+            default = default[args.action]
+        elif default is _TRUNCATION:
+            from .markov import Truncation
+
+            default = getattr(Truncation(), dest)
+        raw = getattr(args, dest)
+        if raw is None:
+            raw = config.get(name)
+        if raw is None:
+            raw = default
+        if raw is None:
+            raise UsageError(f"missing required parameter --{name}")
+        out[name] = None if raw is _UNSET else conv(raw)
+    return out
 
 
 def _kernel_params(p) -> KernelParams:
@@ -347,17 +411,7 @@ def _cmd_kernel(args):
         z_finite,
     )
 
-    spec = [
-        ("t", _float, None),
-        ("alpha", _float, None),
-        ("beta", _opt(_float), _UNSET),
-        ("tol", _tol, 1e-6 if args.action == "normalize" else 1e-10),
-    ]
-    if args.action == "eval":
-        spec += [("radius", _fraction, None), ("x", _opt(_float), _UNSET)]
-    if args.action == "tail":
-        spec += [("epsilon", _fraction, None)]
-    p = _resolve(args, spec)
+    p = _resolve(args)
     params = _kernel_params(p)
     cfg = RunConfig(f"kernel {args.action}", p, args.output, args.meta)
     if args.action == "eval":
@@ -399,19 +453,7 @@ def _cmd_simulate(args):
     from .heatkernel import KernelParams
     from .markov import Truncation, sample_path
 
-    spec = [
-        ("t-step", _float, None),
-        ("steps", _int, None),
-        ("alpha", _float, None),
-        ("beta", _opt(_float), _UNSET),
-        ("seed", _int, 0),
-        ("path-index", _int, 0),
-        ("r-min", _fraction, Truncation().r_min),
-        ("r-max", _fraction, Truncation().r_max),
-        ("prime-cutoff", _int, Truncation().prime_cutoff),
-        ("depth", _int, Truncation().depth),
-    ]
-    p = _resolve(args, spec)
+    p = _resolve(args)
     params = KernelParams(t=p["t-step"], alpha=p["alpha"], beta=p["beta"])
     trunc = Truncation(
         r_min=p["r-min"], r_max=p["r-max"],
@@ -441,15 +483,7 @@ def _cmd_transition(args):
     from .adele import parse_point
     from .markov import transition_prob_ball
 
-    spec = [
-        ("t", _float, None),
-        ("alpha", _float, None),
-        ("beta", _opt(_float), _UNSET),
-        ("eps", _fraction, None),
-        ("x", str, "0"),
-        ("center", str, "0"),
-    ]
-    p = _resolve(args, spec)
+    p = _resolve(args)
     params = _kernel_params(p)
     value = transition_prob_ball(
         params, parse_point(p["x"]), parse_point(p["center"]), p["eps"]
@@ -469,15 +503,7 @@ def _cmd_solve(args):
         solve_nonhomogeneous,
     )
 
-    spec = [
-        ("t", _float, None),
-        ("alpha", _float, None),
-        ("beta", _opt(_float), _UNSET),
-        ("tol", _tol, 1e-8 if args.action == "adelic" else 1e-10),
-    ]
-    if args.action == "duhamel":
-        spec += [("quadrature", str, "Simpson"), ("steps", _int, 64)]
-    p = _resolve(args, spec)
+    p = _resolve(args)
     symbol = SymbolSpec(alpha=p["alpha"], beta=p["beta"])
     cfg = RunConfig(f"solve {args.action}", p, args.output, args.meta)
 
@@ -500,6 +526,8 @@ def _cmd_solve(args):
             raise UsageError("solve adelic requires --beta")
         if not args.output:
             raise UsageError("solve adelic requires --output for the grid")
+        if args.real is None:
+            raise UsageError("solve adelic requires --real")
         grid = _read_real_grid(args.real)
         fin = _read_step(args.fin, None)
         real_out, fin_out = solve_adelic(grid, fin, p["t"], symbol, tol=p["tol"])
@@ -542,12 +570,6 @@ def _cmd_verify(args):
 # parser
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file with default parameters")
-    sp.add_argument("--output", help="write primary output to this file")
-    sp.add_argument("--meta", help="write the JSON metadata sidecar here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adelic",
@@ -557,94 +579,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("phi", help="exact ball volume function")
-    sp.add_argument("x")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_phi)
+    def command(name, handler, text):
+        sp = sub.add_parser(name, help=text)
+        for option, _, _, help_text, *dest in (*_OPTIONS.get(name, ()),
+                                               *_COMMON):
+            sp.add_argument(f"--{option}", dest=dest[0] if dest else None,
+                            help=help_text)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("ppow", help="prime-power order queries")
+    sp = command("phi", _cmd_phi, "exact ball volume function")
+    sp.add_argument("x")
+    sp = command("ppow", _cmd_ppow, "prime-power order queries")
     sp.add_argument("action", choices=["next", "prev", "range"])
     sp.add_argument("x")
     sp.add_argument("y", nargs="?")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_ppow)
-
-    sp = sub.add_parser("norm", help="adelic norm (or distance of two points)")
+    sp = command("norm", _cmd_norm, "adelic norm (or distance of two points)")
     sp.add_argument("point")
     sp.add_argument("point2", nargs="?")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_norm)
-
-    sp = sub.add_parser("volume", help="exact Haar volume of a ball or sphere")
+    sp = command("volume", _cmd_volume,
+                 "exact Haar volume of a ball or sphere")
     sp.add_argument("kind", choices=["ball", "sphere"])
     sp.add_argument("radius")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_volume)
-
-    sp = sub.add_parser("ft", help="exact radial Fourier transform")
-    sp.add_argument("--input", help="radial step JSON file (default stdin)")
-    sp.add_argument("--json", dest="json_text", help="inline step JSON")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_ft)
-
-    sp = sub.add_parser("kernel", help="heat kernel evaluation and tails")
+    command("ft", _cmd_ft, "exact radial Fourier transform")
+    sp = command("kernel", _cmd_kernel, "heat kernel evaluation and tails")
     sp.add_argument("action", choices=["eval", "normalize", "tail"])
-    sp.add_argument("--radius", help="finite norm to evaluate at")
-    sp.add_argument("--x", help="real coordinate (eval on the full adeles)")
-    sp.add_argument("--epsilon", help="ball radius for the tail")
-    sp.add_argument("--t", help="time")
-    sp.add_argument("--alpha", help="finite symbol exponent")
-    sp.add_argument("--beta", help="real symbol exponent")
-    sp.add_argument("--tol", help="tolerance")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_kernel)
-
-    sp = sub.add_parser("simulate", help="sample one jump-process path, CSV")
-    sp.add_argument("--t-step", help="time step of each increment")
-    sp.add_argument("--steps", help="number of increments")
-    sp.add_argument("--alpha", help="finite symbol exponent")
-    sp.add_argument("--beta", help="real symbol exponent (adds a column)")
-    sp.add_argument("--seed", help="master seed (default 0)")
-    sp.add_argument("--path-index", help="path stream index (default 0)")
-    sp.add_argument("--r-min", help="truncation window lower radius")
-    sp.add_argument("--r-max", help="truncation window upper radius")
-    sp.add_argument("--prime-cutoff", help="stored-prime cutoff")
-    sp.add_argument("--depth", help="digits per stored component")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_simulate)
-
-    sp = sub.add_parser("transition", help="P(t, x, ball of radius eps)")
-    sp.add_argument("--t", help="time")
-    sp.add_argument("--alpha", help="finite symbol exponent")
-    sp.add_argument("--beta", help="unused on the finite factor")
-    sp.add_argument("--eps", help="ball radius")
-    sp.add_argument("--x", help="start point (default 0)")
-    sp.add_argument("--center", help="ball center (default 0)")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_transition)
-
-    sp = sub.add_parser("solve", help="parabolic solvers")
+    command("simulate", _cmd_simulate, "sample one jump-process path, CSV")
+    command("transition", _cmd_transition, "P(t, x, ball of radius eps)")
+    sp = command("solve", _cmd_solve, "parabolic solvers")
     sp.add_argument("action", choices=["homogeneous", "duhamel", "adelic"])
-    sp.add_argument("--t", help="evolution time")
-    sp.add_argument("--alpha", help="finite symbol exponent")
-    sp.add_argument("--beta", help="real symbol exponent")
-    sp.add_argument("--tol", help="tolerance")
-    sp.add_argument("--input", help="initial step JSON (homogeneous)")
-    sp.add_argument("--u0", help="initial step JSON (duhamel)")
-    sp.add_argument("--forcing", help="forcing grid JSON (duhamel)")
-    sp.add_argument("--quadrature", help="Trapezoid or Simpson")
-    sp.add_argument("--steps", help="quadrature step count")
-    sp.add_argument("--real", help="real grid CSV (adelic)")
-    sp.add_argument("--fin", help="finite factor step JSON (adelic)")
-    sp.add_argument("--finite-output", help="finite factor output path")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_solve)
-
-    sp = sub.add_parser("verify", help="run an acceptance/invariant suite")
+    sp = command("verify", _cmd_verify, "run an acceptance/invariant suite")
     sp.add_argument("suite")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_verify)
-
     return parser
 
 

@@ -222,10 +222,13 @@ def _root_prime_power(n: int) -> tuple[int, int] | None:
 
     First divides by the witness primes: when one of them, q, divides n,
     n is a prime power exactly when stripping q leaves 1. Otherwise every
-    prime factor of n passes 41, so n = r^a needs 43^a <= n, and only
-    those a have their exact integer root tried. A composite verdict of
-    is_prime is always right; a prime verdict at or above _MR_EXACT_BELOW
-    would be a guess, so that raises ValueError.
+    prime factor of n passes 41, so n = r^b needs 43^b <= n. Only prime
+    b are tried, smallest first: an exact root replaces n and multiplies
+    the exponent, and the same b is tried again on it (a smaller prime
+    would have divided n's exponent too). What is left is no perfect
+    power, so n is a prime power exactly when it is prime. A composite
+    verdict of is_prime is always right; a prime verdict at or above
+    _MR_EXACT_BELOW would be a guess, so that raises ValueError.
     """
     if n < 2:
         return None
@@ -236,18 +239,23 @@ def _root_prime_power(n: int) -> tuple[int, int] | None:
                 n //= q
                 a += 1
             return (q, a) if n == 1 else None
-    a, least = 1, 43
-    while least <= n:
-        r = _iroot(n, a)
-        if r ** a == n and is_prime(r):
-            if r >= _MR_EXACT_BELOW:
-                raise ValueError(
-                    f"cannot decide whether {n} is a prime power: primality "
-                    f"is exact only below {_MR_EXACT_BELOW}"
-                )
-            return r, a
-        a, least = a + 1, least * 43
-    return None
+    a, b, given = 1, 2, n
+    while 43 ** b <= n:
+        r = _iroot(n, b)
+        if r ** b == n:
+            n, a = r, a * b
+        else:
+            b += 1
+            while not is_prime(b):
+                b += 1
+    if not is_prime(n):
+        return None
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot decide whether {given} is a prime power: primality "
+            f"is exact only below {_MR_EXACT_BELOW}"
+        )
+    return n, a
 
 
 def _iroot(n: int, a: int) -> int:

@@ -499,6 +499,18 @@ class TestHugePrimePowers:
         for n in ns:
             assert pp._root_prime_power(n) == reference(n), n
 
+    @pytest.mark.parametrize("n,want", [
+        (43**2400, (43, 2400)),
+        ((47**3)**5, (47, 15)),
+        ((10**9 + 7)**2 * 998244353**2, None),  # two distinct prime squares
+    ])
+    def test_huge_powers_rooted_by_prime_exponents(self, n, want):
+        # the root test once took a root for every a with 43^a <= n:
+        # 19 s for 43^2400
+        start = time.perf_counter()
+        assert pp._root_prime_power(n) == want
+        assert time.perf_counter() - start < 0.5
+
     def test_undecidable_primality_raises(self):
         m89 = 2**89 - 1  # a Mersenne prime above the exact Miller-Rabin range
         for x in (m89, m89**2, F(1, m89)):
