@@ -149,12 +149,22 @@ def component_from_residue(
     p: int, value_exponent: int, residue: int, prec: int
 ) -> PAdicComponent:
     """Component p^value_exponent * residue with residue known mod p^prec."""
-    known_to = value_exponent + prec
-    residue %= p ** prec
-    if residue == 0:
+    return _reduced_component(
+        p, value_exponent, residue % p ** prec, value_exponent + prec
+    )
+
+
+def _reduced_component(
+    p: int, v: int, m: int, known_to: int
+) -> PAdicComponent:
+    """component_from_residue(p, v, m, known_to - v) for m already reduced,
+    0 <= m < p^(known_to - v): the factors p of m move to the valuation."""
+    if not m:
         return _trusted_component(p, None, 0, known_to)
-    unit, v = _strip_valuation(residue, p)
-    return _trusted_component(p, value_exponent + v, unit, known_to)
+    while m % p == 0:
+        m //= p
+        v += 1
+    return _trusted_component(p, v, m, known_to)
 
 
 def component_from_rational(
@@ -177,26 +187,33 @@ def component_from_rational(
 def _combine_components(
     a: PAdicComponent, b: PAdicComponent, sign: int, depth: int
 ) -> PAdicComponent:
-    """a + sign*b with exactness tracking; raises on total cancellation."""
+    """a + sign*b with exactness tracking; raises on total cancellation.
+
+    An exactly zero side leaves the other (negated when sign < 0); two
+    exact sides add as rationals. Otherwise, the modular rule: each side
+    lies in p^e Z_p (e its valuation, or its precision when it is zero to
+    that precision) and is known modulo p^prec (its known_to, or e + depth
+    when exact); the sum is reduced modulo the smaller prec. The common
+    case, both sides inexact of known valuation, is tested first."""
     p = a.p
     assert p == b.p
     va, ka, vb, kb = a.valuation, a.known_to, b.valuation, b.known_to
-    if va is None and ka is None:  # a is exactly zero
+    if va is not None and vb is not None and ka is not None and kb is not None:
+        ea, eb, prec = va, vb, ka if ka < kb else kb
+    elif va is None and ka is None:  # a is exactly zero
         return _negate_component(b, depth) if sign < 0 else b
-    if vb is None and kb is None:
+    elif vb is None and kb is None:
         return a
-    if ka is None and kb is None:
+    elif ka is None and kb is None:
         val = a.value_fraction() + sign * b.value_fraction()
         return component_from_rational(p, val, depth)
-    # modular path: each side lies in p^e Z_p (e its valuation, or its
-    # precision when it is zero to that precision) and is known modulo
-    # p^prec
-    ea = ka if va is None else va
-    eb = kb if vb is None else vb
-    prec = min(
-        ea + depth if ka is None else ka, eb + depth if kb is None else kb
-    )
-    base = min(ea, eb, prec)
+    else:
+        ea = ka if va is None else va
+        eb = kb if vb is None else vb
+        prec = min(
+            ea + depth if ka is None else ka, eb + depth if kb is None else kb
+        )
+    base = ea if ea < eb else eb
     width = prec - base
     if width <= 0:
         # both sides already vanish modulo p^prec: nothing cancelled, the
@@ -210,8 +227,15 @@ def _combine_components(
         raise IndeterminateCancellation(
             f"cancellation beyond stored depth at p={p}"
         )
-    unit, v = _strip_valuation(total, p)
-    return _trusted_component(p, base + v, unit, prec)
+    while total % p == 0:
+        total //= p
+        base += 1
+    c = object.__new__(PAdicComponent)
+    _set_p(c, p)
+    _set_valuation(c, base)
+    _set_unit(c, total)
+    _set_known_to(c, prec)
+    return c
 
 
 def _negate_component(c: PAdicComponent, depth: int) -> PAdicComponent:
@@ -219,13 +243,13 @@ def _negate_component(c: PAdicComponent, depth: int) -> PAdicComponent:
     digit-level view: complement every digit, add 1, carries absorbed by the
     modulus - no guard digits needed). Exact nonzero components become
     inexact: a negative value has no terminating digit expansion."""
-    if c.is_zero:
-        return c
-    p = c.p
     if c.valuation is None:
-        return c  # zero to known precision: unchanged by negation
+        return c  # zero, exactly or to known precision: unchanged
+    p = c.p
     prec = (c.known_to if c.known_to is not None else c.valuation + depth)
     width = prec - c.valuation
+    if width <= 0:  # no digit known: still only known to lie in p^prec Z_p
+        return _trusted_component(p, None, 0, prec)
     return component_from_residue(
         p, c.valuation, p ** width - c.unit, width
     )
@@ -270,6 +294,8 @@ def _below(getrandbits, n: int) -> int:
 # the reads (far fewer for most p^depth) to fetch a longer prefix.
 _TAIL_FETCH_CHUNKS = 4
 
+_shake_256 = None  # hashlib.shake_256, once a tail has been read
+
 
 def _shake_below(key: bytes, n: int) -> int:
     """Uniform integer in [0, n) for n >= 1, read from SHAKE-256(key).
@@ -280,16 +306,17 @@ def _shake_below(key: bytes, n: int) -> int:
     first chunk). It depends on the key and n alone: a prefix of
     _TAIL_FETCH_CHUNKS chunks is fetched first and, only when every chunk
     of it is rejected, a prefix twice as long, of which just the new
-    chunks are read. hashlib is imported here, so commands that never
-    sample do not load it."""
-    import hashlib
-
+    chunks are read. hashlib is bound on the first read, so commands that
+    never sample do not load it."""
+    global _shake_256
+    if _shake_256 is None:
+        from hashlib import shake_256 as _shake_256
     k = (n - 1).bit_length()
     size = (k + 7) >> 3
     if not size:
         return 0  # n == 1
     mask = (1 << k) - 1
-    xof = hashlib.shake_256(key)
+    xof = _shake_256(key)
     start, stop = 0, _TAIL_FETCH_CHUNKS * size
     while True:
         out = xof.digest(stop)
@@ -317,9 +344,9 @@ class RandomTail:
         self.depth = depth
 
     def component(self, p: int, depth: int) -> PAdicComponent:
+        d = self.depth
         key = f"{self.seed!r}|'tail'|{p!r}".encode()
-        t = _shake_below(key, p ** self.depth)
-        return component_from_residue(p, 0, t, self.depth)
+        return _reduced_component(p, 0, _shake_below(key, p ** d), d)
 
     def __eq__(self, other):
         return (
@@ -438,18 +465,19 @@ def sub(x: AdelePoint, y: AdelePoint) -> AdelePoint:
 
 
 def _combine_points(x: AdelePoint, y: AdelePoint, sign: int) -> AdelePoint:
-    depth = min(x.depth, y.depth)
+    xd, yd, xt, yt = x.depth, y.depth, x.tail, y.tail
+    depth = xd if xd < yd else yd
     xs, ys = x.explicit, y.explicit
     out = {}
     for p in sorted(xs.keys() | ys.keys()):
         a = xs.get(p)
         b = ys.get(p)
         out[p] = _combine_components(
-            a if a is not None else x.tail.component(p, x.depth),
-            b if b is not None else y.tail.component(p, y.depth),
+            a if a is not None else xt.component(p, xd),
+            b if b is not None else yt.component(p, yd),
             sign, depth,
         )
-    return _trusted_point(out, _combine_tails(x.tail, y.tail, sign), depth)
+    return _trusted_point(out, _combine_tails(xt, yt, sign), depth)
 
 
 def negate(x: AdelePoint) -> AdelePoint:
@@ -649,8 +677,8 @@ def sample_uniform(
             # the leading digit is nonzero, so the unit is prime to q
             comps[q] = _trusted_component(q, -a, lead + q * rest, depth - a)
         elif a != 0 and (prime_cutoff is None or q <= prime_cutoff):
-            comps[q] = component_from_residue(
-                q, -a, _below(bits, q ** depth), depth
+            comps[q] = _reduced_component(
+                q, -a, _below(bits, q ** depth), depth - a
             )
     # the plan's pairs ascend in q, so comps is already in key order
     tail = RandomTail(bits(63), depth)

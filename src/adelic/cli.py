@@ -192,7 +192,9 @@ _COMMON = (
 
 def _resolve(args) -> dict:
     """The command's options: each flag over its config key (a null value
-    counts as absent) over its default."""
+    counts as absent) over its default. A config value is converted from
+    its text, by the flag's rules: {"steps": 2.7} is refused as --steps 2.7
+    is."""
     config = _load_config(args.config)
     out = {}
     for name, conv, default, *_ in _OPTIONS[args.command]:
@@ -210,6 +212,8 @@ def _resolve(args) -> dict:
         raw = getattr(args, dest)
         if raw is None:
             raw = config.get(name)
+            if raw is not None and not isinstance(raw, str):
+                raw = str(raw)
         if raw is None:
             raw = default
         if raw is None:
@@ -513,6 +517,8 @@ def _cmd_solve(args):
         text, bound = _result_json(result)
         out = RunResult(error_bounds={"solution": bound})
     elif args.action == "duhamel":
+        if args.forcing is None:
+            raise UsageError("solve duhamel requires --forcing")
         u0 = _read_step(args.u0, None)
         forcing = _read_forcing(args.forcing)
         result = solve_nonhomogeneous(

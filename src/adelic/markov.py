@@ -25,6 +25,7 @@ from typing import Optional
 
 from .adele import (
     AdelePoint,
+    Region,
     add,
     distance,
     format_point,
@@ -64,6 +65,12 @@ class RadiusDistribution:
     @cached_property
     def _cumulative(self) -> tuple[float, ...]:
         return tuple(accumulate(m for _, m in self.entries))
+
+    @cached_property
+    def _spheres(self) -> list[Optional[Region]]:
+        """The sphere about 0 of each radius, in the order of entries, made
+        by sample_path on the radius's first draw (None until then)."""
+        return [None] * len(self.entries)
 
     def sample(self, rng) -> Optional[Fraction]:
         """One radius draw; None signals a tail hit (caller resamples)."""
@@ -207,6 +214,8 @@ def sample_path(
             f"truncation window leaks {dist.tail_mass:.2e} > 1e-6 of "
             "increment mass per step"
         )
+    # dist.sample(rng), as the index of the drawn radius
+    cumulative, spheres = dist._cumulative, dist._spheres
     rng = derive_rng(seed, "path", path_index)
     with_real = params.beta is not None
     if with_real and params.beta not in (1.0, 2.0):
@@ -219,12 +228,15 @@ def sample_path(
     tails = cancels = 0
     for i in range(1, n_steps + 1):
         while True:
-            r = dist.sample(rng)
-            if r is None:
+            idx = bisect_right(cumulative, rng.random())
+            if idx >= len(spheres):
                 tails += 1
                 continue
+            region = spheres[idx]
+            if region is None:
+                region = spheres[idx] = sphere(dist.entries[idx][0])
             inc = sample_uniform(
-                sphere(r), depth=trunc.depth, rng=rng,
+                region, depth=trunc.depth, rng=rng,
                 prime_cutoff=trunc.prime_cutoff,
             )
             try:
@@ -234,7 +246,7 @@ def sample_path(
                 continue
             break
         points.append(nxt)
-        radii.append(r)
+        radii.append(region.radius)
         times.append(i * dt)
         if with_real:
             coords.append(coords[-1] + _real_increment(rng, dt, params.beta))

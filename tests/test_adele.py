@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -197,6 +198,117 @@ class TestArithmetic:
         assert c.valuation == -2 and c.known_to == 14
         # unit part is 7/3: multiplying back by 3 must give 7 mod 2^16
         assert 3 * c.unit % 2 ** 16 == 7
+
+
+def combine_reference(a, b, sign, depth):
+    """a + sign*b by the rules _combine_components documents, written out
+    with Fractions: an exactly zero side leaves the other (negated when
+    sign < 0), two exact sides add as rationals, and otherwise each side,
+    lying in p^e Z_p and known modulo p^prec (its known_to, or e + depth
+    when exact), is added exactly and reduced modulo the smaller prec."""
+    p = a.p
+    if a.is_zero and sign > 0:
+        return b
+    if b.is_zero:
+        return a
+    if a.exact and b.exact and not a.is_zero:
+        return component_from_rational(
+            p, a.value_fraction() + sign * b.value_fraction(), depth)
+
+    def placed(c):  # (e, prec, exact value or 0)
+        e = c.known_to if c.valuation is None else c.valuation
+        prec = c.known_to if not c.exact else e + depth
+        value = 0 if c.valuation is None else F(p) ** c.valuation * c.unit
+        return e, prec, value
+
+    if a.is_zero:  # -b: its value, negated, to b's own precision
+        ea, prec, total = placed(b)
+        eb, total = ea, -total
+    else:
+        ea, pa, xa = placed(a)
+        eb, pb, xb = placed(b)
+        prec = min(pa, pb)
+        total = xa + sign * xb
+    base = min(ea, eb, prec)
+    if prec <= base:
+        return PAdicComponent(p, None, 0, prec)
+    scaled = total / F(p) ** base
+    assert scaled.denominator == 1
+    m = scaled.numerator % p ** (prec - base)
+    if m == 0:
+        raise IndeterminateCancellation(f"p={p}")
+    v = base
+    while m % p == 0:
+        m //= p
+        v += 1
+    return PAdicComponent(p, v, m, prec)
+
+
+def random_component(rng, p, depth):
+    """An exactly zero, zero-to-precision, exact or inexact component; an
+    inexact one may hold no digit (known_to <= valuation), which the
+    public constructor accepts."""
+    kind = rng.choice(("zero", "zero_to", "exact", "inexact", "inexact"))
+    if kind == "zero":
+        return PAdicComponent(p, None, 0, None)
+    if kind == "zero_to":
+        return PAdicComponent(p, None, 0, rng.randrange(-3, depth + 2))
+    v = rng.randrange(-3, 4)
+    width = rng.randrange(-1, depth + 1)
+    unit = rng.randrange(1, p ** max(width, 1))
+    while unit % p == 0:
+        unit = rng.randrange(1, p ** max(width, 1))
+    return PAdicComponent(p, v, unit, None if kind == "exact" else v + width)
+
+
+class TestCombineComponents:
+    def test_matches_the_slow_rule(self):
+        rng = random.Random(26)
+        outcomes = {"raise": 0, "exact": 0, "inexact": 0, "zero_to": 0}
+        for _ in range(6000):
+            p, depth = rng.choice(((2, 4), (3, 3), (5, 6), (7, 2), (131, 2)))
+            a = random_component(rng, p, depth)
+            if rng.random() < 0.25:
+                # the same digits again, or their negation: cancellation
+                b = a if rng.random() < 0.5 else ad._negate_component(a,
+                                                                       depth)
+            else:
+                b = random_component(rng, p, depth)
+            sign = rng.choice((1, -1))
+            try:
+                want = combine_reference(a, b, sign, depth)
+            except IndeterminateCancellation:
+                with pytest.raises(IndeterminateCancellation):
+                    ad._combine_components(a, b, sign, depth)
+                outcomes["raise"] += 1
+                continue
+            got = ad._combine_components(a, b, sign, depth)
+            assert (got.p, got.valuation, got.unit, got.known_to) == (
+                want.p, want.valuation, want.unit, want.known_to
+            ), (a, b, sign, depth)
+            outcomes["zero_to" if got.valuation is None and not got.exact
+                     else "exact" if got.exact else "inexact"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+
+class TestSumChain:
+    def test_fresh_prime_read_after_900_adds(self):
+        # each add nests the running tail one SumTail deeper, and reading
+        # a prime that no summand holds explicitly walks the whole chain:
+        # one frame per level keeps 900 levels under the default limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            x = AdelePoint.zero(12)
+            for i in range(900):
+                inc = sample_uniform(sphere((F(1, 2), F(2), F(3))[i % 3]),
+                                     depth=12, seed=i)
+                x = add(x, inc)
+            assert sorted(x.explicit) == [2, 3]
+            c = x.component(1009)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert c.p == 1009 and c.known_to == 12
 
 
 class TestNorm:

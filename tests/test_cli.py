@@ -517,6 +517,18 @@ class TestSolveDuhamel:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
+    def test_requires_forcing(self, step_file, tmp_path):
+        # once read as the forcing grid None: "bad forcing grid None"
+        proc = run_cli(
+            ["solve", "duhamel", "--t", "1", "--alpha", "2",
+             "--u0", str(step_file)],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"usage error: solve duhamel requires --forcing\n"
+        )
+
 
 class TestSidecar:
     def test_meta_written_next_to_output(self, tmp_path):
@@ -600,6 +612,26 @@ class TestConfigFile:
         )
         assert proc.returncode == 2
         assert proc.stderr == b"usage error: missing required parameter --t\n"
+
+    @pytest.mark.parametrize("text,flag", [
+        # once run as 2 steps; int(2.7) dropped the fraction
+        ("2.7", "2.7"),
+        # once exit 3: json reads 1e400 as inf, which int() cannot convert
+        ("1e400", "inf"),
+    ])
+    def test_integer_config_value_converted_as_the_flag(self, tmp_path,
+                                                         text, flag):
+        (tmp_path / "cfg.json").write_text(
+            '{"steps": %s, "alpha": 2, "t-step": 0.1}' % text
+        )
+        proc = run_cli(["simulate", "--config", "cfg.json", "--seed", "1"],
+                       tmp_path)
+        assert proc.returncode == 2
+        want = f"usage error: not an integer: '{flag}'\n"
+        assert proc.stderr == want.encode()
+        as_flag = run_cli(["simulate", "--steps", flag, "--alpha", "2",
+                           "--t-step", "0.1", "--seed", "1"], tmp_path)
+        assert (as_flag.returncode, as_flag.stderr) == (2, proc.stderr)
 
 
 class TestSolveAdelic:
@@ -866,11 +898,14 @@ FUZZ_PLAUSIBLE = {
     "json": RadialStep.ball_indicator(F(2)).to_json(),
 }
 FUZZ_FILES = ["step.json", "zero.json", "forcing.json", "grid.csv",
-              "cfg.json", "bad.json", "missing.json"]
+              "cfg.json", "cfg_frac.json", "cfg_huge.json", "bad.json",
+              "missing.json"]
 
 
 def _fuzz_files() -> dict:
     w = RadialStep.sphere_indicator(F(2)).ft()
+    config = ('{"t": 1, "alpha": 2, "beta": null, "radius": "2", '
+              '"epsilon": 2, "eps": "1/2", "t-step": 0.1, "steps": %s}')
     return {
         "step.json": w.to_json(),
         "zero.json": RadialStep.zero().to_json(),
@@ -879,9 +914,10 @@ def _fuzz_files() -> dict:
         "grid.csv": "x,value\n" + "".join(
             f"{x / 10},{math.exp(-x * x / 100)}\n" for x in range(-10, 11)
         ),
-        "cfg.json": json.dumps({"t": 1, "alpha": 2, "beta": None,
-                                "radius": "2", "epsilon": 2, "eps": "1/2",
-                                "t-step": 0.1, "steps": 4}),
+        "cfg.json": config % 4,
+        # integer options read from a config by the flags' rules
+        "cfg_frac.json": config % 2.7,
+        "cfg_huge.json": config % "1e400",
         "bad.json": "[1, 2]",
     }
 
