@@ -7,12 +7,15 @@ Conventions
   fractions / JSON with error bound 0.
 * Float results print as `value bound` where bound is the achieved error
   bound of the value.
+* Every command's primary output goes to --output when given, and to
+  stdout otherwise.
 * A JSON metadata sidecar (resolved config, seed, error bounds, wall time)
   is written next to --output as <output>.meta.json, or to --meta. Wall
   time lives only in the sidecar so primary outputs stay byte-stable.
-* A JSON config file (--config) supplies defaults; explicit flags win.
-* Exit codes: 0 ok, 2 usage or range error, 3 tolerance failure, 4
-  indeterminate cancellation.
+* A JSON config file (--config), read by every command, supplies option
+  defaults; explicit flags win.
+* Exit codes: 0 ok, 2 usage or range error (an unwritable output path
+  included), 3 tolerance failure, 4 indeterminate cancellation.
 """
 from __future__ import annotations
 
@@ -86,7 +89,9 @@ def _load_config(path: Optional[str]) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: malformed JSON, or an integer past the interpreter's
+        # integer-to-string limit
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
@@ -188,16 +193,41 @@ _COMMON = (
     ("output", None, None, "write primary output to this file"),
     ("meta", None, None, "write the JSON metadata sidecar here"),
 )
+# Positionals of each command, in argument order: (name, converter,
+# choices, nargs). They have no config key and no default; an optional one
+# (nargs "?") that is absent is left out of the params. A None converter
+# marks the action, which names the command (`kernel eval`) and is not a
+# parameter.
+_POSITIONALS = {
+    "phi": (("x", _fraction, None, None),),
+    "ppow": (
+        ("action", None, ("next", "prev", "range"), None),
+        ("x", _fraction, None, None),
+        ("y", _fraction, None, "?"),
+    ),
+    "norm": (("point", str, None, None), ("point2", str, None, "?")),
+    "volume": (
+        ("kind", str, ("ball", "sphere"), None),
+        ("radius", _fraction, None, None),
+    ),
+    "kernel": (("action", None, ("eval", "normalize", "tail"), None),),
+    "solve": (("action", None, ("homogeneous", "duhamel", "adelic"), None),),
+    "verify": (("suite", str, None, None),),
+}
 
 
 def _resolve(args) -> dict:
-    """The command's options: each flag over its config key (a null value
-    counts as absent) over its default. A config value is converted from
-    its text, by the flag's rules: {"steps": 2.7} is refused as --steps 2.7
-    is."""
+    """The command's parameters: its positionals, converted, then its
+    options, each flag over its config key (a null value counts as absent)
+    over its default. A config value is converted from its text, by the
+    flag's rules: {"steps": 2.7} is refused as --steps 2.7 is."""
     config = _load_config(args.config)
     out = {}
-    for name, conv, default, *_ in _OPTIONS[args.command]:
+    for name, conv, *_ in _POSITIONALS.get(args.command, ()):
+        raw = getattr(args, name)
+        if conv is not None and raw is not None:
+            out[name] = conv(raw)
+    for name, conv, default, *_ in _OPTIONS.get(args.command, ()):
         if conv is None:
             continue
         dest = name.replace("-", "_")
@@ -335,78 +365,63 @@ def _result_json(result) -> tuple[str, float]:
 
 
 # --------------------------------------------------------------------------
-# handlers: each returns (RunConfig, RunResult)
+# handlers: each computes from args and its resolved params, and returns a
+# RunResult whose stdout is the primary output
 
 
-def _cmd_phi(args):
+def _cmd_phi(args, p):
     from .primepow import phi
 
-    value = phi(_fraction(args.x))
-    cfg = RunConfig("phi", {"x": _fraction(args.x)}, args.output, args.meta)
-    return cfg, RunResult(stdout=f"{value}\n", error_bounds={"value": 0.0})
+    return RunResult(stdout=f"{phi(p['x'])}\n", error_bounds={"value": 0.0})
 
 
-def _cmd_ppow(args):
+def _cmd_ppow(args, p):
     from .primepow import next_pp, pp_range, prev_pp
 
-    cfg = RunConfig(f"ppow {args.action}", {}, args.output, args.meta)
-    if args.action == "range":
-        if args.y is None:
-            raise UsageError("ppow range: missing upper bound")
-        lo, hi = _fraction(args.x), _fraction(args.y)
-        cfg.params = {"lo": lo, "hi": hi}
-        lines = [str(q.value) for q in pp_range(lo, hi)]
-        return cfg, RunResult(
-            stdout="".join(f"{ln}\n" for ln in lines),
-            error_bounds={"values": 0.0},
+    if args.action != "range":
+        fn = next_pp if args.action == "next" else prev_pp
+        return RunResult(
+            stdout=f"{fn(p['x']).value}\n", error_bounds={"value": 0.0}
         )
-    x = _fraction(args.x)
-    cfg.params = {"x": x}
-    fn = next_pp if args.action == "next" else prev_pp
-    return cfg, RunResult(
-        stdout=f"{fn(x).value}\n", error_bounds={"value": 0.0}
+    if "y" not in p:
+        raise UsageError("ppow range: missing upper bound")
+    p["lo"], p["hi"] = p.pop("x"), p.pop("y")  # the sidecar's names
+    return RunResult(
+        stdout="".join(f"{q.value}\n" for q in pp_range(p["lo"], p["hi"])),
+        error_bounds={"values": 0.0},
     )
 
 
-def _cmd_norm(args):
+def _cmd_norm(args, p):
     from .adele import distance, norm, parse_point
 
-    x = parse_point(args.point)
-    if args.point2 is not None:
-        value = distance(x, parse_point(args.point2))
-        cfg = RunConfig(
-            "norm", {"point": args.point, "point2": args.point2},
-            args.output, args.meta,
-        )
+    x = parse_point(p["point"])
+    if "point2" in p:
+        value = distance(x, parse_point(p["point2"]))
     else:
         value = norm(x)
-        cfg = RunConfig("norm", {"point": args.point}, args.output, args.meta)
-    return cfg, RunResult(stdout=f"{value}\n", error_bounds={"value": 0.0})
+    return RunResult(stdout=f"{value}\n", error_bounds={"value": 0.0})
 
 
-def _cmd_volume(args):
+def _cmd_volume(args, p):
     from .adele import ball, haar_volume, sphere
     from .primepow import _refuse_phi_past_cap
 
-    radius = _fraction(args.radius)
+    radius = p["radius"]
     _refuse_phi_past_cap(radius)  # before the region sieves to the radius
-    region = ball(radius) if args.kind == "ball" else sphere(radius)
+    region = ball(radius) if p["kind"] == "ball" else sphere(radius)
     value = haar_volume(region)
-    cfg = RunConfig(
-        "volume", {"kind": args.kind, "radius": radius},
-        args.output, args.meta,
-    )
-    return cfg, RunResult(stdout=f"{value}\n", error_bounds={"value": 0.0})
+    return RunResult(stdout=f"{value}\n", error_bounds={"value": 0.0})
 
 
-def _cmd_ft(args):
+def _cmd_ft(args, p):
+    p["input"] = args.input  # the sidecar names the step file
     step = _read_step(args.input, args.json_text)
     out = step.ft().to_json()
-    cfg = RunConfig("ft", {"input": args.input}, args.output, args.meta)
-    return cfg, RunResult(stdout=out + "\n", error_bounds={"coeffs": 0.0})
+    return RunResult(stdout=out + "\n", error_bounds={"coeffs": 0.0})
 
 
-def _cmd_kernel(args):
+def _cmd_kernel(args, p):
     from .heatkernel import (
         _z_real_and_error,
         normalization,
@@ -415,9 +430,7 @@ def _cmd_kernel(args):
         z_finite,
     )
 
-    p = _resolve(args)
     params = _kernel_params(p)
-    cfg = RunConfig(f"kernel {args.action}", p, args.output, args.meta)
     if args.action == "eval":
         quad_err = 0.0
         if p["x"] is not None:
@@ -430,7 +443,7 @@ def _cmd_kernel(args):
         if quad_err:
             # the real factor's quadrature error, which tol does not bound
             bound += 2.0 * quad_err * fin
-        return cfg, RunResult(
+        return RunResult(
             stdout=f"{value:.17g} {bound:.3e}\n",
             error_bounds={"value": bound},
         )
@@ -441,23 +454,22 @@ def _cmd_kernel(args):
             raise ToleranceError(
                 f"normalization defect {achieved:.2e} exceeds tol {p['tol']:.2e}"
             )
-        return cfg, RunResult(
+        return RunResult(
             stdout=f"{value:.17g} {achieved:.3e}\n",
             error_bounds={"value": achieved},
         )
     mass = upper_tail_mass(p["epsilon"], params)
     bound = tail_mass_bound(p["epsilon"], params)
-    return cfg, RunResult(
+    return RunResult(
         stdout=f"{mass:.17g} {bound:.17g}\n",
         error_bounds={"mass": mass * 1e-12, "a_priori_bound": 0.0},
     )
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, p):
     from .heatkernel import KernelParams
     from .markov import Truncation, sample_path
 
-    p = _resolve(args)
     params = KernelParams(t=p["t-step"], alpha=p["alpha"], beta=p["beta"])
     trunc = Truncation(
         r_min=p["r-min"], r_max=p["r-max"],
@@ -467,39 +479,31 @@ def _cmd_simulate(args):
         params, p["steps"], p["t-step"], trunc=trunc,
         seed=p["seed"], path_index=p["path-index"],
     )
-    cfg = RunConfig("simulate", p, args.output, args.meta, seed=p["seed"])
-    csv_text = path.to_csv()
-    result = RunResult(
+    return RunResult(
+        stdout=path.to_csv(),
         error_bounds={"radii": 0.0},
         extra_meta={
             "tail_resamples": path.tail_resamples,
             "cancel_resamples": path.cancel_resamples,
         },
     )
-    if args.output:
-        result.files[args.output] = csv_text
-    else:
-        result.stdout = csv_text
-    return cfg, result
 
 
-def _cmd_transition(args):
+def _cmd_transition(args, p):
     from .adele import parse_point
     from .markov import transition_prob_ball
 
-    p = _resolve(args)
     params = _kernel_params(p)
     value = transition_prob_ball(
         params, parse_point(p["x"]), parse_point(p["center"]), p["eps"]
     )
     bound = abs(value) * 1e-11 + 1e-15  # certified series truncation scale
-    cfg = RunConfig("transition", p, args.output, args.meta)
-    return cfg, RunResult(
+    return RunResult(
         stdout=f"{value:.17g} {bound:.3e}\n", error_bounds={"value": bound}
     )
 
 
-def _cmd_solve(args):
+def _cmd_solve(args, p):
     from .cauchy import (
         SymbolSpec,
         solve_adelic,
@@ -507,15 +511,10 @@ def _cmd_solve(args):
         solve_nonhomogeneous,
     )
 
-    p = _resolve(args)
     symbol = SymbolSpec(alpha=p["alpha"], beta=p["beta"])
-    cfg = RunConfig(f"solve {args.action}", p, args.output, args.meta)
-
     if args.action == "homogeneous":
         u0 = _read_step(args.input, None)
         result = solve_homogeneous(u0, p["t"], symbol, tol=p["tol"])
-        text, bound = _result_json(result)
-        out = RunResult(error_bounds={"solution": bound})
     elif args.action == "duhamel":
         if args.forcing is None:
             raise UsageError("solve duhamel requires --forcing")
@@ -525,8 +524,6 @@ def _cmd_solve(args):
             u0, forcing, p["t"], symbol,
             quadrature=p["quadrature"], tol=p["tol"], steps=p["steps"],
         )
-        text, bound = _result_json(result)
-        out = RunResult(error_bounds={"solution": bound})
     else:
         if symbol.beta is None:
             raise UsageError("solve adelic requires --beta")
@@ -538,38 +535,32 @@ def _cmd_solve(args):
         fin = _read_step(args.fin, None)
         real_out, fin_out = solve_adelic(grid, fin, p["t"], symbol, tol=p["tol"])
         fin_text, fin_bound = _result_json(fin_out)
-        out = RunResult(
-            error_bounds={"real_grid": p["tol"], "finite": fin_bound}
-        )
-        out.files[args.output] = real_out.to_csv()
         fin_path = args.finite_output or args.output + ".finite.json"
-        out.files[fin_path] = fin_text + "\n"
-        return cfg, out
+        return RunResult(
+            stdout=real_out.to_csv(),
+            files={fin_path: fin_text + "\n"},
+            error_bounds={"real_grid": p["tol"], "finite": fin_bound},
+        )
+    text, bound = _result_json(result)
+    return RunResult(stdout=text + "\n", error_bounds={"solution": bound})
 
-    if args.output:
-        out.files[args.output] = text + "\n"
-    else:
-        out.stdout = text + "\n"
-    return cfg, out
 
-
-def _cmd_verify(args):
+def _cmd_verify(args, p):
     from .checks import run_suite
 
-    results = run_suite(args.suite)
+    results = run_suite(p["suite"])
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append(
         f"{sum(r.passed for r in results)}/{len(results)} checks passed"
     )
-    cfg = RunConfig("verify", {"suite": args.suite}, args.output, args.meta)
     result = RunResult(
         stdout="".join(f"{ln}\n" for ln in lines),
         extra_meta={
             "elapsed": {r.name: round(r.elapsed, 3) for r in results}
         },
     )
-    return cfg, result, (0 if ok else 1)
+    return result, (0 if ok else 1)
 
 
 # --------------------------------------------------------------------------
@@ -584,43 +575,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, text):
+    for name, handler, text in (
+        ("phi", _cmd_phi, "exact ball volume function"),
+        ("ppow", _cmd_ppow, "prime-power order queries"),
+        ("norm", _cmd_norm, "adelic norm (or distance of two points)"),
+        ("volume", _cmd_volume, "exact Haar volume of a ball or sphere"),
+        ("ft", _cmd_ft, "exact radial Fourier transform"),
+        ("kernel", _cmd_kernel, "heat kernel evaluation and tails"),
+        ("simulate", _cmd_simulate, "sample one jump-process path, CSV"),
+        ("transition", _cmd_transition, "P(t, x, ball of radius eps)"),
+        ("solve", _cmd_solve, "parabolic solvers"),
+        ("verify", _cmd_verify, "run an acceptance/invariant suite"),
+    ):
         sp = sub.add_parser(name, help=text)
         for option, _, _, help_text, *dest in (*_OPTIONS.get(name, ()),
                                                *_COMMON):
             sp.add_argument(f"--{option}", dest=dest[0] if dest else None,
                             help=help_text)
+        for positional, _, choices, nargs in _POSITIONALS.get(name, ()):
+            sp.add_argument(positional, choices=choices, nargs=nargs)
         sp.set_defaults(handler=handler)
-        return sp
-
-    sp = command("phi", _cmd_phi, "exact ball volume function")
-    sp.add_argument("x")
-    sp = command("ppow", _cmd_ppow, "prime-power order queries")
-    sp.add_argument("action", choices=["next", "prev", "range"])
-    sp.add_argument("x")
-    sp.add_argument("y", nargs="?")
-    sp = command("norm", _cmd_norm, "adelic norm (or distance of two points)")
-    sp.add_argument("point")
-    sp.add_argument("point2", nargs="?")
-    sp = command("volume", _cmd_volume,
-                 "exact Haar volume of a ball or sphere")
-    sp.add_argument("kind", choices=["ball", "sphere"])
-    sp.add_argument("radius")
-    command("ft", _cmd_ft, "exact radial Fourier transform")
-    sp = command("kernel", _cmd_kernel, "heat kernel evaluation and tails")
-    sp.add_argument("action", choices=["eval", "normalize", "tail"])
-    command("simulate", _cmd_simulate, "sample one jump-process path, CSV")
-    command("transition", _cmd_transition, "P(t, x, ball of radius eps)")
-    sp = command("solve", _cmd_solve, "parabolic solvers")
-    sp.add_argument("action", choices=["homogeneous", "duhamel", "adelic"])
-    sp = command("verify", _cmd_verify, "run an acceptance/invariant suite")
-    sp.add_argument("suite")
     return parser
 
 
 # --------------------------------------------------------------------------
 # driver
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
 
 
 def _write_sidecar(cfg: RunConfig, result: RunResult, wall: float):
@@ -638,25 +625,35 @@ def _write_sidecar(cfg: RunConfig, result: RunResult, wall: float):
         "version": __version__,
     }
     meta.update(result.extra_meta)
-    with open(path, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write(path, json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
+    """Parse, resolve the command's params, run its handler, then write its
+    primary output (to --output or stdout), its secondary files and the
+    sidecar, mapping every failure to an exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     begin = time.perf_counter()
-    code = 0
     try:
-        outcome = args.handler(args)
-        if len(outcome) == 3:
-            cfg, result, code = outcome
-        else:
-            cfg, result = outcome
+        p = _resolve(args)
+        result = args.handler(args, p)
+        result, code = result if isinstance(result, tuple) else (result, 0)
+        if args.output:
+            _write(args.output, result.stdout)
+        elif result.stdout:
+            sys.stdout.write(result.stdout)
+        for path, text in result.files.items():
+            _write(path, text)
+        action = getattr(args, "action", None)
+        cfg = RunConfig(
+            f"{args.command} {action}" if action else args.command,
+            p, args.output, args.meta, p.get("seed"),
+        )
+        _write_sidecar(cfg, result, time.perf_counter() - begin)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -684,12 +681,6 @@ def main(argv=None) -> int:
         # last line of defence: an input that outgrew the stack or memory
         print(f"range error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    for path, text in result.files.items():
-        with open(path, "w") as fh:
-            fh.write(text)
-    if result.stdout:
-        sys.stdout.write(result.stdout)
-    _write_sidecar(cfg, result, time.perf_counter() - begin)
     return code
 
 

@@ -262,6 +262,7 @@ def random_component(rng, p, depth):
 
 
 class TestCombineComponents:
+    @pytest.mark.seeded_streams
     def test_matches_the_slow_rule(self):
         rng = random.Random(26)
         outcomes = {"raise": 0, "exact": 0, "inexact": 0, "zero_to": 0}
@@ -292,6 +293,7 @@ class TestCombineComponents:
 
 
 class TestSumChain:
+    @pytest.mark.seeded_streams
     def test_fresh_prime_read_after_900_adds(self):
         # each add nests the running tail one SumTail deeper, and reading
         # a prime that no summand holds explicitly walks the whole chain:
@@ -660,6 +662,7 @@ def sha(text):
 
 
 class TestIntegerComponents:
+    @pytest.mark.seeded_streams
     @pytest.mark.parametrize("key", sorted(FROZEN_DRAW_SHA, key=str))
     def test_seeded_draws_unchanged(self, key):
         kind, r = key
@@ -674,11 +677,13 @@ class TestIntegerComponents:
         ]
         assert sha("\n".join(texts)) == FROZEN_DRAW_SHA[key]
 
+    @pytest.mark.seeded_streams
     @pytest.mark.parametrize("steps", sorted(FROZEN_PATH_SHA))
     def test_seeded_paths_unchanged(self, steps):
         path = sample_path(KernelParams(t=1.0, alpha=2.0), steps, 0.25, seed=9)
         assert sha(path.to_csv()) == FROZEN_PATH_SHA[steps]
 
+    @pytest.mark.seeded_streams
     def test_seeded_sum_norms_unchanged(self):
         law = radius_distribution(
             KernelParams(t=0.5, alpha=2.0), F(1, 128), F(128)
@@ -773,12 +778,14 @@ class TestTrustedPath:
     """Sampler and sums build components and points unchecked; these pin
     that they still meet the invariants the public constructors check."""
 
+    @pytest.mark.seeded_streams
     def test_seeded_semigroup_stream_unchanged(self):
         h = hashlib.sha256()
         for line, _ in semigroup_stream(1000):
             h.update(f"{line}\n".encode())
         assert h.hexdigest() == FROZEN_SEMIGROUP_STREAM_SHA
 
+    @pytest.mark.seeded_streams
     def test_seeded_path_unchanged(self):
         path = sample_path(KernelParams(t=0.1, alpha=2), 200, 0.1, seed=7)
         assert sha(path.to_csv()) == FROZEN_PATH_200_SHA
@@ -940,6 +947,7 @@ FORCED_REJECTIONS = [(3, 1), (5, 1), (17, 1), (257, 1), (3, 2), (3, 12),
                      (257, 3), (65537, 2)]
 
 
+@pytest.mark.seeded_streams
 class TestTailRule:
     """RandomTail.component is the residue of the SHAKE-256 rule."""
 
@@ -1015,6 +1023,7 @@ def radius_time_sha(path):
                          for t, r in zip(path.times[1:], path.radii)))
 
 
+@pytest.mark.seeded_streams
 class TestSeededRadii:
     """The tail rule changes tail-derived digits only: each path's radius
     and time sequences, and the semigroup stream's radius pairs, hash as

@@ -431,6 +431,7 @@ FROZEN_BATTERY = {
 
 
 class TestDeterminism:
+    @pytest.mark.seeded_streams
     def test_exact_battery_outputs_frozen(self, tmp_path):
         got = {}
         for args, files in _battery(str(tmp_path)):
@@ -632,6 +633,81 @@ class TestConfigFile:
         as_flag = run_cli(["simulate", "--steps", flag, "--alpha", "2",
                            "--t-step", "0.1", "--seed", "1"], tmp_path)
         assert (as_flag.returncode, as_flag.stderr) == (2, proc.stderr)
+
+    def test_integer_past_the_str_limit_is_unreadable(self, tmp_path):
+        # once "range error: result too large to print": json's ValueError
+        # escaped the config reader
+        (tmp_path / "cfg.json").write_text(
+            '{"steps": %s, "alpha": 2, "t-step": 0.1}' % ("7" * 5000)
+        )
+        proc = run_cli(["simulate", "--config", "cfg.json"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            b"usage error: cannot read config cfg.json: "
+        )
+        assert proc.stderr.count(b"\n") == 1
+
+
+# one cheap argv of each command
+PIPELINE_ARGVS = [
+    ["phi", "10"],
+    ["ppow", "range", "1", "12"],
+    ["norm", "2:-1:1", "3:0:2"],
+    ["volume", "ball", "4"],
+    ["ft", "--input", "step.json"],
+    ["kernel", "eval", "--radius", "2", "--t", "1", "--alpha", "2"],
+    ["simulate", "--t-step", "0.1", "--steps", "10", "--alpha", "2",
+     "--seed", "3"],
+    ["transition", "--t", "0.5", "--alpha", "2", "--eps", "2"],
+    ["solve", "homogeneous", "--t", "1", "--alpha", "2",
+     "--input", "step.json"],
+    ["verify", "volumes"],
+]
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("argv", PIPELINE_ARGVS, ids=lambda a: a[0])
+    def test_output_holds_what_stdout_would(self, tmp_path, monkeypatch,
+                                            capsys, argv):
+        # once only simulate and solve wrote --output; the others printed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "step.json").write_text(
+            RadialStep.sphere_indicator(F(2)).ft().to_json()
+        )
+        assert cli.main([*argv, "--meta", "plain.json"]) == 0
+        printed = capsys.readouterr().out
+        assert printed
+        assert cli.main([*argv, "--output", "out.txt",
+                         "--meta", "routed.json"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "out.txt").read_text() == printed
+        plain = json.loads((tmp_path / "plain.json").read_text())["config"]
+        routed = json.loads((tmp_path / "routed.json").read_text())["config"]
+        assert (plain.pop("output"), routed.pop("output")) == (None, "out.txt")
+        assert routed == plain
+
+    def test_every_command_reads_its_config(self, tmp_path):
+        # once phi, ppow, norm, volume and verify never opened --config
+        proc = run_cli(["phi", "10", "--config", "missing.json"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            b"usage error: cannot read config missing.json: "
+        )
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--t-step", "0.1", "--steps", "1", "--alpha", "2"],
+         "--output"),
+        (["kernel", "eval", "--radius", "2", "--t", "1", "--alpha", "2"],
+         "--meta"),
+    ])
+    def test_unwritable_path_exits_2(self, tmp_path, capsys, argv, flag):
+        # once a traceback and exit 1: files were written outside the
+        # error mapping
+        path = str(tmp_path / "missing" / "x")
+        assert cli.main([*argv, flag, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestSolveAdelic:
@@ -984,3 +1060,78 @@ class TestFuzz:
         finally:
             signal.signal(signal.SIGALRM, previous)
         assert codes[0] >= 50  # past validation into the solvers
+
+
+# plausible values of a positional that its converter's pool lacks
+FUZZ_POSITIONAL_PLAUSIBLE = {"suite": ["volumes"]}
+# a path no command can write: its directory does not exist
+FUZZ_UNWRITABLE = "missing/out"
+
+
+def fuzz_command_argvs(seed, count):
+    """count argvs of all ten commands from the positional and option
+    tables: an optional positional or an option present with probability
+    0.8, one value in six hostile, and an unwritable path among the
+    hostile files."""
+    rng = random.Random(seed)
+    commands = sorted({*cli._POSITIONALS, *cli._OPTIONS})
+    for _ in range(count):
+        command = rng.choice(commands)
+        argv = [command]
+        for name, conv, choices, nargs in cli._POSITIONALS.get(command, ()):
+            if nargs == "?" and rng.random() >= 0.8:
+                continue
+            if choices:
+                argv.append(rng.choice(choices))
+                continue
+            plausible, hostile = FUZZ_POOLS[conv]
+            plausible = FUZZ_POSITIONAL_PLAUSIBLE.get(name, plausible)
+            argv.append(rng.choice(hostile if rng.random() < 1 / 6
+                                   else plausible))
+        for name, conv, *_ in (*cli._OPTIONS.get(command, ()), *cli._COMMON):
+            if rng.random() < 0.8:
+                if conv is None:
+                    plausible = [FUZZ_PLAUSIBLE.get(name, f"{name}.out")]
+                    hostile = FUZZ_FILES + [FUZZ_UNWRITABLE]
+                else:
+                    plausible, hostile = FUZZ_POOLS[conv]
+                pool = hostile if rng.random() < 1 / 6 else plausible
+                argv += [f"--{name}", rng.choice(pool)]
+        yield argv
+
+
+class TestCommandFuzz:
+    def test_command_argvs_exit_cleanly(self, tmp_path, monkeypatch, capsys):
+        # in process with an empty stdin: a missing step file reads stdin
+        monkeypatch.chdir(tmp_path)
+        files = _fuzz_files()
+
+        def on_alarm(signum, frame):
+            raise _ArgvTimeout
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        codes, unwritable = collections.Counter(), 0
+        try:
+            for argv in fuzz_command_argvs(28, 300):
+                for name, text in files.items():
+                    (tmp_path / name).write_text(text)
+                monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+                signal.alarm(10)
+                try:
+                    code = cli.main(argv)
+                except _ArgvTimeout:
+                    pytest.fail(f"{' '.join(argv)} ran past 10 s")
+                except Exception as exc:
+                    pytest.fail(f"{' '.join(argv)} raised {exc!r}")
+                finally:
+                    signal.alarm(0)
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3, 4), (argv, err)
+                assert "Traceback" not in err, argv
+                codes[code] += 1
+                unwritable += err.startswith("usage error: cannot write ")
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        # 135 exits 0 and 5 unwritable paths when this floor was set
+        assert codes[0] >= 100  # past validation into the handlers
+        assert unwritable >= 1
