@@ -5,7 +5,8 @@ r^gamma, the flow e^{-t r^alpha} and the Duhamel integral's weighted sum
 of flows all go through one routine. A walk up the ranks of a step (a
 running sum of exact integer pairs c_k phi(k)) splits the transform's
 inner ball off as a lazy piece, where the symbol takes infinitely many
-values (evaluated on demand with certified series truncation), and adds
+values (evaluated on demand by a certified series; a flow's piece is the
+transition function of heatkernel._ball_flow), and adds
 weight * symbol(q) * value on each frequency sphere q that carries a
 value into a per-rank sum of integer pairs (numerator, denominator) over
 least common denominators, the float weights entering through their
@@ -37,11 +38,11 @@ import io
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import ToleranceError
-from .heatkernel import KernelParams, z_real
-from .primepow import _TABLE, RationalLike, phi
+from .heatkernel import KernelParams, _ball_flow, z_real
+from .primepow import _TABLE, RationalLike, as_fraction, phi
 from .radial import RadialStep, ft_ball_eval
 from .util import record, require_finite
 
@@ -68,9 +69,9 @@ class SymbolSpec:
 
 @record(frozen=True)
 class InnerPiece:
-    """scale * inverse-transform of (profile * ball indicator), evaluated
-    lazily; profile is monotone on (0, rho] so the series truncation bound
-    of ft_ball_eval applies."""
+    """scale * inverse transform of (profile * 1_B(rho)), evaluated lazily:
+    "power" by ft_ball_eval; "heat" (exponent > 1) as scale / phi(r) times
+    P(time, x, B(r)), whose data 1_B(r) transforms to phi(r) 1_B(rho)."""
 
     scale: float
     rho: Fraction
@@ -78,21 +79,16 @@ class InnerPiece:
     exponent: float
     time: float = 0.0
 
-    def _profile(self) -> Callable[[Fraction], float]:
-        exponent, time = self.exponent, self.time
-        if self.kind == "power":
-            return lambda q: float(q) ** exponent
-        if self.kind == "heat":
-            return lambda q: math.exp(-time * float(q) ** exponent)
-        raise ValueError(f"unknown piece kind {self.kind!r}")
-
-    def _at_zero(self) -> float:
-        return 0.0 if self.kind == "power" else 1.0
-
     def value(self, s: RationalLike, tol: float) -> tuple[float, float]:
-        val, bound = ft_ball_eval(
-            self._profile(), self.rho, s, self._at_zero(), tol=tol
-        )
+        if self.kind == "power":
+            val, bound = ft_ball_eval(lambda q: float(q) ** self.exponent,
+                                      self.rho, s, 0.0, tol=tol)
+        elif self.kind == "heat":
+            k = -2 - _TABLE.rank_floor(as_fraction(self.rho))  # rank of r
+            params = KernelParams(self.time, self.exponent)
+            val, bound = _ball_flow(k, s, params, -_TABLE.log_phi_at(k))
+        else:
+            raise ValueError(f"unknown piece kind {self.kind!r}")
         return self.scale * val, abs(self.scale) * bound
 
     def l2_cap(self) -> float:
@@ -112,8 +108,7 @@ class EvaluableRadial:
     error_bound: float = 0.0
 
     def value(self, s: RationalLike) -> float:
-        val, bound = self.value_with_bound(s)
-        return val
+        return self.value_with_bound(s)[0]
 
     def value_with_bound(self, s: RationalLike) -> tuple[float, float]:
         total = float(self.step.value(s))

@@ -8,7 +8,7 @@ Conventions
 * Float results print as `value bound` where bound is the achieved error
   bound of the value.
 * Every command's primary output goes to --output when given, and to
-  stdout otherwise.
+  stdout otherwise; a run writes all of its outputs or none.
 * A JSON metadata sidecar (resolved config, seed, error bounds, wall time)
   is written next to --output as <output>.meta.json, or to --meta. Wall
   time lives only in the sidecar so primary outputs stay byte-stable.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -57,7 +58,8 @@ class RunConfig:
     def as_dict(self) -> dict:
         return {
             "command": self.command,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
+            "params": {k: str(v) if isinstance(v, Fraction) else v
+                       for k, v in self.params.items()},
             "output": self.output,
             "seed": self.seed,
         }
@@ -69,12 +71,6 @@ class RunResult:
     files: dict = field(default_factory=dict)  # path -> text
     error_bounds: dict = field(default_factory=dict)
     extra_meta: dict = field(default_factory=dict)
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
 
 
 # --------------------------------------------------------------------------
@@ -602,20 +598,27 @@ def build_parser() -> argparse.ArgumentParser:
 # driver
 
 
-def _write(path: str, text: str) -> None:
+def _write_all(files: dict) -> None:
+    """Write each {path: text} or none: all are opened before any write."""
+    new = [path for path in files if not os.path.exists(path)]
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        for path in files:
+            open(path, "a").close()
+        for path, text in files.items():
+            with open(path, "w") as fh:
+                fh.write(text)
     except OSError as exc:
+        for made in filter(os.path.exists, new):
+            os.remove(made)
         raise UsageError(f"cannot write {path}: {exc}")
 
 
-def _write_sidecar(cfg: RunConfig, result: RunResult, wall: float):
+def _sidecar(cfg: RunConfig, result: RunResult, wall: float) -> dict:
     path = cfg.meta
     if path is None and cfg.output:
         path = cfg.output + ".meta.json"
     if path is None:
-        return
+        return {}
     import json
 
     meta = {
@@ -625,13 +628,13 @@ def _write_sidecar(cfg: RunConfig, result: RunResult, wall: float):
         "version": __version__,
     }
     meta.update(result.extra_meta)
-    _write(path, json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    return {path: json.dumps(meta, sort_keys=True, indent=1) + "\n"}
 
 
 def main(argv=None) -> int:
     """Parse, resolve the command's params, run its handler, then write its
     primary output (to --output or stdout), its secondary files and the
-    sidecar, mapping every failure to an exit code."""
+    sidecar, all or none, mapping every failure to an exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -642,18 +645,17 @@ def main(argv=None) -> int:
         p = _resolve(args)
         result = args.handler(args, p)
         result, code = result if isinstance(result, tuple) else (result, 0)
-        if args.output:
-            _write(args.output, result.stdout)
-        elif result.stdout:
-            sys.stdout.write(result.stdout)
-        for path, text in result.files.items():
-            _write(path, text)
         action = getattr(args, "action", None)
         cfg = RunConfig(
             f"{args.command} {action}" if action else args.command,
             p, args.output, args.meta, p.get("seed"),
         )
-        _write_sidecar(cfg, result, time.perf_counter() - begin)
+        files = {args.output: result.stdout} if args.output else {}
+        files.update(result.files)
+        files.update(_sidecar(cfg, result, time.perf_counter() - begin))
+        _write_all(files)
+        if not args.output:
+            sys.stdout.write(result.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ exactly one term). Cumulative ball masses obey the exact identity
 obtained by swapping the two absolutely convergent sums and telescoping
 with phi(rho) phi(prev_pp(1/rho)) = 1. The identity (validated against
 slow high-precision sums) supplies both tails of the normalization
-integral and exact ball transition probabilities.
+integral and the heat flows of balls P(t, x, B(r)) (_ball_flow).
 
 Every series and sweep looks up the rank of its first prime power once
 (primepow's rank index: successor is r + 1, 1/x is r -> -1-r) and then
@@ -360,30 +360,40 @@ def sphere_masses(
     return SphereMasses(k_lo, masses, low_tail, up_tail)
 
 
-def _ball_identity(k: int, params: KernelParams,
-                   rel_tol: float) -> tuple[float, float]:
-    """(phi(r) Z(r, t), t q0^alpha) for the closed ball of radius r of rank
-    k (see _radius_rank): the cumulative mass is the first plus
-    e^{-t q0^alpha}, where q0 = 1/r (2 for r = 1), the first prime power
-    >= 1/r, has rank -1 - k."""
+def _ball_identity(k: int, params: KernelParams, rel_tol: float,
+                   ln_scale: float = 0.0) -> tuple[float, float]:
+    """(e^ln_scale phi(r) Z(r, t), t q0^alpha) for the closed ball of
+    radius r of rank k (see _radius_rank): the cumulative mass is phi(r)
+    Z(r, t) plus e^{-t q0^alpha}, where q0 = 1/r (2 for r = 1), the first
+    prime power >= 1/r, has rank -1 - k."""
     require_positive(rel_tol=rel_tol)
     params.require_positive_time()
     ln_z = _ln_z(-2 - k, params.t, params.alpha, rel_tol)
-    inside = math.exp(_TABLE.log_phi_at(k) + ln_z)
+    inside = math.exp(ln_scale + _TABLE.log_phi_at(k) + ln_z)
     return inside, params.t * _TABLE.float_at(-1 - k) ** params.alpha
-
-
-def _ball_mass_at(k: int, params: KernelParams,
-                  rel_tol: float = 1e-13) -> float:
-    """ball_mass for the radius of rank k."""
-    inside, boundary = _ball_identity(k, params, rel_tol)
-    return inside + math.exp(-boundary)
 
 
 def ball_mass(radius: RationalLike, params: KernelParams,
               rel_tol: float = 1e-13) -> float:
     """Exact-identity cumulative mass: integral of Z over the closed ball."""
-    return _ball_mass_at(_radius_rank(radius), params, rel_tol)
+    inside, boundary = _ball_identity(_radius_rank(radius), params, rel_tol)
+    return inside + math.exp(-boundary)
+
+
+def _ball_flow(k: int, s: RationalLike, params: KernelParams,
+               ln_scale: float = 0.0) -> tuple[float, float]:
+    """(e^ln_scale P(t, x, B(r)), bound), ||x|| = s read as the largest prime
+    power <= s, r of rank k, t > 0: phi(r) Z(s, t) outside the ball, its
+    mass inside, ln-terms shifted by ln_scale. Series stop at relative
+    1e-13/2; underflows (< 2^-1075 each, < 2^46 terms) sum below 2^-1022."""
+    j = _TABLE.rank_floor(as_fraction(s)) if s else k
+    if j > k:
+        ln_scale += _TABLE.log_phi_at(k)
+        value = _scaled_z(_TABLE.fraction_at(j), params, 1e-12, ln_scale)
+    else:
+        inside, boundary = _ball_identity(k, params, 1e-13, ln_scale)
+        value = inside + math.exp(ln_scale - boundary)
+    return value, 1e-13 * value + 2.0 ** -1022
 
 
 def upper_tail_mass(radius: RationalLike, params: KernelParams,

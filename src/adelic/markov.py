@@ -35,9 +35,8 @@ from .adele import (
 from .errors import IndeterminateCancellation, ToleranceError
 from .heatkernel import (
     KernelParams,
-    _ball_mass_at,
+    _ball_flow,
     _radius_rank,
-    _scaled_z,
     sphere_masses,
     tail_mass_bound,
 )
@@ -268,20 +267,13 @@ def transition_prob_ball(
     eps: RationalLike,
 ) -> float:
     """P(t, x, B_eps(center)): probability the process started at x sits in
-    the closed ball after time t. Space homogeneity makes this a function
-    of ||x - center|| alone; the kernel is constant on the shifted ball
-    when x lies outside it (ultrametric), and integrates sphere by sphere
-    when x is inside. t = 0 degenerates to the indicator."""
+    the closed ball after time t, a function of ||x - center|| alone by
+    space homogeneity (heatkernel._ball_flow). t = 0 gives the indicator."""
     k = _radius_rank(eps)
-    radius = as_fraction(eps)
     d = distance(x, center)
     if params.t == 0:
-        return 1.0 if d <= radius else 0.0
-    if d > radius:
-        # phi(eps) Z(d, t), summed in logarithms: phi(eps) alone can pass
-        # the double range, or be too large to build exactly
-        return _scaled_z(d, params, 1e-12, _TABLE.log_phi_at(k))
-    return _ball_mass_at(k, params)
+        return 1.0 if d <= as_fraction(eps) else 0.0
+    return _ball_flow(k, d, params)[0]
 
 
 # the least expected count of a pooled bin in radius_law_chisquare

@@ -68,8 +68,8 @@ _PHI_STRIDE = 256
 # holds about 144,000) is refused with ValueError before its product is
 # walked. The refusal band starts near 181,000 and reaches every radius
 # past it and below its reciprocal: the phi command, Haar volumes and
-# radial steps (transforms, integrals) there, and InnerPiece.value at
-# norms whose reciprocal lies past it.
+# radial steps (transforms, integrals) there, and a power InnerPiece's
+# value at norms whose reciprocal lies past it (heat pieces read log phi).
 _PHI_BITS_CAP = 1 << 18
 
 # The table is never sieved past this bound (building it peaks near 0.4 GB);

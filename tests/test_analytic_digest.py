@@ -36,11 +36,14 @@ LAW_WINDOW = (F(1, 128), F(128))
 HOM_NORMS = (F(1, 2), F(2), F(4))
 DUHAMEL_STEPS = 32
 
-# taken when the loops built a Fraction per term and read every per-row
-# log with math.log and math.log1p
+# taken when the heat flow of the ball was first read through the kernel
+# series of transition_prob_ball, which changed only the value_with_bound
+# pairs of the outcomes
 FROZEN_SHA256 = (
-    "87f014a3a6f29deea077bd201cd01d703c8681b78e1c4eb30b424b477cfedee8"
+    "38a6907c5a808d047a2b0e463f074802b53dc1bdeb29952e0c13490e9e182e64"
 )
+# a point of each norm in HOM_NORMS
+HOM_POINTS = ("2:0:1", "2:-1:1", "2:-2:1")
 
 
 def seeded_points():
@@ -82,3 +85,11 @@ def test_analytic_outcomes_frozen():
         assert abs(norm - 1.0) <= 1e-6, (t, alpha)
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == FROZEN_SHA256
+    # the heat flow of u0 = 1_B(1/2) read at norm s is P(t, x, B(1/2))
+    zero = AdelePoint.zero()
+    for outcome_, (t, alpha) in zip(outcomes, seeded_points()):
+        params = KernelParams(t=t, alpha=alpha)
+        for (value, bound), text in zip(outcome_[5], HOM_POINTS):
+            p = transition_prob_ball(params, parse_point(text), zero, F(1, 2))
+            assert abs(value - p) <= 1e-14, (t, alpha, text)
+            assert abs(value - p) <= bound, (t, alpha, text)

@@ -8,7 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 from adelic import cauchy as cy
+from adelic.adele import AdelePoint, parse_point
 from adelic.errors import ToleranceError
+from adelic.heatkernel import KernelParams
+from adelic.markov import transition_prob_ball
 from adelic.primepow import phi
 from adelic.radial import RadialStep, ft_ball_eval
 
@@ -20,6 +23,9 @@ EIGEN_RADII = [
     F(2), F(4), F(8), F(3), F(9), F(5), F(7),
     F(1, 2), F(1, 4), F(1, 3),
 ]
+
+
+ZERO = AdelePoint.zero()
 
 
 def eigenfunction(r):
@@ -561,12 +567,19 @@ class TestRankWalk:
             "RadialStep({1/2: 7014813832872459/9007199254740992, "
             "2: -7014813832872459/18014398509481984})"
         )
-        assert [got.value_with_bound(s) for s in (0, F(1, 2), F(2), F(4))] == [
-            (0.8463639210043229, 1.1882896783663346e-11),
-            (0.8463639210043229, 1.1882896783663346e-11),
-            (0.06756313793291802, 1.1882896783663346e-11),
-            (0.0021149133949178666, 1.1882896783663346e-11),
+        # re-pinned when the heat piece was first read through the kernel
+        # series of transition_prob_ball
+        reads = [got.value_with_bound(s) for s in (0, F(1, 2), F(2), F(4))]
+        assert reads == [
+            (0.846363921008158, 4.569635294724556e-14),
+            (0.846363921008158, 4.569635294724556e-14),
+            (0.06756313793675317, 4.569635294724556e-14),
+            (0.0021149133987530635, 2.1149133987530635e-16),
         ]
+        params = KernelParams(t=1.0, alpha=ALPHA)
+        for (value, _), x in zip(reads, ("0", "2:0:1", "2:-1:1", "2:-2:1")):
+            p = transition_prob_ball(params, parse_point(x), ZERO, F(1, 2))
+            assert abs(value - p) <= 1e-14
 
 
 def evolve_by_three_passes(g, dt, alpha=ALPHA):
@@ -751,3 +764,127 @@ class TestIntegerTimeCap:
         assert cy._decay_factor(1e9, 1e-20) == (1, 1)
         assert cy._decay_factor(1e9 + 0.5, 4.0) == \
             math.exp(-(1e9 + 0.5) * 4).as_integer_ratio()
+
+
+def _prime_powers(n):
+    """(m, p) for every prime power m = p^k <= n, ascending."""
+    out = []
+    for m in range(2, n + 1):
+        p = next(d for d in range(2, m + 1) if m % d == 0)
+        k = m
+        while k % p == 0:
+            k //= p
+        if k == 1:
+            out.append((m, p))
+    return out
+
+
+def fourier_side_ball_flow(t, alpha, eps, s, depth=160):
+    """P(t, x, B(eps)) at ||x|| = s, to 50 digits, as a sum over the
+    frequency spheres S_q. The radii are the prime powers m and their
+    reciprocals; vol B(m) = phi(m) = lcm(1..m) and vol B(1/m) = p / phi(m)
+    for m = p^k. The character integrates to vol B(q) over B(q) at x when
+    q < 1/s, and to 0 otherwise; so 1_B(eps) transforms to
+    vol B(eps) 1_B(eps*), eps* the largest radius below 1/eps, and its
+    heat flow is vol B(eps) times the sum over q <= eps* of e^{-t q^alpha}
+    times the character's integral over S_q. The ball below the smallest
+    radius (1/157 at depth 160) is left out: it carries at most
+    vol B(eps) vol B(1/157) < 1e-58 of the flow."""
+    import mpmath
+
+    pps = _prime_powers(depth)
+    vol, lcm = {}, 1
+    for m, p in pps:
+        lcm *= p
+        vol[F(m)] = F(lcm)
+        vol[F(1, m)] = F(p, lcm)
+    radii = sorted(vol)
+    eps_star = max(q for q in radii if q < 1 / F(eps))
+
+    def ball_integral(q):
+        return vol[q] if q < 1 / F(s) else 0
+
+    with mpmath.workdps(50):
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        total = mpmath.mpf(0)
+        for prev, q in zip(radii, radii[1:]):
+            if q > eps_star:
+                break
+            weight = ball_integral(q) - ball_integral(prev)
+            if weight:
+                total += mpmath.exp(-t * mp(q) ** alpha) * mp(weight)
+        return total * mp(vol[F(eps)])
+
+
+class TestOneHeatFlow:
+    """The heat flow of 1_B(eps) read at norm s is the transition function
+    P(t, x, B(eps)) at ||x|| = s: the solver and transition_prob_ball read
+    it from one kernel series."""
+
+    ALPHAS = (1.5, 2.0, 3.0)
+    TIMES = (0.1, 1.0, 5.0)
+    EPS = (F(1, 27), F(1, 4), F(2), F(9))
+    POINTS = {F(1, 8): "2:2:1", F(1, 2): "2:0:1", F(3): "3:-1:1",
+              F(4): "2:-2:1", F(27): "3:-3:1"}
+    # (alpha, t, eps, s): inside and outside the ball, every alpha
+    ORACLE_SPOTS = (
+        (1.5, 0.1, F(1, 27), F(1, 8)),
+        (2.0, 1.0, F(1, 4), F(3)),
+        (3.0, 5.0, F(2), F(1, 8)),
+        (2.0, 0.1, F(9), F(27)),
+        (1.5, 5.0, F(9), F(4)),
+    )
+
+    def reads(self, alpha, t, eps, s):
+        hom = cy.solve_homogeneous(
+            RadialStep.ball_indicator(eps), t, cy.SymbolSpec(alpha)
+        )
+        value, bound = hom.value_with_bound(s)
+        p = transition_prob_ball(
+            KernelParams(t=t, alpha=alpha), parse_point(self.POINTS[s]),
+            ZERO, eps,
+        )
+        return value, bound, p
+
+    def test_solver_matches_transition_on_the_grid(self):
+        pairs = 0
+        for alpha in self.ALPHAS:
+            for t in self.TIMES:
+                for eps in self.EPS:
+                    for s in self.POINTS:
+                        value, bound, p = self.reads(alpha, t, eps, s)
+                        gap = abs(value - p)
+                        assert gap <= 1e-14, (alpha, t, eps, s, gap)
+                        assert gap <= bound, (alpha, t, eps, s, gap, bound)
+                        pairs += 1
+        assert pairs == 180
+
+    @pytest.mark.parametrize("alpha,t,eps,s", ORACLE_SPOTS)
+    def test_both_match_the_fourier_side_sum(self, alpha, t, eps, s):
+        pytest.importorskip("mpmath")
+        value, bound, p = self.reads(alpha, t, eps, s)
+        ref = fourier_side_ball_flow(t, alpha, eps, s)
+        assert abs(value - ref) <= bound
+        assert abs(p - ref) <= ref * 1e-13
+
+    def test_heat_piece_answers_past_the_phi_cap(self):
+        # the kernel series below 1/199999 reads log phi only, while
+        # ft_ball_eval's series there needs an exact phi past
+        # primepow._PHI_BITS_CAP: the power piece still refuses
+        hom = cy.solve_homogeneous(RadialStep.ball_indicator(F(1, 2)), 1.0,
+                                   SYM)
+        value, bound = hom.value_with_bound(199999)
+        assert value == 0.0
+        assert 0.0 < bound <= 1e-300
+        power = cy.apply_operator(RadialStep.ball_indicator(F(2)), 2.0)
+        with pytest.raises(ValueError, match=r"cap of 2\^18 bits"):
+            power.value_with_bound(199999)
+
+    def test_heat_piece_needs_exponent_above_one(self):
+        piece = cy.InnerPiece(1.0, F(1, 2), "heat", 1.0, 0.5)
+        with pytest.raises(ValueError, match="exponent must exceed 1"):
+            piece.value(F(2), 1e-10)
+        with pytest.raises(ValueError, match="unknown piece kind"):
+            cy.InnerPiece(1.0, F(1, 2), "wave", 2.0, 0.5).value(F(2), 1e-10)

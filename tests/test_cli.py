@@ -705,9 +705,22 @@ class TestPipeline:
         # error mapping
         path = str(tmp_path / "missing" / "x")
         assert cli.main([*argv, flag, path]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(f"usage error: cannot write {path}: ")
         assert err.count("\n") == 1
+        assert out == ""
+
+    def test_unwritable_sidecar_keeps_an_existing_output(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out.txt"
+        out.write_text("earlier\n")
+        meta = str(tmp_path / "missing" / "m.json")
+        assert cli.main(["phi", "10", "--output", str(out),
+                         "--meta", meta]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"usage error: cannot write {meta}: "
+        )
+        assert out.read_text() == "earlier\n"
 
 
 class TestSolveAdelic:
@@ -729,6 +742,27 @@ class TestSolveAdelic:
         assert len(lines) == 162
         fin = json.loads((tmp_path / "out.csv.finite.json").read_text())
         assert fin["exact"] is True
+
+    def test_unwritable_finite_output_leaves_no_output(self, step_file,
+                                                      tmp_path, capsys):
+        # once out.csv was written before the finite factor's path failed
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x,value\n" + "".join(
+            "%.17g,%.17g\n" % (x, math.exp(-x * x))
+            for x in (-4.0 + i * 0.05 for i in range(161))
+        ))
+        out, fin = tmp_path / "out.csv", str(tmp_path / "missing" / "f.json")
+        assert cli.main(
+            ["solve", "adelic", "--t", "0.5", "--alpha", "2", "--beta", "2",
+             "--real", str(grid), "--fin", str(step_file), "--output",
+             str(out), "--finite-output", fin, "--tol", "1e-3"]
+        ) == 2
+        assert capsys.readouterr().err.startswith(
+            f"usage error: cannot write {fin}: "
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "grid.csv", "step.json"
+        ]
 
     def test_requires_output(self, step_file, tmp_path):
         (tmp_path / "g.csv").write_text("x,value\n0,1\n1,0.5\n")
