@@ -30,7 +30,12 @@ evolving every node and summing the results. The reported error bound is
 the whole step-halving difference |fine - coarse| (L2), plus the kernel
 tolerance. It is not divided by 2^order - 1 as a Richardson estimate would
 be: at practical step counts the asymptotic h^order regime has not set in,
-and the divided estimate fell below the true error.
+and the divided estimate fell below the true error. The difference is
+taken on the Fourier side, where the rules are summed: by Parseval its
+norm is that of the sphere sums' difference plus the transform of the
+tau = t steps' difference, the same rational as the norm of the
+transformed-back difference, so the coarse rule is never transformed
+back.
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ToleranceError
-from .heatkernel import KernelParams, _ball_flow, z_real
+from .heatkernel import KernelParams, _ball_flow, _column, z_real
 from .primepow import _TABLE, RationalLike, as_fraction, phi
 from .radial import RadialStep, ft_ball_eval
 from .util import record, require_finite
@@ -149,14 +154,15 @@ class _SpectralSum:
         pair[1] = lcd
 
     def total_step(self) -> RadialStep:
+        """The inverse transform of the sphere sums, each ball coefficient
+        one Fraction made from integer pairs, plus the step."""
         if not self.spheres:
             return self.step
-        k0 = min(self.spheres)
-        values = [
-            Fraction(*self.spheres.get(k, (0, 1)))
-            for k in range(k0, max(self.spheres) + 1)
-        ]
-        return RadialStep._from_sphere_ranks(k0, values, 0).ft() + self.step
+        step = RadialStep._trusted({
+            k: Fraction(num, den)
+            for k, num, den in reversed(_sphere_drops(self.spheres))
+        })
+        return step.ft() + self.step
 
     def result(self, tol: float) -> RadialResult:
         """The exact step, with the inner pieces when there are any."""
@@ -165,20 +171,73 @@ class _SpectralSum:
         return EvaluableRadial(step, pieces, tol, 0.0) if pieces else step
 
 
+def _sphere_drops(spheres: dict) -> list[tuple[int, int, int]]:
+    """(k, num, den), num/den unreduced and nonzero, for each ball
+    coefficient of the step whose value on the sphere of rank k is the
+    integer pair spheres[k] (0 on the ranks between, above and below): the
+    drop in value from sphere k to sphere k + 1, k descending from the
+    largest rank to one below the smallest."""
+    out = []
+    n1, d1 = 0, 1  # the value on the sphere above
+    for k in range(max(spheres), min(spheres) - 2, -1):
+        n, d = spheres.get(k, (0, 1))
+        num = n * d1 - n1 * d
+        if num:
+            out.append((k, num, d * d1))
+        n1, d1 = n, d
+    return out
+
+
+def _step_halving_gap(fine: _SpectralSum, coarse: _SpectralSum) -> float:
+    """The L2 norm of the difference of the two rules' total steps, taken
+    on the Fourier side: by Parseval (the transform is an isometric
+    involution on steps) it is the norm of the sphere sums' difference
+    plus the transform of the steps' difference, the same rational. Its
+    ball coefficients stay unreduced integer pairs through the sum
+    c_k phi(k) (c_k + 2 * the coefficients above rank k) of
+    RadialStep.l2_norm_sq, and int true division rounds the quotient as
+    float(Fraction) does."""
+    phi_pair = _TABLE.phi_pair_at
+    spheres = {}
+    for k in fine.spheres.keys() | coarse.spheres.keys():
+        fn, fd = fine.spheres.get(k, (0, 1))
+        cn, cd = coarse.spheres.get(k, (0, 1))
+        spheres[k] = (fn * cd - cn * fd, fd * cd)
+    coeffs = {k: (n, d) for k, n, d in _sphere_drops(spheres)} if spheres else {}
+    # the transform maps rank j to -2-j with weight phi(j)
+    for step, sign in ((fine.step, 1), (coarse.step, -1)):
+        for j, c in step._by_rank.items():
+            a, b = phi_pair(j)
+            n, d = sign * c.numerator * a, c.denominator * b
+            m, e = coeffs.get(-2 - j, (0, 1))
+            coeffs[-2 - j] = (m * d + n * e, e * d)
+    total_n, total_d, above_n, above_d = 0, 1, 0, 1
+    for k in sorted(coeffs, reverse=True):
+        n, d = coeffs[k]
+        if not n:
+            continue
+        a, b = phi_pair(k)
+        tn = n * a * (n * above_d + 2 * above_n * d)
+        td = d * b * d * above_d
+        total_n, total_d = total_n * td + tn * total_d, total_d * td
+        above_n, above_d = above_n * d + n * above_d, above_d * d
+    return math.sqrt(total_n / total_d)
+
+
 def _add_multiplied(
     sums: list[tuple[_SpectralSum, float, int, int]],
     g: RadialStep,
     kind: str,
     exponent: float,
     time: float,
-    powers: dict[int, float],
 ) -> None:
     """Add weight * the symbol applied to g into each (sum, weight, wn,
     wd), wn/wd being the weight's as_integer_ratio: the symbol is
-    q^exponent ("power") or e^{-time q^exponent} ("heat"), and powers
-    memoizes q^exponent by rank. The inner ball's weight * c0 goes to the
-    piece of its shape; c0 is the quotient of its integer pair, which int
-    true division rounds correctly, as float(Fraction) does."""
+    q^exponent ("power") or e^{-time q^exponent} ("heat"), q^exponent read
+    from the exponent's column of heatkernel. The inner ball's weight * c0
+    goes to the piece of its shape; c0 is the quotient of its integer
+    pair, which int true division rounds correctly, as float(Fraction)
+    does."""
     (cn, cd), rho, k0, values = g._ft_sphere_pairs()
     if cn:
         shape = (rho, kind, exponent, time)
@@ -188,12 +247,11 @@ def _add_multiplied(
             prev = acc.pieces.get(shape)
             acc.pieces[shape] = s if prev is None else prev + s
     heat = kind == "heat"
+    power = _column(exponent).at
     for k, (vn, vd) in enumerate(values, k0):
         if not vn:
             continue
-        lam = powers.get(k)
-        if lam is None:
-            lam = powers[k] = _TABLE.float_at(k) ** exponent
+        lam = power(k)
         fn, fd = _decay_factor(time, lam) if heat else lam.as_integer_ratio()
         num = fn * vn
         den = fd * vd
@@ -210,7 +268,7 @@ def apply_operator(
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     acc = _SpectralSum()
-    _add_multiplied([(acc, 1.0, 1, 1)], f, "power", gamma, 0.0, {})
+    _add_multiplied([(acc, 1.0, 1, 1)], f, "power", gamma, 0.0)
     return acc.result(tol)
 
 
@@ -258,7 +316,7 @@ def solve_homogeneous(
     if t == 0:
         return u0
     acc = _SpectralSum()
-    _add_multiplied([(acc, 1.0, 1, 1)], u0, "heat", symbol.alpha, t, {})
+    _add_multiplied([(acc, 1.0, 1, 1)], u0, "heat", symbol.alpha, t)
     return acc.result(tol)
 
 
@@ -303,7 +361,6 @@ def _weights(quadrature: str, m: int, t: float) -> list[float]:
 
 def _duhamel(
     f: ForcingGrid, t: float, symbol: SymbolSpec, quadrature: str, m: int,
-    powers: dict[int, float],
 ) -> tuple[_SpectralSum, _SpectralSum]:
     """Quadrature sums of the Duhamel integral with m (fine) and m/2
     (coarse) steps. A node tau < t adds the weighted flow of f(tau) for
@@ -311,25 +368,30 @@ def _duhamel(
     sums weighted sphere values by rank and is transformed back once.
     Coarse node j is fine node 2j -- t*(2j)/m equals t*j/(m/2) exactly in
     binary floating point -- so each node's multiplier is evaluated once
-    for both rules. powers memoizes q^alpha by rank."""
-    alpha = symbol.alpha
+    for both rules."""
+    # t * m / m can miss t by an ulp either way: the last node is t
+    taus = [t * i / m for i in range(m)]
+    taus.append(t)
+    # the times grow with i, so every dt = t - tau that f.at admits is
+    # nonnegative unless the largest one below t exceeds t
+    if t < taus[-2] <= f.times[-1]:
+        raise ValueError("time must be nonnegative")
     fine, coarse = _SpectralSum(), _SpectralSum()
+    fine_w = _weights(quadrature, m, t)
     coarse_w = _weights(quadrature, m // 2, t)
-    for i, w in enumerate(_weights(quadrature, m, t)):
-        rules = [(fine, w, *w.as_integer_ratio())]
+    ratios = {w: w.as_integer_ratio() for w in {*fine_w, *coarse_w}}
+    for i, (tau, w) in enumerate(zip(taus, fine_w)):
+        rules = [(fine, w, *ratios[w])]
         if i % 2 == 0:
             cw = coarse_w[i // 2]
-            rules.append((coarse, cw, *cw.as_integer_ratio()))
-        # t * m / m can miss t by an ulp either way: the last node is t
-        tau = t if i == m else t * i / m
+            rules.append((coarse, cw, *ratios[cw]))
         g = f.at(tau)
         dt = t - tau
-        _require_time(dt)
         if dt == 0:
             for rule, weight, _, _ in rules:
                 rule.step = rule.step + g * Fraction(weight)
             continue
-        _add_multiplied(rules, g, "heat", alpha, dt, powers)
+        _add_multiplied(rules, g, "heat", symbol.alpha, dt)
     return fine, coarse
 
 
@@ -361,11 +423,9 @@ def solve_nonhomogeneous(
 
     if t == 0:
         return EvaluableRadial(u0, (), tol, 0.0)
-    powers: dict[int, float] = {}  # q^alpha by rank, for this solve
-    fine, coarse = _duhamel(f, t, symbol, quadrature, steps, powers)
+    fine, coarse = _duhamel(f, t, symbol, quadrature, steps)
     # the whole fine - coarse difference, undivided (module docstring)
-    step = fine.total_step()
-    est = math.sqrt(float((step - coarse.total_step()).l2_norm_sq()))
+    est = _step_halving_gap(fine, coarse)
     # every coarse node is a fine node, so fine.pieces holds every shape;
     # its insertion order fixes the float summation order across processes
     for shape, scale in fine.pieces.items():
@@ -373,13 +433,11 @@ def solve_nonhomogeneous(
         est += InnerPiece(gap, *shape).l2_cap()
 
     if not u0.is_zero():
-        _add_multiplied([(fine, 1.0, 1, 1)], u0, "heat", symbol.alpha, t,
-                        powers)
-        step = fine.total_step()
+        _add_multiplied([(fine, 1.0, 1, 1)], u0, "heat", symbol.alpha, t)
     assembled = tuple(
         InnerPiece(s, *shape) for shape, s in fine.pieces.items() if s != 0.0
     )
-    return EvaluableRadial(step, assembled, tol, est + tol)
+    return EvaluableRadial(fine.total_step(), assembled, tol, est + tol)
 
 
 # --------------------------------------------------------------------------

@@ -487,13 +487,12 @@ def _cmd_simulate(args, p):
 
 def _cmd_transition(args, p):
     from .adele import parse_point
-    from .markov import transition_prob_ball
+    from .markov import _transition_with_bound
 
-    params = _kernel_params(p)
-    value = transition_prob_ball(
-        params, parse_point(p["x"]), parse_point(p["center"]), p["eps"]
+    value, bound = _transition_with_bound(
+        _kernel_params(p), parse_point(p["x"]), parse_point(p["center"]),
+        p["eps"],
     )
-    bound = abs(value) * 1e-11 + 1e-15  # certified series truncation scale
     return RunResult(
         stdout=f"{value:.17g} {bound:.3e}\n", error_bounds={"value": bound}
     )

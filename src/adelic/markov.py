@@ -269,11 +269,22 @@ def transition_prob_ball(
     """P(t, x, B_eps(center)): probability the process started at x sits in
     the closed ball after time t, a function of ||x - center|| alone by
     space homogeneity (heatkernel._ball_flow). t = 0 gives the indicator."""
+    return _transition_with_bound(params, x, center, eps)[0]
+
+
+def _transition_with_bound(
+    params: KernelParams,
+    x: AdelePoint,
+    center: AdelePoint,
+    eps: RationalLike,
+) -> tuple[float, float]:
+    """(transition_prob_ball, bound): the bound _ball_flow returns, 0.0 for
+    the exact indicator at t = 0."""
     k = _radius_rank(eps)
     d = distance(x, center)
     if params.t == 0:
-        return 1.0 if d <= as_fraction(eps) else 0.0
-    return _ball_flow(k, d, params)[0]
+        return (1.0 if d <= as_fraction(eps) else 0.0), 0.0
+    return _ball_flow(k, d, params)
 
 
 # the least expected count of a pooled bin in radius_law_chisquare

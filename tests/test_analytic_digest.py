@@ -93,3 +93,23 @@ def test_analytic_outcomes_frozen():
             p = transition_prob_ball(params, parse_point(text), zero, F(1, 2))
             assert abs(value - p) <= 1e-14, (t, alpha, text)
             assert abs(value - p) <= bound, (t, alpha, text)
+
+
+def test_outcomes_do_not_depend_on_call_history():
+    # the kernel series and q^alpha columns are memoized; every outcome is
+    # the same whether each call starts cold, the points run in reverse
+    # order, or every series is already kept
+    from adelic import heatkernel
+
+    def cold(point):
+        heatkernel._series.cache_clear()
+        heatkernel._column.cache_clear()
+        return repr(outcome(*point))
+
+    points = seeded_points()
+    cleared = [cold(point) for point in points]
+    reverse = [repr(outcome(*point)) for point in reversed(points)][::-1]
+    warm = [repr(outcome(*point)) for point in points]
+    assert cleared == reverse == warm
+    digest = hashlib.sha256(("[" + ", ".join(warm) + "]").encode())
+    assert digest.hexdigest() == FROZEN_SHA256

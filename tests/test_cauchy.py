@@ -220,14 +220,8 @@ def seeded_step(rng, mean_zero):
     return step
 
 
-def seeded_duhamel_case(i):
-    """Exact outcome of one seeded Duhamel solve: (ranked step, pieces,
-    error_bound, tol), or the refusal. The cases alternate Simpson and
-    Trapezoid over 4, 8, 12 and 32 steps. Forcing nodes fall between the
-    quadrature nodes, most forcing and initial values have a nonzero
-    integral (inner pieces), and the quadrature times include pairs where
-    t * m / m misses t (t = 0.7 and t = 0.1 with 12 steps): the last node
-    must still be tau = t."""
+def seeded_duhamel_inputs(i):
+    """(u0, forcing, t, symbol, quadrature, steps) of seeded_duhamel_case."""
     rng = random.Random(1000 + i)
     quadrature = ("Simpson", "Trapezoid")[i % 2]
     steps = (4, 8, 12, 32)[(i // 2) % 4]
@@ -242,6 +236,18 @@ def seeded_duhamel_case(i):
     ))
     u0 = seeded_step(rng, rng.random() < 0.3)
     sym = cy.SymbolSpec(alpha=rng.choice([1.5, 2.0, 3.0]))
+    return u0, f, t, sym, quadrature, steps
+
+
+def seeded_duhamel_case(i):
+    """Exact outcome of one seeded Duhamel solve: (ranked step, pieces,
+    error_bound, tol), or the refusal. The cases alternate Simpson and
+    Trapezoid over 4, 8, 12 and 32 steps. Forcing nodes fall between the
+    quadrature nodes, most forcing and initial values have a nonzero
+    integral (inner pieces), and the quadrature times include pairs where
+    t * m / m misses t (t = 0.7 and t = 0.1 with 12 steps): the last node
+    must still be tau = t."""
+    u0, f, t, sym, quadrature, steps = seeded_duhamel_inputs(i)
     try:
         got = cy.solve_nonhomogeneous(
             u0, f, t, sym, quadrature=quadrature, steps=steps
@@ -430,6 +436,67 @@ class TestDuhamel:
                 float((got.step - w * F(math.sin(t))).l2_norm_sq())
             )
             assert gap <= got.error_bound, (t, gap, got.error_bound)
+
+
+def transformed_back(rule):
+    """A quadrature rule's total step built as before the integer-pair
+    coefficients: a Fraction per sphere, the step of those sphere values,
+    its transform, plus the tau = t step."""
+    if not rule.spheres:
+        return rule.step
+    k0 = min(rule.spheres)
+    values = [F(*rule.spheres.get(k, (0, 1)))
+              for k in range(k0, max(rule.spheres) + 1)]
+    return RadialStep._from_sphere_ranks(k0, values, 0).ft() + rule.step
+
+
+def x_space_estimate(f, t, sym, quadrature, steps, tol=1e-10):
+    """error_bound as it was computed before the estimate moved to the
+    Fourier side: both rules transformed back, the L2 norm of their
+    difference in x-space, plus the inner pieces' caps and tol."""
+    steps += -steps % (4 if quadrature == "Simpson" else 2)
+    fine, coarse = cy._duhamel(f, t, sym, quadrature, steps)
+    for rule in (fine, coarse):
+        assert rule.total_step() == transformed_back(rule)
+    est = math.sqrt(
+        float((transformed_back(fine) - transformed_back(coarse))
+              .l2_norm_sq())
+    )
+    for shape, scale in fine.pieces.items():
+        gap = scale - coarse.pieces.get(shape, 0.0)
+        est += cy.InnerPiece(gap, *shape).l2_cap()
+    return est + tol
+
+
+class TestFourierSideEstimate:
+    """Parseval: the step-halving norm taken on the Fourier side is the
+    same rational as the x-space norm, so the bound is the same float."""
+
+    def test_seeded_cases_match_the_x_space_norm(self):
+        pieces = 0
+        for i in range(60):
+            u0, f, t, sym, quadrature, steps = seeded_duhamel_inputs(i)
+            got = cy.solve_nonhomogeneous(
+                u0, f, t, sym, quadrature=quadrature, steps=steps
+            )
+            want = x_space_estimate(f, t, sym, quadrature, steps)
+            assert got.error_bound == want, i
+            pieces += bool(got.pieces)
+        assert pieces == 59
+
+    @pytest.mark.parametrize("quadrature", ["Simpson", "Trapezoid"])
+    def test_last_step_with_an_inner_value(self, quadrature):
+        # f(t) is nonzero at 0 and has a nonzero integral: the tau = t
+        # steps' difference transforms to a step with an inner ball
+        a = RadialStep({F(1, 2): 1, F(3): F(-1, 3)})
+        b = RadialStep({F(1, 4): 2, F(2): F(5, 7), F(9): -1})
+        f = cy.ForcingGrid(times=(0.0, 0.4, 1.0), steps=(b, a, a + b))
+        g = f.at(1.0)
+        assert g.value_at_zero() and g.integral()
+        got = cy.solve_nonhomogeneous(
+            a, f, 1.0, SYM, quadrature=quadrature, steps=8
+        )
+        assert got.error_bound == x_space_estimate(f, 1.0, SYM, quadrature, 8)
 
 
 class TestRealGrid:
@@ -684,7 +751,7 @@ class TestOnePassDuhamel:
 
             monkeypatch.setattr(RadialStep, name, counted)
         fine, coarse = cy._duhamel(
-            mixed_forcing(1.0), 1.0, SYM, "Simpson", 16, {}
+            mixed_forcing(1.0), 1.0, SYM, "Simpson", 16
         )
         fine, coarse = fine.total_step(), coarse.total_step()
         assert counts == {"ft": 2, "split_inner": 0, "_rank_values": 0}
@@ -868,6 +935,22 @@ class TestOneHeatFlow:
         ref = fourier_side_ball_flow(t, alpha, eps, s)
         assert abs(value - ref) <= bound
         assert abs(p - ref) <= ref * 1e-13
+
+    @pytest.mark.parametrize("alpha,t,eps,s", ORACLE_SPOTS)
+    def test_transition_prints_a_bound_that_holds(self, alpha, t, eps, s,
+                                                  capsys):
+        pytest.importorskip("mpmath")
+        from adelic import cli
+
+        argv = ["transition", "--t", str(t), "--alpha", str(alpha),
+                "--eps", str(eps), "--x", self.POINTS[s], "--center", "0"]
+        assert cli.main(argv) == 0
+        value, bound = map(float, capsys.readouterr().out.split())
+        ref = fourier_side_ball_flow(t, alpha, eps, s)
+        assert abs(value - ref) <= bound
+        # the bound _ball_flow returns: 1e-13 |value| + 2^-1022, printed
+        # to four digits
+        assert bound == float(f"{1e-13 * value + 2.0 ** -1022:.3e}")
 
     def test_heat_piece_answers_past_the_phi_cap(self):
         # the kernel series below 1/199999 reads log phi only, while
