@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ToleranceError
-from .heatkernel import KernelParams, _ball_flow, _column, z_real
+from .heatkernel import KernelParams, _ball_flow, z_real
 from .primepow import _TABLE, RationalLike, as_fraction, phi
 from .radial import RadialStep, ft_ball_eval
 from .util import record, require_finite
@@ -230,14 +230,14 @@ def _add_multiplied(
     kind: str,
     exponent: float,
     time: float,
+    powers: dict[int, float],
 ) -> None:
     """Add weight * the symbol applied to g into each (sum, weight, wn,
     wd), wn/wd being the weight's as_integer_ratio: the symbol is
-    q^exponent ("power") or e^{-time q^exponent} ("heat"), q^exponent read
-    from the exponent's column of heatkernel. The inner ball's weight * c0
-    goes to the piece of its shape; c0 is the quotient of its integer
-    pair, which int true division rounds correctly, as float(Fraction)
-    does."""
+    q^exponent ("power") or e^{-time q^exponent} ("heat"), and powers
+    memoizes q^exponent by rank. The inner ball's weight * c0 goes to the
+    piece of its shape; c0 is the quotient of its integer pair, which int
+    true division rounds correctly, as float(Fraction) does."""
     (cn, cd), rho, k0, values = g._ft_sphere_pairs()
     if cn:
         shape = (rho, kind, exponent, time)
@@ -247,11 +247,12 @@ def _add_multiplied(
             prev = acc.pieces.get(shape)
             acc.pieces[shape] = s if prev is None else prev + s
     heat = kind == "heat"
-    power = _column(exponent).at
     for k, (vn, vd) in enumerate(values, k0):
         if not vn:
             continue
-        lam = power(k)
+        lam = powers.get(k)
+        if lam is None:
+            lam = powers[k] = _TABLE.float_at(k) ** exponent
         fn, fd = _decay_factor(time, lam) if heat else lam.as_integer_ratio()
         num = fn * vn
         den = fd * vd
@@ -268,7 +269,7 @@ def apply_operator(
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     acc = _SpectralSum()
-    _add_multiplied([(acc, 1.0, 1, 1)], f, "power", gamma, 0.0)
+    _add_multiplied([(acc, 1.0, 1, 1)], f, "power", gamma, 0.0, {})
     return acc.result(tol)
 
 
@@ -316,7 +317,7 @@ def solve_homogeneous(
     if t == 0:
         return u0
     acc = _SpectralSum()
-    _add_multiplied([(acc, 1.0, 1, 1)], u0, "heat", symbol.alpha, t)
+    _add_multiplied([(acc, 1.0, 1, 1)], u0, "heat", symbol.alpha, t, {})
     return acc.result(tol)
 
 
@@ -361,6 +362,7 @@ def _weights(quadrature: str, m: int, t: float) -> list[float]:
 
 def _duhamel(
     f: ForcingGrid, t: float, symbol: SymbolSpec, quadrature: str, m: int,
+    powers: dict[int, float],
 ) -> tuple[_SpectralSum, _SpectralSum]:
     """Quadrature sums of the Duhamel integral with m (fine) and m/2
     (coarse) steps. A node tau < t adds the weighted flow of f(tau) for
@@ -368,7 +370,8 @@ def _duhamel(
     sums weighted sphere values by rank and is transformed back once.
     Coarse node j is fine node 2j -- t*(2j)/m equals t*j/(m/2) exactly in
     binary floating point -- so each node's multiplier is evaluated once
-    for both rules."""
+    for both rules. powers memoizes q^alpha by rank."""
+    alpha = symbol.alpha
     # t * m / m can miss t by an ulp either way: the last node is t
     taus = [t * i / m for i in range(m)]
     taus.append(t)
@@ -391,7 +394,7 @@ def _duhamel(
             for rule, weight, _, _ in rules:
                 rule.step = rule.step + g * Fraction(weight)
             continue
-        _add_multiplied(rules, g, "heat", symbol.alpha, dt)
+        _add_multiplied(rules, g, "heat", alpha, dt, powers)
     return fine, coarse
 
 
@@ -423,7 +426,8 @@ def solve_nonhomogeneous(
 
     if t == 0:
         return EvaluableRadial(u0, (), tol, 0.0)
-    fine, coarse = _duhamel(f, t, symbol, quadrature, steps)
+    powers: dict[int, float] = {}  # q^alpha by rank, for this solve
+    fine, coarse = _duhamel(f, t, symbol, quadrature, steps, powers)
     # the whole fine - coarse difference, undivided (module docstring)
     est = _step_halving_gap(fine, coarse)
     # every coarse node is a fine node, so fine.pieces holds every shape;
@@ -433,7 +437,8 @@ def solve_nonhomogeneous(
         est += InnerPiece(gap, *shape).l2_cap()
 
     if not u0.is_zero():
-        _add_multiplied([(fine, 1.0, 1, 1)], u0, "heat", symbol.alpha, t)
+        _add_multiplied([(fine, 1.0, 1, 1)], u0, "heat", symbol.alpha, t,
+                        powers)
     assembled = tuple(
         InnerPiece(s, *shape) for shape, s in fine.pieces.items() if s != 0.0
     )

@@ -33,9 +33,7 @@ function and the heat flow of a ball at once, so one evaluation reads the
 same series several times. Each summed series (its ln-sum and ln-terms)
 is kept by (top rank, t, alpha, rel_tol), types included, in a bounded
 lru_cache (_SERIES_CACHE_SIZE entries of at most _SERIES_TERMS_CAP
-terms; a longer walk and a refusal are never kept), and q^alpha by rank
-in one column per exponent (_COLUMN_ROWS rows, _COLUMN_EXPONENTS
-columns). No result can
+terms; a longer walk and a refusal are never kept). No result can
 depend on what was kept: a series is a pure function of its key, since
 the table's value, log p and log phi at a rank never change as it grows,
 and a kept series holds the very floats a fresh walk returns. Only the
@@ -44,7 +42,6 @@ table's growth and the time taken depend on the call history.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -186,88 +183,17 @@ def _check_reach(top: int, t: float, alpha: float, rel_tol: float):
         )
 
 
-# A column holds at most this many rows (both signs: prime powers up to
-# about 38,000 and their reciprocals, 256 KB of floats), and the columns
-# of this many exponents are kept.
-_COLUMN_ROWS = 4096
-_COLUMN_EXPONENTS = 8
-
-
-class _PowerColumn:
-    """q^alpha by rank for one exponent alpha > 0: up[i] = float(m)^alpha
-    and down[i] = (1/m)^alpha for the value m of table row i (rank i and
-    its reciprocal, rank -1-i), the same floats as float_at(rank) ** alpha.
-    Each list is filled as reads reach it, from rows the table already
-    holds, and never past _COLUMN_ROWS; a read beyond that computes its
-    power. up is filled only through the row read: the power of a larger
-    value, which no read asked for, could overflow."""
-
-    __slots__ = ("alpha", "up", "down", "_lock")
-
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.up: list[float] = []
-        self.down: list[float] = []
-        self._lock = threading.Lock()
-
-    def rows(self, rank: int) -> list[float]:
-        """up for rank >= 0, down below, holding the row of rank (which
-        must exist in the table) unless that lies past _COLUMN_ROWS; a
-        fill of down at least doubles it."""
-        if rank >= 0:
-            column, i, stop = self.up, rank, rank + 1
-        else:
-            column, i = self.down, -1 - rank
-            stop = max(i + 1, 2 * len(column))
-        if i >= len(column) and len(column) < _COLUMN_ROWS:
-            with self._lock:
-                values, alpha = _TABLE._snapshot[0], self.alpha
-                chunk = values[len(column):min(stop, _COLUMN_ROWS, len(values))]
-                if rank >= 0:
-                    column.extend([float(m) ** alpha for m in chunk])
-                else:
-                    column.extend([(1 / m) ** alpha for m in chunk])
-        return column
-
-    def at(self, rank: int) -> float:
-        """float_at(rank) ** alpha."""
-        i = rank if rank >= 0 else -1 - rank
-        column = self.up if rank >= 0 else self.down
-        if i >= len(column):
-            _TABLE._index(rank)
-            if i >= len(self.rows(rank)):
-                return _TABLE.float_at(rank) ** self.alpha
-        return column[i]
-
-    def span(self, lo: int, hi: int) -> list[float]:
-        """[at(rank) for rank in lo..hi], ascending."""
-        _TABLE._index(lo)
-        _TABLE._index(hi)
-        if lo < 0 and len(self.rows(lo)) <= -1 - lo or (
-                hi >= 0 and len(self.rows(hi)) <= hi):
-            return [self.at(k) for k in range(lo, hi + 1)]
-        # ranks lo..-1 read rows -1-lo..0 of down, ranks 0..hi rows of up
-        below = self.down[-1 - min(hi, -1):-lo][::-1] if lo < 0 else []
-        return below + self.up[max(lo, 0):hi + 1] if hi >= 0 else below
-
-
-@lru_cache(maxsize=_COLUMN_EXPONENTS, typed=True)
-def _column(alpha: float) -> _PowerColumn:
-    return _PowerColumn(alpha)
-
-
 def _walk(top: int, t: float, alpha: float, rel_tol: float,
-          terms: Optional[list] = None, room: int = 0) -> float:
+          terms: Optional[list] = None) -> float:
     """ln of the defining series summed down from rank top, truncated at
-    relative accuracy rel_tol; appends each ln-term to terms when given,
-    only the first `room` of them when room > 0.
+    relative accuracy rel_tol; appends each ln-term to terms when given.
 
     Term k is ln phi(q) + ln(e^{-t q^alpha} - e^{-t (next q)^alpha}) for q
     of rank k, the difference taken stably. The walk stops once the bound
     ln phi(prev q) + ln(1 - e^{-t q^alpha}) on the sum below rank k falls
-    under the running sum times rel_tol / 2. Each rank's q^alpha is read
-    once from the exponent's column: it is the next q's power of the rank
-    below, and each row's log p is the table's."""
+    under the running sum times rel_tol / 2. Each rank's q^alpha is
+    computed once: it is the next q's power of the rank below, and each
+    row's log p is the table's."""
     _check_reach(top, t, alpha, rel_tol)
     log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
     ninf = -math.inf
@@ -275,25 +201,19 @@ def _walk(top: int, t: float, alpha: float, rel_tol: float,
     table._index(top)
     table._index(top + 1)
     values, _, _, logphi = table._snapshot
-    column = _column(alpha)
     ln_half_tol = math.log(rel_tol * 0.5)
     k = top
     i = k if k >= 0 else -1 - k
     logp = table._row_logs(i)[0]
-    n_logp = len(logp)
     lp = logphi[i] if k >= 0 else logp[i] - logphi[i]
-    a, b = column.at(k), column.at(k + 1)
-    up, down = column.up, column.down
-    n_up, n_down = len(up), len(down)
+    a = (float(values[i]) if k >= 0 else 1 / values[i]) ** alpha
+    b = (float(values[k + 1]) if k >= -1 else 1 / values[-2 - k]) ** alpha
     acc = ninf
     while True:
         gap = -expm1(-t * (b - a))
         term = lp + (-t * a + log(gap)) if gap > 0.0 else ninf
         if terms is not None:
             terms.append(term)
-            room -= 1
-            if not room:
-                terms = None
         if acc == ninf:
             acc = term
         elif term != ninf:
@@ -305,24 +225,20 @@ def _walk(top: int, t: float, alpha: float, rel_tol: float,
         if gap <= 0.0:
             return acc
         k -= 1
-        b = a
         if k >= 0:
             i = k
             lp = logphi[i]
-            a = up[i] if i < n_up else float(values[i]) ** alpha
         else:
             i = -1 - k
-            if i >= n_logp:  # a walk down the reciprocals
+            if i >= len(logp):  # a walk down the reciprocals
                 table._index(k)
                 values, _, _, logphi = table._snapshot
                 logp = table._row_logs(i)[0]
-                n_logp = len(logp)
             lp = logp[i] - logphi[i]
-            if i >= n_down and n_down < _COLUMN_ROWS:
-                n_down = len(column.rows(k))
-            a = down[i] if i < n_down else (1 / values[i]) ** alpha
         if lp + log(gap) < acc + ln_half_tol:
             return acc
+        b = a
+        a = (float(values[i]) if k >= 0 else 1 / values[i]) ** alpha
 
 
 # The memo of summed series (module docstring): entries, and ln-terms of a
@@ -333,7 +249,7 @@ _SERIES_TERMS_CAP = 4096
 
 class _LongWalk(Exception):
     """A walk of more than _SERIES_TERMS_CAP terms, which _series does not
-    keep; carries its ln-sum."""
+    keep; carries its ln-sum and its ln-terms."""
 
 
 @lru_cache(maxsize=_SERIES_CACHE_SIZE, typed=True)
@@ -343,14 +259,19 @@ def _series(top: int, t: float, alpha: float,
     terms; a longer walk raises _LongWalk, so neither it nor a refusal is
     kept."""
     terms: list[float] = []
-    ln_z = _walk(top, t, alpha, rel_tol, terms, _SERIES_TERMS_CAP + 1)
+    ln_z = _walk(top, t, alpha, rel_tol, terms)
     if len(terms) > _SERIES_TERMS_CAP:
-        raise _LongWalk(ln_z)
+        raise _LongWalk(ln_z, terms)
     return ln_z, tuple(terms)
 
 
 def _ln_z(top: int, t: float, alpha: float, rel_tol: float) -> float:
-    """ln of the series from rank top (_walk), through the memo."""
+    """ln of the series from rank top (_walk), through the memo. A top past
+    rank _SERIES_TERMS_CAP starts a walk at least that long unless its
+    first terms dominate, so it is walked without the memo, collecting no
+    terms (a tail about 1/67108859 walks four million of them)."""
+    if top > _SERIES_TERMS_CAP:
+        return _walk(top, t, alpha, rel_tol)
     try:
         return _series(top, t, alpha, rel_tol)[0]
     except _LongWalk as walk:
@@ -359,17 +280,11 @@ def _ln_z(top: int, t: float, alpha: float, rel_tol: float) -> float:
 
 def _ln_terms(top: int, t: float, alpha: float,
               rel_tol: float) -> Sequence[float]:
-    """The descending ln-terms that _ln_z sums. A top past rank
-    _SERIES_TERMS_CAP starts a walk at least that long unless its first
-    terms dominate, so it skips the memo and is walked once."""
-    if top <= _SERIES_TERMS_CAP:
-        try:
-            return _series(top, t, alpha, rel_tol)[1]
-        except _LongWalk:
-            pass
-    terms: list[float] = []
-    _walk(top, t, alpha, rel_tol, terms)
-    return terms
+    """The descending ln-terms that _ln_z sums, through the memo."""
+    try:
+        return _series(top, t, alpha, rel_tol)[1]
+    except _LongWalk as walk:
+        return walk.args[1]
 
 
 def ln_z_finite(radius: RationalLike, params: KernelParams,
@@ -457,24 +372,24 @@ def sphere_masses(
     log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
     top = max(k_hi, -k_lo)
     _TABLE._index(top)
-    logphi = _TABLE._snapshot[3]
+    values, _, _, logphi = _TABLE._snapshot
     logp, log1m = _TABLE._row_logs(top)
     ninf = -math.inf
     ln_masses = []
     acc = ln_z_hi
-    # q^alpha for the q of ranks -1-k_hi..-k_lo, ascending as r descends
-    powers = _column(alpha).span(-1 - k_hi, -k_lo)
-    a = powers[0]
-    for k, b in zip(range(k_hi, k_lo - 1, -1), powers[1:]):
+    a = (1 / values[k_hi] if k_hi >= 0 else float(values[-1 - k_hi])) ** alpha
+    for k in range(k_hi, k_lo - 1, -1):
         if k >= 0:
             lp_r = logphi[k]
             lp_q = logp[k] - lp_r
             ln_masses.append(lp_r + log1m[k] + acc)
+            b = (1 / values[k - 1] if k else float(values[0])) ** alpha
         else:
             i = -1 - k
             lp_q = logphi[i]
             lp_r = logp[i] - lp_q
             ln_masses.append(lp_r + log1m[i] + acc)
+            b = float(values[-k]) ** alpha
         gap = -expm1(-t * (b - a))
         if gap > 0.0:
             term = lp_q + (-t * a + log(gap))

@@ -96,14 +96,13 @@ def test_analytic_outcomes_frozen():
 
 
 def test_outcomes_do_not_depend_on_call_history():
-    # the kernel series and q^alpha columns are memoized; every outcome is
+    # the kernel series are memoized; every outcome is
     # the same whether each call starts cold, the points run in reverse
     # order, or every series is already kept
     from adelic import heatkernel
 
     def cold(point):
         heatkernel._series.cache_clear()
-        heatkernel._column.cache_clear()
         return repr(outcome(*point))
 
     points = seeded_points()

@@ -455,7 +455,7 @@ def x_space_estimate(f, t, sym, quadrature, steps, tol=1e-10):
     Fourier side: both rules transformed back, the L2 norm of their
     difference in x-space, plus the inner pieces' caps and tol."""
     steps += -steps % (4 if quadrature == "Simpson" else 2)
-    fine, coarse = cy._duhamel(f, t, sym, quadrature, steps)
+    fine, coarse = cy._duhamel(f, t, sym, quadrature, steps, {})
     for rule in (fine, coarse):
         assert rule.total_step() == transformed_back(rule)
     est = math.sqrt(
@@ -751,7 +751,7 @@ class TestOnePassDuhamel:
 
             monkeypatch.setattr(RadialStep, name, counted)
         fine, coarse = cy._duhamel(
-            mixed_forcing(1.0), 1.0, SYM, "Simpson", 16
+            mixed_forcing(1.0), 1.0, SYM, "Simpson", 16, {}
         )
         fine, coarse = fine.total_step(), coarse.total_step()
         assert counts == {"ft": 2, "split_inner": 0, "_rank_values": 0}

@@ -752,10 +752,23 @@ class TestSweepsBitIdentical:
         assert results[0] == results[1]
 
 
+def counted_walks(monkeypatch) -> list[bool]:
+    """Wrap heatkernel._walk: the list gets, per walk, whether it collected
+    its ln-terms."""
+    walks = []
+    walk = hk._walk
+
+    def counted(*args):
+        walks.append(len(args) > 4 and args[4] is not None)
+        return walk(*args)
+
+    monkeypatch.setattr(hk, "_walk", counted)
+    return walks
+
+
 class TestSeriesMemo:
-    """The summed series are kept by (top, t, alpha, rel_tol) and q^alpha
-    by exponent and rank, both bounded; no result depends on what was
-    kept."""
+    """The summed series are kept by (top, t, alpha, rel_tol), bounded; no
+    result depends on what was kept."""
 
     def test_repeated_series_is_read_from_the_memo(self):
         p = hk.KernelParams(t=0.37, alpha=2.0)
@@ -768,21 +781,32 @@ class TestSeriesMemo:
         assert hk.z_finite(2, p) == first == ref_z_finite(2, p)
 
     @pytest.mark.parametrize("call", [
-        # a walk of 4350 terms from rank 0, then walked once more for its
-        # ln-terms
+        # a walk of 4350 terms from rank 0
         lambda: hk.z_finite(0, hk.KernelParams(t=1e13, alpha=2.0)),
         lambda: hk.ln_z_finite(0, hk.KernelParams(t=1e13, alpha=2.0)),
-        # a top past the cap, walked once
+        # a top past the cap
         lambda: hk.z_finite(F(1, 40009), hk.KernelParams(t=1.0, alpha=2.0)),
         lambda: hk.ln_z_finite(F(1, 40009), hk.KernelParams(t=1.0, alpha=2.0)),
     ], ids=["terms-from-0", "ln-from-0", "terms-past-cap", "ln-past-cap"])
-    def test_walk_past_the_cap_is_not_kept(self, call):
+    def test_walk_past_the_cap_is_walked_once_and_not_kept(self, call,
+                                                           monkeypatch):
+        walks = counted_walks(monkeypatch)
         before = hk._series.cache_info().currsize
         got = call()
+        assert len(walks) == 1
         assert hk._series.cache_info().currsize == before
         assert call() == got
+        assert len(walks) == 2
         assert hk._series.cache_info().currsize == before
-        assert len(hk._column(2.0).up) <= hk._COLUMN_ROWS
+
+    def test_ln_sum_past_the_cap_collects_no_terms(self, monkeypatch):
+        # a tail about 1/67108859 walks four million terms: its ln-sum
+        # must not hold them
+        walks = counted_walks(monkeypatch)
+        p = hk.KernelParams(t=1.0, alpha=2.0)
+        hk.ln_z_finite(F(1, 40009), p)
+        hk.upper_tail_mass(F(1, 40009), p)
+        assert walks == [False, False]
 
     def test_long_walks_match_the_reference(self):
         p = hk.KernelParams(t=1e13, alpha=2.0)
@@ -800,89 +824,3 @@ class TestSeriesMemo:
             with pytest.raises(ValueError, match="too large"):
                 hk.ln_z_finite(F(1, 3), p)
         assert hk._series.cache_info().currsize == before
-
-    def test_columns_are_bounded(self):
-        for i in range(2 * hk._COLUMN_EXPONENTS):
-            alpha = 1.5 + i / 7
-            assert hk._column(alpha).at(-4) == 0.2 ** alpha
-        assert hk._column.cache_info().currsize == hk._COLUMN_EXPONENTS
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 3.0])
-    def test_column_spans_match_float_at(self, alpha):
-        column = hk._column(alpha)
-        for lo in range(-12, 8):
-            for hi in range(lo, 9):
-                assert column.span(lo, hi) == [
-                    hk._TABLE.float_at(k) ** alpha for k in range(lo, hi + 1)
-                ]
-
-    def test_column_computes_no_power_it_was_not_asked_for(self):
-        # 2^1e300 overflows while (1/2)^1e300 is 0.0: a series over the
-        # reciprocals alone reads no power of an integer, so it must not
-        # raise, and the integer powers raise only when read
-        p = hk.KernelParams(t=1.0, alpha=1e300)
-        assert hk.z_finite(2, p) == ref_z_finite(2, p) == 0.0
-        column = hk._column(1e300)
-        assert column.span(-6, -1) == [0.0] * 6
-        assert not column.up
-        with pytest.raises(OverflowError):
-            column.at(0)
-        with pytest.raises(OverflowError):
-            hk._TABLE.float_at(0) ** 1e300
-        assert not column.up
-        # 16^250 is finite and 19^250 is not: from a fresh column, the
-        # series below 1/16 reads powers up to 16^250 only
-        hk._column.cache_clear()
-        p = hk.KernelParams(t=1.0, alpha=250.0)
-        for radius in (F(1, 16), F(1, 17), F(1, 19), F(1, 32)):
-            assert _outcome(lambda: hk.z_finite(radius, p)) == _outcome(
-                lambda: ref_z_finite(radius, p))
-        assert _outcome(lambda: hk.z_finite(F(1, 16), p)) != _outcome(
-            lambda: hk.z_finite(F(1, 19), p))
-
-    def test_column_filled_from_threads(self):
-        # six threads fill fresh columns in random orders of reads: a lost
-        # or doubled extension would shift every later row
-        import random
-        import sys
-        import threading
-
-        ranks = list(range(-300, 300))
-        power = hk._TABLE.float_at
-        want = {k: power(k) ** 2.5 for k in ranks}
-        errors = []
-
-        def worker(column, seed):
-            rng = random.Random(seed)
-            try:
-                for k in rng.sample(ranks, len(ranks)):
-                    if rng.random() < 0.1:
-                        lo = min(k, 0)
-                        assert column.span(lo, k) == [
-                            want[j] for j in range(lo, k + 1)]
-                    assert column.at(k) == want[k]
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for trial in range(100):
-                column = hk._PowerColumn(2.5)
-                threads = [
-                    threading.Thread(target=worker, args=(column, 6 * trial + i))
-                    for i in range(6)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                assert column.up == [
-                    power(i) ** 2.5 for i in range(len(column.up))]
-                assert column.down == [
-                    power(-1 - i) ** 2.5 for i in range(len(column.down))]
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors, errors[0]
-
