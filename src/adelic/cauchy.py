@@ -6,13 +6,12 @@ of flows all go through one routine. A walk up the ranks of a step (a
 running sum of exact integer pairs c_k phi(k)) splits the transform's
 inner ball off as a lazy piece, where the symbol takes infinitely many
 values (evaluated on demand by a certified series; a flow's piece is the
-transition function of heatkernel._ball_flow), and adds
-weight * symbol(q) * value on each frequency sphere q that carries a
-value into a per-rank sum of integer pairs (numerator, denominator) over
-least common denominators, the float weights entering through their
-exact as_integer_ratio. Each sum becomes Fractions once and is
-transformed back once; inputs whose transform vanishes near zero stay
-exact steps.
+transition function of heatkernel._ball_flow), and adds symbol(q) *
+value on each frequency sphere q that carries a value into a per-rank
+sum of integer pairs (numerator, denominator) over least common
+denominators; float weights enter through their exact as_integer_ratio.
+Each sum becomes Fractions once and is transformed back once; inputs
+whose transform vanishes near zero stay exact steps.
 
 For integer times the decay factor is an exact rational e^{-lambda}
 raised to the t-th power, so evolutions over integer times compose
@@ -21,21 +20,24 @@ is refused past _DECAY_BITS_CAP bits, before it is built, on a sphere
 that carries a value. Fractional times use a fresh exponential per call
 and compose only to machine precision.
 
-The non-homogeneous solution is the flow of u0 plus the Duhamel integral,
-by composite Trapezoid/Simpson quadrature in the forcing time: each node
-tau < t adds the flow of f(tau) for t - tau into one sum per rule (the
-node tau = t adds f(t) itself), and the flow of u0 joins the fine sum.
-The arithmetic is exact and linear, so the sums are the same rationals as
-evolving every node and summing the results. The reported error bound is
-the whole step-halving difference |fine - coarse| (L2), plus the kernel
-tolerance. It is not divided by 2^order - 1 as a Richardson estimate would
-be: at practical step counts the asymptotic h^order regime has not set in,
-and the divided estimate fell below the true error. The difference is
-taken on the Fourier side, where the rules are summed: by Parseval its
-norm is that of the sphere sums' difference plus the transform of the
-tau = t steps' difference, the same rational as the norm of the
-transformed-back difference, so the coarse rule is never transformed
-back.
+The non-homogeneous solution is the flow of u0 plus the Duhamel
+integral, by composite Trapezoid/Simpson quadrature in the forcing time.
+The nodes tau < t fall into at most four classes by their (fine, coarse)
+pair of rule weights; each adds the flow of f(tau) for t - tau once,
+unweighted, into its class's sum, and each rule is the exact combination
+of the class sums, each weight entering once per class as its integer
+ratio (the node tau = t adds f(t) itself, weighted). The flow of u0
+joins the fine sum. The arithmetic is exact and linear, so the sums are
+the same rationals as evolving every node and summing the results with
+each rule's weights. The reported error bound is the whole step-halving
+difference |fine - coarse| (L2), plus the kernel tolerance. It is not
+divided by 2^order - 1 as a Richardson estimate would be: at practical
+step counts the asymptotic h^order regime has not set in, and the
+divided estimate fell below the true error. The difference is taken on
+the Fourier side, where the rules are summed: by Parseval its norm is
+that of the sphere sums' difference plus the transform of the tau = t
+steps' difference, the same rational as the norm of the transformed-back
+difference, so the coarse rule is never transformed back.
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ import io
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import ToleranceError
@@ -89,12 +92,18 @@ class InnerPiece:
             val, bound = ft_ball_eval(lambda q: float(q) ** self.exponent,
                                       self.rho, s, 0.0, tol=tol)
         elif self.kind == "heat":
-            k = -2 - _TABLE.rank_floor(as_fraction(self.rho))  # rank of r
-            params = KernelParams(self.time, self.exponent)
-            val, bound = _ball_flow(k, s, params, -_TABLE.log_phi_at(k))
+            k, params, ln_scale = self._heat_flow_args
+            val, bound = _ball_flow(k, s, params, ln_scale)
         else:
             raise ValueError(f"unknown piece kind {self.kind!r}")
         return self.scale * val, abs(self.scale) * bound
+
+    @cached_property
+    def _heat_flow_args(self) -> tuple[int, KernelParams, float]:
+        """The rank of r, the kernel parameters and -log phi(r) of a heat
+        piece, for _ball_flow: made at the piece's first read."""
+        k = -2 - _TABLE.rank_floor(as_fraction(self.rho))  # rank of r
+        return k, KernelParams(self.time, self.exponent), -_TABLE.log_phi_at(k)
 
     def l2_cap(self) -> float:
         """|scale| * sup |profile| on B(rho) * sqrt(vol B(rho)): a bound on
@@ -152,6 +161,13 @@ class _SpectralSum:
         lcd = math.lcm(pair[1], den)
         pair[0] = pair[0] * (lcd // pair[1]) + num * (lcd // den)
         pair[1] = lcd
+
+    def add_weighted(self, other: "_SpectralSum", weight: float) -> None:
+        """Add weight times other's sphere sums, the weight entering once
+        through its exact as_integer_ratio."""
+        wn, wd = weight.as_integer_ratio()
+        for k, (num, den) in other.spheres.items():
+            self.add(k, wn * num, wd * den)
 
     def total_step(self) -> RadialStep:
         """The inverse transform of the sphere sums, each ball coefficient
@@ -225,27 +241,28 @@ def _step_halving_gap(fine: _SpectralSum, coarse: _SpectralSum) -> float:
 
 
 def _add_multiplied(
-    sums: list[tuple[_SpectralSum, float, int, int]],
+    acc: _SpectralSum,
     g: RadialStep,
     kind: str,
     exponent: float,
     time: float,
     powers: dict[int, float],
+    scales: Optional[tuple[tuple[_SpectralSum, float], ...]] = None,
 ) -> None:
-    """Add weight * the symbol applied to g into each (sum, weight, wn,
-    wd), wn/wd being the weight's as_integer_ratio: the symbol is
+    """Add the symbol applied to g into acc's sphere sums: the symbol is
     q^exponent ("power") or e^{-time q^exponent} ("heat"), and powers
-    memoizes q^exponent by rank. The inner ball's weight * c0 goes to the
-    piece of its shape; c0 is the quotient of its integer pair, which int
-    true division rounds correctly, as float(Fraction) does."""
+    memoizes q^exponent by rank. The inner ball's c0, times weight, goes
+    to the piece of its shape in each (sum, weight) of scales, by default
+    acc's own with weight 1; c0 is the quotient of its integer pair, which
+    int true division rounds correctly, as float(Fraction) does."""
     (cn, cd), rho, k0, values = g._ft_sphere_pairs()
     if cn:
         shape = (rho, kind, exponent, time)
         c0 = cn / cd
-        for acc, weight, _, _ in sums:
+        for target, weight in scales or ((acc, 1.0),):
             s = weight * c0
-            prev = acc.pieces.get(shape)
-            acc.pieces[shape] = s if prev is None else prev + s
+            prev = target.pieces.get(shape)
+            target.pieces[shape] = s if prev is None else prev + s
     heat = kind == "heat"
     for k, (vn, vd) in enumerate(values, k0):
         if not vn:
@@ -254,10 +271,7 @@ def _add_multiplied(
         if lam is None:
             lam = powers[k] = _TABLE.float_at(k) ** exponent
         fn, fd = _decay_factor(time, lam) if heat else lam.as_integer_ratio()
-        num = fn * vn
-        den = fd * vd
-        for acc, _, wn, wd in sums:
-            acc.add(k, wn * num, wd * den)
+        acc.add(k, fn * vn, fd * vd)
 
 
 def apply_operator(
@@ -269,7 +283,7 @@ def apply_operator(
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     acc = _SpectralSum()
-    _add_multiplied([(acc, 1.0, 1, 1)], f, "power", gamma, 0.0, {})
+    _add_multiplied(acc, f, "power", gamma, 0.0, {})
     return acc.result(tol)
 
 
@@ -317,7 +331,7 @@ def solve_homogeneous(
     if t == 0:
         return u0
     acc = _SpectralSum()
-    _add_multiplied([(acc, 1.0, 1, 1)], u0, "heat", symbol.alpha, t, {})
+    _add_multiplied(acc, u0, "heat", symbol.alpha, t, {})
     return acc.result(tol)
 
 
@@ -365,12 +379,17 @@ def _duhamel(
     powers: dict[int, float],
 ) -> tuple[_SpectralSum, _SpectralSum]:
     """Quadrature sums of the Duhamel integral with m (fine) and m/2
-    (coarse) steps. A node tau < t adds the weighted flow of f(tau) for
-    time t - tau, which is diagonal on the frequency spheres, so each rule
-    sums weighted sphere values by rank and is transformed back once.
-    Coarse node j is fine node 2j -- t*(2j)/m equals t*j/(m/2) exactly in
-    binary floating point -- so each node's multiplier is evaluated once
-    for both rules. powers memoizes q^alpha by rank."""
+    (coarse) steps. A node tau < t adds the flow of f(tau) for time
+    t - tau, which is diagonal on the frequency spheres, so each rule sums
+    weighted sphere values by rank and is transformed back once. Coarse
+    node j is fine node 2j -- t*(2j)/m equals t*j/(m/2) exactly in binary
+    floating point -- so each node's flow is walked once and added once,
+    unweighted, into the sum of its class: its (fine weight, coarse
+    weight) pair, None off the coarse grid, of which there are at most
+    four. Each rule is then the exact combination of the class sums with
+    its weights, while the inner pieces take weight * c0 per node, in node
+    order. A node at tau = t adds its weighted step to each rule. powers
+    memoizes q^alpha by rank."""
     alpha = symbol.alpha
     # t * m / m can miss t by an ulp either way: the last node is t
     taus = [t * i / m for i in range(m)]
@@ -382,19 +401,24 @@ def _duhamel(
     fine, coarse = _SpectralSum(), _SpectralSum()
     fine_w = _weights(quadrature, m, t)
     coarse_w = _weights(quadrature, m // 2, t)
-    ratios = {w: w.as_integer_ratio() for w in {*fine_w, *coarse_w}}
+    classes: dict[tuple[float, Optional[float]], _SpectralSum] = {}
     for i, (tau, w) in enumerate(zip(taus, fine_w)):
-        rules = [(fine, w, *ratios[w])]
-        if i % 2 == 0:
-            cw = coarse_w[i // 2]
-            rules.append((coarse, cw, *ratios[cw]))
+        cw = None if i % 2 else coarse_w[i // 2]
         g = f.at(tau)
-        dt = t - tau
-        if dt == 0:
-            for rule, weight, _, _ in rules:
-                rule.step = rule.step + g * Fraction(weight)
+        if tau == t:
+            fine.step = fine.step + g * w
+            if cw is not None:
+                coarse.step = coarse.step + g * cw
             continue
-        _add_multiplied(rules, g, "heat", alpha, dt, powers)
+        acc = classes.get((w, cw))
+        if acc is None:
+            acc = classes[w, cw] = _SpectralSum()
+        scales = ((fine, w),) if cw is None else ((fine, w), (coarse, cw))
+        _add_multiplied(acc, g, "heat", alpha, t - tau, powers, scales)
+    for (w, cw), acc in classes.items():
+        fine.add_weighted(acc, w)
+        if cw is not None:
+            coarse.add_weighted(acc, cw)
     return fine, coarse
 
 
@@ -437,8 +461,7 @@ def solve_nonhomogeneous(
         est += InnerPiece(gap, *shape).l2_cap()
 
     if not u0.is_zero():
-        _add_multiplied([(fine, 1.0, 1, 1)], u0, "heat", symbol.alpha, t,
-                        powers)
+        _add_multiplied(fine, u0, "heat", symbol.alpha, t, powers)
     assembled = tuple(
         InnerPiece(s, *shape) for shape, s in fine.pieces.items() if s != 0.0
     )

@@ -174,13 +174,15 @@ _OPTIONS = {
         ("beta", _float, _UNSET, "real symbol exponent"),
         ("tol", _tol, {"homogeneous": 1e-10, "duhamel": 1e-10,
                        "adelic": 1e-8}, "tolerance"),
-        ("input", None, None, "initial step JSON (homogeneous)"),
-        ("u0", None, None, "initial step JSON (duhamel)"),
+        ("input", None, None,
+         "initial step JSON (homogeneous, default stdin)"),
+        ("u0", None, None, "initial step JSON (duhamel, default stdin)"),
         ("forcing", None, None, "forcing grid JSON (duhamel)"),
         ("quadrature", str, {"duhamel": "Simpson"}, "Trapezoid or Simpson"),
         ("steps", _int, {"duhamel": 64}, "quadrature step count"),
         ("real", None, None, "real grid CSV (adelic)"),
-        ("fin", None, None, "finite factor step JSON (adelic)"),
+        ("fin", None, None,
+         "finite factor step JSON (adelic, default stdin)"),
         ("finite-output", None, None, "finite factor output path"),
     ),
 }
@@ -439,6 +441,9 @@ def _cmd_kernel(args, p):
         if quad_err:
             # the real factor's quadrature error, which tol does not bound
             bound += 2.0 * quad_err * fin
+        # the float value can miss the true one by half its spacing,
+        # whatever tol is
+        bound = max(bound, math.ulp(value) / 2)
         return RunResult(
             stdout=f"{value:.17g} {bound:.3e}\n",
             error_bounds={"value": bound},

@@ -36,8 +36,10 @@ lru_cache (_SERIES_CACHE_SIZE entries of at most _SERIES_TERMS_CAP
 terms; a longer walk and a refusal are never kept). No result can
 depend on what was kept: a series is a pure function of its key, since
 the table's value, log p and log phi at a rank never change as it grows,
-and a kept series holds the very floats a fresh walk returns. Only the
-table's growth and the time taken depend on the call history.
+and a kept series holds the very floats a fresh walk returns. The sum of
+q^-alpha in tail_mass_bound, which t only scales, is kept the same way by
+(lo rank, hi rank, alpha). Only the table's growth and the time taken
+depend on the call history.
 """
 from __future__ import annotations
 
@@ -511,15 +513,22 @@ def tail_mass_bound(epsilon: RationalLike, params: KernelParams) -> float:
     t, alpha = params.t, params.alpha
     cutoff = max(Fraction(64), 4 * (eps if eps >= 1 else Fraction(1)))
     hi = _TABLE.rank_floor(cutoff)
-    # float_at by rank, read from one snapshot: rank_floor and rank_of have
-    # sieved the rows of hi and lo, and so those of every rank between
+    integral_tail = float(cutoff) ** (1.0 - alpha) / (alpha - 1.0)
+    return min(2.0 * t * (_inverse_power_sum(lo, hi, alpha) + integral_tail),
+               1.0)
+
+
+@lru_cache(maxsize=_SERIES_CACHE_SIZE, typed=True)
+def _inverse_power_sum(lo: int, hi: int, alpha: float) -> float:
+    """fsum of q^-alpha over the prime powers q of ranks lo + 1 to hi, a
+    pure function of its key (module docstring). float_at by rank, read
+    from one snapshot: the caller has ranked lo and hi, and so sieved the
+    rows of every rank between."""
     values = _TABLE._snapshot[0]
-    body = math.fsum(
+    return math.fsum(
         (float(values[k]) if k >= 0 else 1 / values[-1 - k]) ** -alpha
         for k in range(lo + 1, hi + 1)
     )
-    integral_tail = float(cutoff) ** (1.0 - alpha) / (alpha - 1.0)
-    return min(2.0 * t * (body + integral_tail), 1.0)
 
 
 # --------------------------------------------------------------------------

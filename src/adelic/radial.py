@@ -266,9 +266,14 @@ class RadialStep:
     # ---- algebra
 
     def _combined(self, other: "RadialStep", sign: int) -> "RadialStep":
+        if not self._by_rank and sign == 1:
+            return other
         merged = dict(self._by_rank)
         for k, c in other._by_rank.items():
-            merged[k] = merged.get(k, Fraction(0)) + sign * c
+            if sign != 1:
+                c = -c
+            prev = merged.get(k)
+            merged[k] = c if prev is None else prev + c
         return RadialStep._trusted(_canonical(merged))
 
     def __add__(self, other):

@@ -758,6 +758,103 @@ class TestOnePassDuhamel:
         assert not fine.is_zero() and not coarse.is_zero()
 
 
+def rules_node_by_node(u0, grid, t, quadrature, m, alpha=ALPHA, tol=1e-10):
+    """solve_nonhomogeneous as a sum per rule: every node's flow times the
+    rule's Fraction weight, the fine rule over m steps and the coarse one
+    over m/2 (its node j at fine node 2j), the bound from the two rules'
+    x-space difference, then the flow of u0 added to the fine rule."""
+    m += -m % (4 if quadrature == "Simpson" else 2)
+    rules = []
+    for count in (m, m // 2):
+        step, pieces = RadialStep.zero(), {}
+        for j, w in enumerate(cy._weights(quadrature, count, t)):
+            tau = t if j == count else t * (j * m // count) / m
+            evolved, piece = evolve_by_three_passes(grid.at(tau), t - tau,
+                                                    alpha)
+            step = step + evolved * F(w)
+            if piece is not None:
+                shape = (piece.rho, piece.kind, piece.exponent, piece.time)
+                prev = pieces.get(shape)
+                pieces[shape] = w * piece.scale if prev is None \
+                    else prev + w * piece.scale
+        rules.append((step, pieces))
+    (fine, pieces), (coarse, coarse_pieces) = rules
+    est = math.sqrt(float((fine - coarse).l2_norm_sq()))
+    for shape, scale in pieces.items():
+        gap = scale - coarse_pieces.get(shape, 0.0)
+        est += cy.InnerPiece(gap, *shape).l2_cap()
+    if not u0.is_zero():
+        evolved, piece = evolve_by_three_passes(u0, t, alpha)
+        fine = fine + evolved
+        if piece is not None:
+            shape = (piece.rho, piece.kind, piece.exponent, piece.time)
+            prev = pieces.get(shape)
+            pieces[shape] = piece.scale if prev is None \
+                else prev + piece.scale
+    return cy.EvaluableRadial(fine, tuple(
+        cy.InnerPiece(s, *shape) for shape, s in pieces.items() if s != 0.0
+    ), tol, est + tol)
+
+
+def eigen_forcing(t, m, alpha=ALPHA):
+    """The benchmark's forcing (cos tau + lam sin tau) w sampled at the m
+    quadrature nodes: every node is a forcing node."""
+    w, lam = eigenfunction(F(2)), 2.0 ** alpha
+    times = tuple(t * i / m for i in range(m + 1))
+    return cy.ForcingGrid(times=times, steps=tuple(
+        w * F(math.cos(tau) + lam * math.sin(tau)) for tau in times))
+
+
+class TestWeightClassSums:
+    """Each node's flow is added once into the sum of its (fine weight,
+    coarse weight) class and the rules are integer combinations of those
+    sums: the same rationals and floats as every node weighted per rule."""
+
+    @pytest.mark.parametrize("quadrature", ["Trapezoid", "Simpson"])
+    @pytest.mark.parametrize("grid,t,m", [
+        (eigen_forcing(1.3, 4), 1.3, 4),
+        (eigen_forcing(0.7, 8), 0.7, 8),
+        (eigen_forcing(2.5, 32), 2.5, 32),
+        (mixed_forcing(1.0), 1.0, 9),
+        (mixed_forcing(0.7), 0.7, 32),
+        (battery_forcing(), 1.0, 16),
+        (mixed_forcing(4.0), 4.0, 4),
+        (mixed_forcing(3e-307), 3e-307, 32),
+    ], ids=["eigen-4", "eigen-8", "eigen-32", "mixed-rounded-up", "mixed-32",
+            "battery-16", "integer-t", "subnormal-weights"])
+    def test_matches_the_rules_summed_node_by_node(self, grid, t, m,
+                                                   quadrature):
+        u0 = RadialStep({F(1, 4): 3, F(3): F(-1, 2)})
+        for start in (RadialStep.zero(), u0):
+            got = cy.solve_nonhomogeneous(
+                start, grid, t, SYM, quadrature=quadrature, steps=m
+            )
+            want = rules_node_by_node(start, grid, t, quadrature, m)
+            assert repr(got) == repr(want)
+
+    def test_subnormal_weights_are_not_multiples(self):
+        # h/3 is subnormal at t = 3e-307 and m = 32, so the fine and
+        # coarse weights lose low bits differently
+        h_third = cy._weights("Simpson", 32, 3e-307)[0]
+        coarse_third = cy._weights("Simpson", 16, 3e-307)[0]
+        assert 0 < h_third < 2.0 ** -1022
+        assert coarse_third != 2 * h_third
+
+    def test_one_class_sum_per_weight_pair(self, monkeypatch):
+        made = []
+        spectral_sum = cy._SpectralSum
+
+        def counted():
+            made.append(1)
+            return spectral_sum()
+
+        monkeypatch.setattr(cy, "_SpectralSum", counted)
+        for quadrature, classes in (("Trapezoid", 3), ("Simpson", 4)):
+            made.clear()
+            cy._duhamel(eigen_forcing(1.0, 32), 1.0, SYM, quadrature, 32, {})
+            assert len(made) == 2 + classes
+
+
 class TestOneSpectralPath:
     # sha256 of repr() of the 60 outcomes of seeded_spectral_case, computed
     # when apply_operator and solve_homogeneous built one Fraction per

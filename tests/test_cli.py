@@ -69,6 +69,20 @@ class TestFloatOutputs:
         assert math.isclose(float(value), 0.06756313793675311, rel_tol=1e-12)
         assert 0.0 < float(bound) < 1e-9
 
+    def test_kernel_eval_bound_not_below_half_an_ulp(self, tmp_path):
+        # |value| * tol is 6.756e-302 here, far below the float's spacing
+        proc = run_cli(
+            ["kernel", "eval", "--radius", "2", "--t", "1", "--alpha", "2",
+             "--tol", "1e-300", "--meta", "m.json"],
+            tmp_path,
+        )
+        assert proc.returncode == 0
+        value, printed = proc.stdout.split()
+        bound = json.loads((tmp_path / "m.json").read_text())[
+            "error_bounds"]["value"]
+        assert bound == math.ulp(float(value)) / 2
+        assert printed.decode() == f"{bound:.3e}" == "6.939e-18"
+
     def test_normalize_within_tolerance(self, tmp_path):
         proc = run_cli(
             ["kernel", "normalize", "--t", "1", "--alpha", "2",
@@ -860,7 +874,9 @@ class TestStartup:
 # frozen before the parser was built from the option table. argparse lays
 # out help differently across Python versions (3.10 heads the options
 # "optional arguments:"), so the texts are checked on 3.11 only; the
-# actions behind them are pinned on every version below.
+# actions behind them are pinned on every version below. The solve digest
+# and FROZEN_ACTIONS were re-pinned when --input, --u0 and --fin came to
+# say that they default to stdin.
 FROZEN_HELP = {
     "adelic":
         "7be3246fc5e9e60f717ba2418e6c5d1fc0fd7090a897496c40760e0bc8fc6916",
@@ -881,7 +897,7 @@ FROZEN_HELP = {
     "transition":
         "60c263d0d499bc24f51cbb3f5b9ea51eed7c086a8be6af965c0a809012234f5b",
     "solve":
-        "c61d9bda4066bc0696201feeb1dbc3e877f1cc9b2cbae4ee5661e40c78a591df",
+        "90130ca0f66422fa0f8d181f3af21f87b8385cc0103cd88625e9ad7a186fe0d0",
     "verify":
         "7c8215a462e50b734ed719944dfbf2884c29330cb86f85cff6f1e99e5b57ea89",
 }
@@ -889,7 +905,7 @@ FROZEN_HELP = {
 # sha256 of the JSON of every action's (option strings, dest, metavar,
 # help, choices, nargs), the subcommands' help and each subparser's actions
 FROZEN_ACTIONS = (
-    "61fbed22ce1bf6a74666050fc5f18a522723c3ae3895fdb1a4158ed75e95430a"
+    "967a7e1f35a6478ca36febe7280202da922130a9c5d020293170ed56ef97263b"
 )
 
 # sha256 of the sidecar's config block (command, resolved params, output,
