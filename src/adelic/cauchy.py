@@ -78,8 +78,9 @@ class SymbolSpec:
 @record(frozen=True)
 class InnerPiece:
     """scale * inverse transform of (profile * 1_B(rho)), evaluated lazily:
-    "power" by ft_ball_eval; "heat" (exponent > 1) as scale / phi(r) times
-    P(time, x, B(r)), whose data 1_B(r) transforms to phi(r) 1_B(rho)."""
+    "power" by ft_ball_eval summed to tol / |scale|, so the piece meets
+    tol; "heat" (exponent > 1) as scale / phi(r) times P(time, x, B(r)),
+    whose data 1_B(r) transforms to phi(r) 1_B(rho)."""
 
     scale: float
     rho: Fraction
@@ -89,8 +90,11 @@ class InnerPiece:
 
     def value(self, s: RationalLike, tol: float) -> tuple[float, float]:
         if self.kind == "power":
+            if not self.scale:
+                return 0.0, 0.0
             val, bound = ft_ball_eval(lambda q: float(q) ** self.exponent,
-                                      self.rho, s, 0.0, tol=tol)
+                                      self.rho, s, 0.0,
+                                      tol=tol / abs(self.scale))
         elif self.kind == "heat":
             k, params, ln_scale = self._heat_flow_args
             val, bound = _ball_flow(k, s, params, ln_scale)

@@ -317,6 +317,11 @@ def check_semigroup_mc() -> CheckResult:
             r1 = dist_t.sample(rng)
             r2 = dist_s.sample(rng)
             if r1 is None or r2 is None:
+                # a radius outside the window puts the sum there too (up
+                # to r1 = r2 cancelling and the lower tails, both far
+                # below 1/n): one observation in the tail bin
+                observed[None] = observed.get(None, 0) + 1
+                draws += 1
                 continue
             x1 = sample_uniform(sphere(r1), depth=10, rng=rng, prime_cutoff=131)
             x2 = sample_uniform(sphere(r2), depth=10, rng=rng, prime_cutoff=131)

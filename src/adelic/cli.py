@@ -403,10 +403,8 @@ def _cmd_norm(args, p):
 
 def _cmd_volume(args, p):
     from .adele import ball, haar_volume, sphere
-    from .primepow import _refuse_phi_past_cap
 
     radius = p["radius"]
-    _refuse_phi_past_cap(radius)  # before the region sieves to the radius
     region = ball(radius) if p["kind"] == "ball" else sphere(radius)
     value = haar_volume(region)
     return RunResult(stdout=f"{value}\n", error_bounds={"value": 0.0})

@@ -202,11 +202,10 @@ def _walk(top: int, t: float, alpha: float, rel_tol: float,
     table = _TABLE
     table._index(top)
     table._index(top + 1)
-    values, _, _, logphi = table._snapshot
+    values, _, _, logphi, logp = table._snapshot
     ln_half_tol = math.log(rel_tol * 0.5)
     k = top
     i = k if k >= 0 else -1 - k
-    logp = table._row_logs(i)[0]
     lp = logphi[i] if k >= 0 else logp[i] - logphi[i]
     a = (float(values[i]) if k >= 0 else 1 / values[i]) ** alpha
     b = (float(values[k + 1]) if k >= -1 else 1 / values[-2 - k]) ** alpha
@@ -232,10 +231,9 @@ def _walk(top: int, t: float, alpha: float, rel_tol: float,
             lp = logphi[i]
         else:
             i = -1 - k
-            if i >= len(logp):  # a walk down the reciprocals
+            if i >= len(values):  # a walk down past the last row
                 table._index(k)
-                values, _, _, logphi = table._snapshot
-                logp = table._row_logs(i)[0]
+                values, _, _, logphi, logp = table._snapshot
             lp = logp[i] - logphi[i]
         if lp + log(gap) < acc + ln_half_tol:
             return acc
@@ -304,18 +302,19 @@ def z_finite(radius: RationalLike, params: KernelParams,
     """Kernel value at any point of the given norm, within tol (relative
     for the dominant part, with the certified series remainders added on
     both ends). Always nonnegative: the series has positive terms."""
-    return _scaled_z(radius, params, tol, 0.0)
-
-
-def _scaled_z(radius: RationalLike, params: KernelParams, tol: float,
-              ln_scale: float) -> float:
-    """e^ln_scale * Z(radius, t), within tol as z_finite: each ln-term is
-    shifted by ln_scale before it is exponentiated, so a scale past the
-    double range times a tiny kernel value stays finite."""
     require_positive(tol=tol)
     params.require_positive_time()
     t, alpha, rel_tol = params.t, params.alpha, min(tol, 1e-13)
-    top = _top_rank(radius, t, alpha, rel_tol)
+    return _scaled_z(_top_rank(radius, t, alpha, rel_tol), t, alpha, rel_tol,
+                     0.0)
+
+
+def _scaled_z(top: int, t: float, alpha: float, rel_tol: float,
+              ln_scale: float) -> float:
+    """e^ln_scale times the series from rank top (_top_rank), summed as
+    z_finite sums it: each ln-term is shifted by ln_scale before it is
+    exponentiated, so a scale past the double range times a tiny kernel
+    value stays finite."""
     terms = _ln_terms(top, t, alpha, rel_tol)
     if ln_scale:  # 0.0 + l is l, up to the sign of a zero, which exp drops
         terms = [ln_scale + l for l in terms]
@@ -370,12 +369,11 @@ def sphere_masses(
     # prev_pp(1/prev_pp(r)) = 1/r. r and q share table row i, and the
     # next q is 1/prev_pp(r), whose power is the following step's q^alpha.
     # ln vol(S_r) = ln(phi(r) - phi(prev r)) = ln phi(r) + ln(1 - 1/p),
-    # with log p and log1p(-1/p) read from the table's row logs.
+    # with log p and log phi read from the table's snapshot and
+    # log1p(-1/p) computed for the window's rows only.
     log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
-    top = max(k_hi, -k_lo)
-    _TABLE._index(top)
-    values, _, _, logphi = _TABLE._snapshot
-    logp, log1m = _TABLE._row_logs(top)
+    _TABLE._index(max(k_hi, -k_lo))
+    values, bases, _, logphi, logp = _TABLE._snapshot
     ninf = -math.inf
     ln_masses = []
     acc = ln_z_hi
@@ -384,13 +382,13 @@ def sphere_masses(
         if k >= 0:
             lp_r = logphi[k]
             lp_q = logp[k] - lp_r
-            ln_masses.append(lp_r + log1m[k] + acc)
+            ln_masses.append(lp_r + log1p(-1.0 / bases[k]) + acc)
             b = (1 / values[k - 1] if k else float(values[0])) ** alpha
         else:
             i = -1 - k
             lp_q = logphi[i]
             lp_r = logp[i] - lp_q
-            ln_masses.append(lp_r + log1m[i] + acc)
+            ln_masses.append(lp_r + log1p(-1.0 / bases[i]) + acc)
             b = float(values[-k]) ** alpha
         gap = -expm1(-t * (b - a))
         if gap > 0.0:
@@ -443,7 +441,8 @@ def _ball_flow(k: int, s: RationalLike, params: KernelParams,
     j = _TABLE.rank_floor(as_fraction(s)) if s else k
     if j > k:
         ln_scale += _TABLE.log_phi_at(k)
-        value = _scaled_z(_TABLE.fraction_at(j), params, 1e-12, ln_scale)
+        # Z(r_j, t) sums from prev_pp(1/r_j), of rank -2 - j (_top_rank)
+        value = _scaled_z(-2 - j, params.t, params.alpha, 1e-13, ln_scale)
     else:
         inside, boundary = _ball_identity(k, params, 1e-13, ln_scale)
         value = inside + math.exp(ln_scale - boundary)

@@ -19,8 +19,9 @@ The table does each rank's work once and keeps it within fixed bounds:
 the Fraction value and phi of every rank whose row value is at most 2^14
 (two memos of at most 2 * 1,961 entries), the exact phi of those rows, a
 checkpoint of exact phi every 256 rows up to the 2^18-bit cap (about 1 MB
-in all), and log p and log1p(-1/p) of each row's base in two float arrays
-that grow only to the rows a walk reads. An exact phi past the cap is
+in all). Each sieve's snapshot holds, beside the rows' values, bases and
+exponents, two float arrays built with it from one log pass over the
+bases: log phi and log p of every row. An exact phi past the cap is
 refused before it is built, and phi(x) refuses such an x before the table
 is sieved to it.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
+from array import array
 from fractions import Fraction
 from itertools import accumulate, compress, count
 from typing import Iterable, Union
@@ -206,7 +208,7 @@ def _as_prime_power(x: Fraction) -> tuple[int, int] | None:
         if x.numerator != 1:
             return None
         n = x.denominator
-    values, bases, exps, _ = _TABLE._snapshot
+    values, bases, exps, _, _ = _TABLE._snapshot
     if n > values[-1]:
         pk = _root_prime_power(n)
     else:
@@ -390,11 +392,11 @@ class _PowerTable:
     def __init__(self):
         self._lock = threading.Lock()
         self._exact_lock = threading.Lock()
-        self._snapshot: tuple = ((), (), (), ())  # values, bases, exps, logphi
+        # values, bases, exps, logphi, logp
+        self._snapshot: tuple = ((), (), (), (), ())
         self._limit = 1
         self._exact: list[int] = []  # cumulative exact phi, prefix of values
         self._checkpoints: list[int] = [1]  # phi below rows 0, 256, 512, ...
-        self._logs: tuple = ((), ())  # log p, log1p(-1/p) by row
         self._fractions: dict[int, Fraction] = {}  # fraction_at by rank
         self._phis: dict[int, Fraction] = {}  # phi_at by rank
         self.extend_to(512)
@@ -409,15 +411,16 @@ class _PowerTable:
                 return self._snapshot
             new_limit = min(max(limit, 2 * self._limit), _SIEVE_CAP)
             values, bases, exps = _prime_powers_upto(new_limit)
-            logphi = tuple(accumulate(map(math.log, bases)))
-            self._snapshot = (values, bases, exps, logphi)
+            logp = array("d", map(math.log, bases))
+            logphi = array("d", accumulate(logp))
+            self._snapshot = (values, bases, exps, logphi, logp)
             self._limit = new_limit
             return self._snapshot
 
     def above(self, m: int) -> tuple[int, int]:
         """(p, k) of the least integer prime power > m: past the table the
         first of m + 1, m + 2, ... that _root_prime_power accepts."""
-        values, bases, exps, _ = self._snapshot
+        values, bases, exps, _, _ = self._snapshot
         if m < values[-1]:
             i = bisect.bisect_right(values, m)
             return bases[i], exps[i]
@@ -428,7 +431,7 @@ class _PowerTable:
         past the table (so c > 512) the first of c - 1, c - 2, ... that
         _root_prime_power accepts."""
         if c - 1 <= self._limit:
-            values, bases, exps, _ = self._snapshot
+            values, bases, exps, _, _ = self._snapshot
             i = bisect.bisect_left(values, c) - 1
             return bases[i], exps[i]
         return _first_prime_power(count(c - 1, -1))
@@ -477,7 +480,7 @@ class _PowerTable:
     def base_exp_at(self, rank: int) -> tuple[int, int]:
         """(p, k) of the rank's value p^k, k < 0 for the reciprocals."""
         i = self._index(rank)
-        _, bases, exps, _ = self._snapshot
+        _, bases, exps, _, _ = self._snapshot
         return bases[i], exps[i] if rank >= 0 else -exps[i]
 
     def fraction_at(self, rank: int) -> Fraction:
@@ -537,10 +540,10 @@ class _PowerTable:
         """log phi of the value of the given rank (log(base) - log phi(m)
         for the reciprocal of m; rank -1 gives exactly 0.0)."""
         i = self._index(rank)
-        _, bases, _, logphi = self._snapshot
+        _, _, _, logphi, logp = self._snapshot
         if rank >= 0:
             return logphi[i]
-        return math.log(bases[i]) - logphi[i]
+        return logp[i] - logphi[i]
 
     def _exact_phi(self, i: int) -> int:
         """The product of the bases of rows 0..i (row i must exist). A
@@ -549,7 +552,7 @@ class _PowerTable:
         exact = self._exact
         if i < len(exact):
             return exact[i]
-        values, bases, _, logphi = self._snapshot
+        values, bases, _, logphi, _ = self._snapshot
         bits = logphi[i] / math.log(2)
         if bits > _PHI_BITS_CAP:
             raise ValueError(
@@ -573,28 +576,6 @@ class _PowerTable:
                     checks[-1] * math.prod(bases[(n - 1) * stride:n * stride])
                 )
             return checks[c] * math.prod(bases[c * stride:i + 1])
-
-    def _row_logs(self, i: int) -> tuple:
-        """(log p, log1p(-1/p)) for the base p of each row 0..i at least
-        (row i must exist), as two array('d'): the same floats as
-        math.log(p) and math.log1p(-1.0 / p), computed once per row, only
-        for rows read and at most doubling the rows held."""
-        logs = self._logs
-        if i < len(logs[0]):
-            return logs
-        from array import array  # loaded only by the series walks
-
-        with self._exact_lock:
-            logp, log1m = self._logs
-            bases = self._snapshot[1]
-            start = len(logp)
-            stop = min(len(bases), max(i + 1, 2 * start))
-            if start < stop:
-                logp, log1m = array("d", logp), array("d", log1m)
-                logp.extend(map(math.log, bases[start:stop]))
-                log1m.extend(math.log1p(-1.0 / p) for p in bases[start:stop])
-                self._logs = (logp, log1m)
-            return self._logs
 
 
 _TABLE = _PowerTable()
@@ -694,6 +675,6 @@ def prime_power_pairs(x: RationalLike) -> tuple[int, int]:
 
 def iter_int_prime_powers(limit: int) -> Iterable[tuple[int, int, int]]:
     """(value, p, k) for all integer prime powers <= limit, ascending."""
-    values, bases, exps, _ = _TABLE.extend_to(limit)
+    values, bases, exps, _, _ = _TABLE.extend_to(limit)
     i = bisect.bisect_right(values, limit)
     return list(zip(values[:i], bases[:i], exps[:i]))

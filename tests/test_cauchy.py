@@ -262,9 +262,8 @@ def seeded_duhamel_case(i):
 HOLED = RadialStep({F(2): 1, F(3): F(-1, 3), F(5): 1, F(9): F(1, 7)})
 
 
-def seeded_spectral_case(i):
-    """Exact outcome of one seeded apply_operator (even i) or
-    solve_homogeneous (odd i): (ranked step, pieces[, tol, error_bound]).
+def seeded_spectral_result(i):
+    """One seeded apply_operator (even i) or solve_homogeneous (odd i).
     Most inputs have a nonzero integral (inner pieces); every fifth adds
     HOLED, and the times include integers (exact powers)."""
     rng = random.Random(2000 + i)
@@ -277,6 +276,13 @@ def seeded_spectral_case(i):
         got = cy.solve_homogeneous(u, t, sym)
     else:
         got = cy.apply_operator(u, rng.choice([0.5, 1.5, 2.0, 3.0]))
+    return got
+
+
+def seeded_spectral_case(i):
+    """Exact outcome of seeded_spectral_result(i): (ranked step,
+    pieces[, tol, error_bound])."""
+    got = seeded_spectral_result(i)
     if isinstance(got, RadialStep):
         return (got._by_rank, ())
     return (got.step._by_rank, got.pieces, got.tol, got.error_bound)
@@ -620,11 +626,14 @@ class TestRankWalk:
             scale=-1679.3328231292517, rho=F(1, 11), kind="power",
             exponent=2.0,
         ),)
+        # re-pinned when the power piece's series was summed to
+        # tol / |scale|: each value lies within the old bound 2.0e-8 of
+        # the old one
         assert [got.value_with_bound(s) for s in (0, F(1, 2), F(2), F(4))] == [
-            (23.40434422494423, 1.998299033617024e-08),
-            (0.006385041270758195, 1.998299033617024e-08),
-            (0.008298306576880644, 1.998299033617024e-08),
-            (-0.023297931455369292, 1.998299033617024e-08),
+            (23.40434423139582, 2.8682767783373915e-11),
+            (0.006385047722351513, 2.8682767783373915e-11),
+            (0.008298313028473963, 2.8682767783373915e-11),
+            (-0.023297925003775977, 2.8682767783373915e-11),
         ]
 
     def test_heat_flow_of_ball_unchanged(self):
@@ -869,6 +878,34 @@ class TestOneSpectralPath:
         assert all(o[0] for o in outcomes)
         digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
         assert digest == self.FROZEN_SHA256
+
+    def test_power_pieces_meet_the_tolerance(self):
+        # every power piece of the seeded apply_operator cases reports a
+        # bound within tol that covers its gap to a reference series
+        # summed to 1e-18
+        checked = 0
+        for i in range(0, 60, 2):
+            got = seeded_spectral_result(i)
+            if isinstance(got, RadialStep):
+                continue
+            for piece in got.pieces:
+                assert piece.kind == "power"
+                for s in (0, F(1, 5), F(1, 2), F(2), F(4), F(9)):
+                    val, bound = piece.value(s, got.tol)
+                    ref, ref_bound = ft_ball_eval(
+                        lambda q: float(q) ** piece.exponent, piece.rho, s,
+                        0.0, tol=1e-18,
+                    )
+                    assert bound <= got.tol
+                    gap = abs(val - piece.scale * ref)
+                    assert gap <= bound + abs(piece.scale) * ref_bound
+                    checked += 1
+        assert checked >= 60
+
+    def test_zero_scale_power_piece_reads_zero(self):
+        piece = cy.InnerPiece(scale=0.0, rho=F(1, 3), kind="power",
+                              exponent=2.0)
+        assert piece.value(F(2), 1e-10) == (0.0, 0.0)
 
     @pytest.mark.parametrize("t", [0.7, 2.0])
     def test_one_decay_factor_per_sphere_with_a_value(self, t, monkeypatch):

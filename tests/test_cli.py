@@ -306,6 +306,23 @@ class TestExitCodes:
         assert proc.stderr.count(b"\n") == 1
         assert proc.stdout == b""
 
+    @pytest.mark.parametrize("radius,message", [
+        ("200003", "phi of 200003 would hold at least 276724 bits, past "
+                   "the cap of 2^18 bits"),
+        # no prime power: refused as such, before any phi is bounded
+        ("9999990", "9999990 is not a prime power"),
+    ])
+    def test_volume_refused_in_process(self, tmp_path, monkeypatch, capsys,
+                                       radius, message):
+        from adelic import primepow
+
+        table = primepow._PowerTable()
+        monkeypatch.setattr(primepow, "_TABLE", table)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["volume", "ball", radius]) == 2
+        assert capsys.readouterr() == ("", f"invalid parameters: {message}\n")
+        assert table._limit == 512  # refused before any sieve
+
     @pytest.mark.parametrize("args", [
         ["solve", "homogeneous", "--t", "1000", "--alpha", "2"],
         ["phi", "100000"],

@@ -11,7 +11,9 @@ import random
 import sys
 import threading
 import time
+from array import array
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -328,9 +330,10 @@ class TestConcurrentExtension:
 
     def test_parallel_memo_checkpoint_and_log_reads(self, monkeypatch):
         # readers of the rank memos, the exact cache, the checkpoints and
-        # the row logs on a fresh table, which they grow while they read
+        # the snapshot's log columns on a fresh table, which they grow
+        # while they read
         ref = pp._PowerTable()
-        values, bases, _, _ = ref.extend_to(120_000)
+        values, bases, _, ref_logphi, _ = ref.extend_to(120_000)
         rng = random.Random(7)
         ranks = rng.sample(range(-len(values), len(values)), 300)
         want = {}
@@ -352,9 +355,10 @@ class TestConcurrentExtension:
                     i = k if k >= 0 else -1 - k
                     assert table.fraction_at(k) == want[k][0]
                     assert table.phi_at(k) == want[k][1]
-                    logp, log1m = table._row_logs(i)
+                    table._index(k)
+                    logphi, logp = table._snapshot[3:]
                     assert logp[i] == math.log(bases[i])
-                    assert log1m[i] == math.log1p(-1.0 / bases[i])
+                    assert logphi[i] == ref_logphi[i]
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -565,7 +569,7 @@ class TestTableBuild:
         table = pp._PowerTable()
         table.extend_to(1 << 21)
         assert table._limit == 1 << 21
-        values, bases, exps, logphi = table._snapshot
+        values, bases, exps, logphi, _ = table._snapshot
         digest = hashlib.sha256()
         for part in (values, bases, exps, [x.hex() for x in logphi]):
             digest.update(repr(part).encode())
@@ -733,13 +737,13 @@ def assert_same_float(phi_float_at, phi_at, k):
 
 
 class TestRankMemos:
-    """The table's per-rank memos and row logs return what the unmemoized
-    reads return, and a long walk leaves each at its bound."""
+    """The table's per-rank memos and log columns return what the
+    unmemoized reads return, and a long walk leaves each at its bound."""
 
     def test_memos_match_fresh_reads(self, monkeypatch):
         table = pp._PowerTable()
         monkeypatch.setattr(pp, "_TABLE", table)
-        values, bases, _, _ = table.extend_to(2 * pp._EXACT_CACHE_LIMIT)
+        values, bases, _, _, _ = table.extend_to(2 * pp._EXACT_CACHE_LIMIT)
         exact = 1
         for i in range(2500):  # past the memos' rows too
             exact *= bases[i]
@@ -758,13 +762,18 @@ class TestRankMemos:
             assert_same_float(pp._TABLE.phi_float_at, pp._TABLE.phi_at, k)
 
     def test_row_logs_are_the_same_floats(self):
+        # both float columns are double arrays from one log pass over the
+        # bases: log p row by row, and log phi its running sum, bit for bit
         table = pp._PowerTable()
-        bases = table.extend_to(20000)[1]
-        logp, log1m = table._row_logs(len(bases) - 1)
-        assert len(logp) == len(log1m) == len(bases)
+        _, bases, _, logphi, logp = table.extend_to(20000)
+        for column in (logphi, logp):
+            assert isinstance(column, array)
+            assert column.typecode == "d" and column.itemsize == 8
+            assert len(column) == len(bases)
         for i, p in enumerate(bases):
             assert logp[i] == math.log(p)
-            assert log1m[i] == math.log1p(-1.0 / p)
+        assert [x.hex() for x in logphi] == \
+            [x.hex() for x in accumulate(logp)]
 
     def test_cached_row_read_without_the_lock(self, monkeypatch):
         class Refuse:
@@ -805,20 +814,19 @@ class TestRankMemos:
         assert len(table._phis) == 2 * rows
         assert len(table._exact) == rows
         # checkpoints stop below the last row under the cap
-        logphi = table._snapshot[3]
+        logphi, logp = table._snapshot[3:]
         last = bisect.bisect_right(logphi, pp._PHI_BITS_CAP * math.log(2))
         assert len(table._checkpoints) <= last // pp._PHI_STRIDE + 1
         assert max(c.bit_length() for c in table._checkpoints) \
             <= pp._PHI_BITS_CAP + 1
-        logp, log1m = table._row_logs(n - 1)
-        assert n <= len(logp) == len(log1m) <= len(values)
+        assert n <= len(logp) == len(logphi) == len(values)
 
 
 class TestExactPhiCheckpoints:
     def test_equal_to_the_serial_product(self, monkeypatch):
         table = pp._PowerTable()
         monkeypatch.setattr(pp, "_TABLE", table)
-        values, bases, _, logphi = table.extend_to(200_000)
+        values, bases, _, logphi, _ = table.extend_to(200_000)
         last = bisect.bisect_right(logphi, pp._PHI_BITS_CAP * math.log(2))
         stride = pp._PHI_STRIDE
         rng = random.Random(19)
