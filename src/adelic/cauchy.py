@@ -46,6 +46,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Union
 
 from .errors import ToleranceError
@@ -485,8 +486,12 @@ class RealGridFunction:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        require_finite(x0=self.x0, dx=self.dx)
         if not self.dx > 0 or not self.values:
             raise ValueError("need a positive spacing and some samples")
+        for i, v in enumerate(self.values):
+            if not math.isfinite(v):
+                raise ValueError(f"sample {i} must be finite, got {v}")
 
     def __len__(self):
         return len(self.values)
@@ -519,14 +524,15 @@ def _convolve_samples(
     values: tuple[float, ...], kernel: list[float], dx: float
 ) -> list[float]:
     # kernel[k] = z(k*dx) for k >= 0, mirrored for k < 0; zero extension
-    # of the data outside its window
-    import numpy as np
-
-    v = np.asarray(values, dtype=float)
-    full = np.concatenate((np.asarray(kernel[:0:-1]), np.asarray(kernel)))
-    n = len(v)
-    out = np.convolve(v, full, mode="full")[n - 1: 2 * n - 1] * dx
-    return [float(x) for x in out]
+    # of the data outside its window. Output i is the dot product of the
+    # data with the window of full centred on i, summed left to right
+    # (math.fsum costs ten times as much on wide grids)
+    n = len(values)
+    full = kernel[:0:-1] + kernel
+    return [
+        sum(map(mul, values, full[n - 1 - i: 2 * n - 1 - i])) * dx
+        for i in range(n)
+    ]
 
 
 def _real_evolution(
@@ -547,6 +553,8 @@ def _real_evolution(
     ) / 3.0 if len(coarse) > 1 else 0.0
     peak = max(abs(v) for v in grid.values)
     est = window_leak * peak + disc
+    if not (math.isfinite(est) and all(map(math.isfinite, fine))):
+        raise ToleranceError("real grid samples overflow the convolution")
     if est > tol:
         raise ToleranceError(
             f"real grid too coarse or narrow: error estimate {est:.2e} "

@@ -287,6 +287,36 @@ def _transition_with_bound(
     return _ball_flow(k, d, params)
 
 
+def chi2_sf(stat: float, dof: int) -> float:
+    """P(X > stat) for X chi-square with an integer dof >= 1: the regularized
+    upper gamma Q(dof/2, stat/2) in closed form (Abramowitz & Stegun
+    26.4.4-26.4.5), e^-y times a finite sum of y^a / Gamma(a + 1) over a =
+    0, 1, ... < dof/2 for even dof, erfc(sqrt(y)) plus that sum over a =
+    1/2, 3/2, ... for odd dof (y = stat/2). The terms carry e^shift, shift
+    = min(y, 700), which keeps each below e^700 and removes it at the end.
+    Past stat = 2816 the first term e^(shift - y) leaves the normal floats:
+    the result loses precision and reads 0.0 by stat = 2900, where Q is
+    below 1e-290 unless dof exceeds about 600."""
+    if dof < 1:
+        raise ValueError("chi-square needs at least one degree of freedom")
+    if stat <= 0:
+        return 1.0
+    if stat == math.inf:
+        return 0.0
+    y = stat / 2
+    shift = min(y, 700.0)
+    odd = dof % 2
+    a = 0.5 if odd else 0.0
+    term = math.exp(shift - y) * (2.0 * math.sqrt(y / math.pi) if odd else 1.0)
+    terms = []
+    while a < dof / 2:
+        terms.append(term)
+        a += 1
+        term *= y / a
+    total = math.fsum(terms) * math.exp(-shift)
+    return total + math.erfc(math.sqrt(y)) if odd else total
+
+
 # the least expected count of a pooled bin in radius_law_chisquare
 _MIN_EXPECTED = 5.0
 
@@ -298,8 +328,6 @@ def radius_law_chisquare(
     """Goodness-of-fit of observed radius counts (None key = tail/other)
     against the analytic law. Adjacent low-expectation radii are pooled
     until each bin expects _MIN_EXPECTED counts. Returns (stat, p, dof)."""
-    from scipy.stats import chi2
-
     n = sum(observed.values())
     if n == 0:
         raise ValueError("no observations")
@@ -330,4 +358,4 @@ def radius_law_chisquare(
         (o - e) ** 2 / e for o, (_, e) in zip(obs_counts, bins)
     )
     dof = len(bins) - 1
-    return stat, float(chi2.sf(stat, dof)), dof
+    return stat, chi2_sf(stat, dof), dof

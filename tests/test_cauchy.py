@@ -10,7 +10,7 @@ import pytest
 from adelic import cauchy as cy
 from adelic.adele import AdelePoint, parse_point
 from adelic.errors import ToleranceError
-from adelic.heatkernel import KernelParams
+from adelic.heatkernel import KernelParams, z_real
 from adelic.markov import transition_prob_ball
 from adelic.primepow import phi
 from adelic.radial import RadialStep, ft_ball_eval
@@ -562,12 +562,56 @@ class TestSolveAdelic:
         with pytest.raises(ValueError):
             cy.solve_adelic(g, eigenfunction(F(2)), 1.0, cy.SymbolSpec(alpha=2.0))
 
+    @pytest.mark.parametrize("x0,dx,values", [
+        (math.nan, 0.1, (1.0, 2.0)),
+        (0.0, math.inf, (1.0, 2.0)),
+        (0.0, 0.1, (1.0, math.nan)),
+        (0.0, 0.1, (-math.inf, 2.0)),
+    ])
+    def test_non_finite_grid_rejected(self, x0, dx, values):
+        with pytest.raises(ValueError, match="must be finite"):
+            cy.RealGridFunction(x0=x0, dx=dx, values=values)
+
     def test_too_coarse_grid_rejected(self):
         vals = (0.0, 1.0, 0.0)
         g = cy.RealGridFunction(x0=-1.0, dx=1.0, values=vals)
         sym = cy.SymbolSpec(alpha=2.0, beta=2.0)
         with pytest.raises(ToleranceError):
             cy.solve_adelic(g, eigenfunction(F(2)), 0.01, sym, tol=1e-10)
+
+
+def _battery_grid():
+    # the determinism battery's real factor: e^{-x^2} on 321 points
+    return tuple(math.exp(-((-8.0 + i * 0.05) ** 2)) for i in range(321))
+
+
+def _signed(n, seed):
+    rng = random.Random(seed)
+    return tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+
+
+class TestConvolveSamples:
+    """Each output is within the recursive-summation bound of math.fsum of
+    the same products. Bits are not pinned: sum() of floats is compensated
+    from Python 3.12 on."""
+
+    @pytest.mark.parametrize("values,kernel,dx", [
+        (_battery_grid(),
+         [z_real(k * 0.05, KernelParams(0.5, 2.0, 2.0))
+          for k in range(321)], 0.05),
+        (_signed(257, 1), list(_signed(257, 2)), 0.125),
+        ((0.75,), [1.5], 0.1),
+        ((0.75, -2.0), [1.5, 0.25], 0.1),
+    ], ids=["battery-321", "signed-257", "n1", "n2"])
+    def test_within_summation_bound_of_fsum(self, values, kernel, dx):
+        n = len(values)
+        got = cy._convolve_samples(values, kernel, dx)
+        assert len(got) == n
+        for i, g in enumerate(got):
+            products = [v * kernel[abs(i - j)] for j, v in enumerate(values)]
+            want = math.fsum(products) * dx
+            bound = (n - 1) * 2.0 ** -53 * math.fsum(map(abs, products)) * dx
+            assert abs(g - want) <= bound + math.ulp(want), (i, g, want)
 
 
 class TestOperatorFactorization:

@@ -436,7 +436,8 @@ class TestExitCodes:
 # the radius plans were read from the table's ranks; `simulate` re-frozen
 # at the SHAKE-256 tail rule, which changes its points' tail-derived
 # digits only. The float-printing commands are left out: their last digits
-# depend on libm and numpy.
+# depend on libm and, for `solve adelic`, on the interpreter's float sum()
+# (compensated from Python 3.12 on).
 FROZEN_BATTERY = {
     "phi 10":
         "557ce7034bcd6cc9aeb72c26f5061242dfc94b89daa44f13a9efa9c683948bc0",
@@ -793,6 +794,34 @@ class TestSolveAdelic:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "grid.csv", "step.json"
+        ]
+
+    @pytest.mark.parametrize("sample,code,message", [
+        ("nan", 2, "invalid parameters: sample 160 must be finite, got nan"),
+        ("1e308", 3,
+         "tolerance failure: real grid samples overflow the convolution"),
+    ])
+    def test_non_finite_real_grid_refused(self, step_file, tmp_path,
+                                          monkeypatch, capsys, sample, code,
+                                          message):
+        # once exit 0 with an all-nan or inf out.csv: a nan estimate
+        # passed the tolerance test. nan at the centre sample; 1e308 at
+        # every sample, whose convolution overflows
+        rows = ["x,value"] + [
+            f"{-8.0 + i * 0.05:.17g},"
+            f"{sample if sample == '1e308' or i == 160 else '0.5'}"
+            for i in range(321)
+        ]
+        (tmp_path / "g.csv").write_text("\n".join(rows) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(
+            ["solve", "adelic", "--t", "0.5", "--alpha", "2", "--beta", "2",
+             "--real", "g.csv", "--fin", str(step_file), "--output", "o.csv",
+             "--tol", "1e-4"]
+        ) == code
+        assert capsys.readouterr() == ("", message + "\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "g.csv", "step.json"
         ]
 
     def test_requires_output(self, step_file, tmp_path):

@@ -236,6 +236,29 @@ class TestIncrementLaw:
         assert pval > 1e-3
         assert dof > 5
 
+    @pytest.mark.parametrize("stat", [
+        1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.5, 7.0, 15.0, 30.0, 64.0, 100.0,
+        150.0, 199.5, 250.0, 400.0, 600.0, 900.0, 1200.0,
+    ])
+    def test_chi2_sf_matches_scipy(self, stat):
+        from scipy.stats import chi2
+
+        for dof in range(1, 201):
+            want = float(chi2.sf(stat, dof))
+            if want > 1e-290:
+                got = mk.chi2_sf(stat, dof)
+                assert abs(got - want) <= 1e-12 * want, (stat, dof, got, want)
+
+    def test_chi2_sf_edges(self):
+        for dof in (1, 2, 7, 200):
+            assert mk.chi2_sf(0.0, dof) == 1.0
+            assert mk.chi2_sf(-3.0, dof) == 1.0
+            assert mk.chi2_sf(math.inf, dof) == 0.0
+        assert mk.chi2_sf(2.0, 2) == math.exp(-1.0)
+        assert mk.chi2_sf(1.0, 1) == math.erfc(math.sqrt(0.5))
+        with pytest.raises(ValueError):
+            mk.chi2_sf(1.0, 0)
+
     def test_sphere_norms_exact(self):
         rng = derive_rng(77, "norms")
         dist = mk.radius_distribution(

@@ -119,13 +119,11 @@ def test_commands_leave_dataclasses_inspect_and_json_unloaded(tmp_path,
         "import adelic.cli\n"
         f"assert adelic.cli.main({args!r}) == 0\n"
         "print(preloaded)\n"
-        "print([m for m in (*watched, 'numpy') if m in sys.modules])\n",
+        "print([m for m in watched if m in sys.modules])\n",
         cwd=tmp_path,
     )
     preloaded, loaded = map(set, map(eval, out.splitlines()[-2:]))
     expected_absent = {"dataclasses", "inspect"}
-    if "numpy" in loaded:  # numpy imports inspect itself (solve adelic)
-        expected_absent.discard("inspect")
     if args[0] in NO_JSON:
         expected_absent.add("json")
     if expected_absent & preloaded:
@@ -150,6 +148,7 @@ def test_verify_volumes_loads_only_its_checks_layers():
 
 @pytest.mark.parametrize("command", [
     "kernel eval", "kernel normalize", "transition", "solve duhamel",
+    "solve adelic",
 ])
 def test_analytic_commands_leave_numeric_libraries_unloaded(tmp_path,
                                                             command):
@@ -164,5 +163,23 @@ def test_analytic_commands_leave_numeric_libraries_unloaded(tmp_path,
         f"assert adelic.cli.main({args!r}) == 0\n"
         "print(sorted({'numpy', 'scipy', 'mpmath'} & set(sys.modules)))\n",
         cwd=tmp_path,
+    )
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_radius_law_chisquare_leaves_scipy_unloaded():
+    # the chi-square tail is closed form on math (markov.chi2_sf)
+    out = _fresh(
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from adelic.heatkernel import KernelParams\n"
+        "from adelic.markov import radius_distribution, "
+        "radius_law_chisquare\n"
+        "dist = radius_distribution(KernelParams(1.0, 2.0), Fraction(1, 4), "
+        "Fraction(8))\n"
+        "counts = {r: round(1000 * m) for r, m in dist.entries}\n"
+        "stat, p, dof = radius_law_chisquare(counts, dist)\n"
+        "assert dof >= 1 and 0.0 < p <= 1.0, (stat, p, dof)\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
     )
     assert out.splitlines()[-1] == "[]"
